@@ -1,9 +1,15 @@
 """Exact Gaussian dynamics of open harmonic lattices and their locality bound.
 
 The Heisenberg equations of motion of the canonical coordinate vector
-R = (Q_1..Q_n, P_1..P_n) close on a 2n x 2n kernel matrix S, so all
-coordinate commutators follow from a single matrix exponential:
+R = (Q_1..Q_n, P_1..P_n) close on a real 2n x 2n kernel matrix S, so all
+coordinate commutators follow from a matrix exponential:
 [R_k(s), R_l] is the scalar i (e^{S dt} sigma)_{k,l} times the identity.
+
+On a uniform grid dt_k = k h the products P_k = e^{S dt_k} sigma are stepped,
+P_{k+1} = E P_k with E = e^{S h}, so a run takes one exponential. Because
+sigma^2 = -1, E_k = e^{S dt_k} = -P_k sigma, and the symplectic defect
+E_k sigma E_k^T - sigma equals P_k sigma P_k^T - sigma: it needs no further
+exponential either.
 """
 
 from __future__ import annotations
@@ -12,16 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 from .bounds import matrix_exp
 from .lattice import Lattice, _check_eta
 
 SYMMETRY_TOL = 1e-12
-
-# Above this kernel size the full exponential is skipped and only its action
-# on the columns of sigma is computed.
-DENSE_EXP_CUTOFF = 1024
 
 
 def symplectic_form(n_sites: int) -> np.ndarray:
@@ -68,7 +69,7 @@ class HarmonicModel:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """The 2n x 2n generator S of the coordinate equations of motion."""
+    """The real 2n x 2n generator S of the coordinate equations of motion."""
 
     s: np.ndarray
     d: np.ndarray
@@ -86,8 +87,9 @@ def build_kernel(model: HarmonicModel) -> KernelMatrix:
     """Assemble S from the Hamiltonian blocks and the dissipative matrices.
 
     D, E, F, G are the defining bilinears of M; the upper and lower block
-    rows of each dissipative part are negatives of each other, and F = -D
-    identically.
+    rows of each dissipative part are negatives of each other. F = -D and
+    E + G = -Im(M_Q^dag M_P) identically, so S is real; the imaginary part of
+    the sums is rounding and is dropped.
     """
     n = model.n_sites
     mq = model.m[:, :n]
@@ -96,10 +98,10 @@ def build_kernel(model: HarmonicModel) -> KernelMatrix:
     e = -0.5j * (mp.conj().T @ mq).T
     f = 0.5j * (mq.conj().T @ mq).T
     g = 0.5j * (mq.conj().T @ mp)
-    s = np.zeros((2 * n, 2 * n), dtype=complex)
+    s = np.zeros((2 * n, 2 * n))
     s[:n, n:] = -model.b
     s[n:, :n] = model.a
-    upper = np.hstack([d + f, e + g])
+    upper = np.hstack([d + f, e + g]).real
     s[:n, :] += upper
     s[n:, :] -= upper
     return KernelMatrix(s=s, d=d, e=e, f=f, g=g, sigma=symplectic_form(n))
@@ -113,43 +115,52 @@ class CommutatorMatrix:
     values: np.ndarray
 
 
-def harmonic_commutator_norms(kernel: KernelMatrix, dt: float,
-                              dense_cutoff: int = DENSE_EXP_CUTOFF) -> CommutatorMatrix:
-    """All coordinate commutator norms at once: |e^{S dt} sigma| entrywise.
+def _stepped_products(kernel: KernelMatrix, t: float, points: int):
+    """Yield (dt_k, e^{S dt_k} sigma) on the grid linspace(0, t, points).
+
+    One exponential E = e^{S h}, h = t / (points - 1), then P_{k+1} = E P_k.
+    The step comes from t and points, never from differences of grid values.
+    """
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if points < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {points}")
+    step = matrix_exp(kernel.s * (t / (points - 1)))
+    product = kernel.sigma
+    for dt in np.linspace(0.0, t, points).tolist():
+        if dt > 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = step @ product
+            if not np.all(np.isfinite(product)):
+                raise OverflowError(f"e^(S dt) overflowed at dt = {dt!r}")
+        yield dt, product
+
+
+def harmonic_commutator_norms(kernel: KernelMatrix, t: float,
+                              points: int) -> list[CommutatorMatrix]:
+    """All coordinate commutator norms on the grid: |e^{S dt} sigma| entrywise.
 
     [R_k(s), R_l] = sum_m [e^{S dt}]_{k,m} i sigma_{m,l} 1, a scalar multiple
     of the identity, so its operator norm is the absolute value of that
-    scalar.
+    scalar. One matrix per point of linspace(0, t, points).
     """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if kernel.s.shape[0] <= dense_cutoff:
-        product = matrix_exp(kernel.s * dt) @ kernel.sigma
-    else:
-        product = expm_multiply(kernel.s * dt, kernel.sigma.astype(complex))
-    if not np.all(np.isfinite(product)):
-        raise OverflowError("e^{S dt} overflowed for this dt and kernel norm")
-    return CommutatorMatrix(dt=float(dt), values=np.abs(product))
+    return [CommutatorMatrix(dt=dt, values=np.abs(product))
+            for dt, product in _stepped_products(kernel, t, points)]
 
 
-def symplectic_defect(kernel: KernelMatrix, dt: float,
-                      dense_cutoff: int = DENSE_EXP_CUTOFF) -> float:
-    """max |e^{S dt} sigma e^{S dt}^T - sigma|; zero for closed systems.
+def symplectic_defect(kernel: KernelMatrix, t: float, points: int) -> float:
+    """max over the grid of |e^{S dt} sigma e^{S dt}^T - sigma|; zero if closed.
 
     Hamiltonian kernels generate symplectic flows, so this is a consistency
-    check for M = 0 models.
+    check for M = 0 models. With P = e^{S dt} sigma the product is
+    P sigma P^T, and P sigma = [-P[:, n:] | P[:, :n]].
     """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    sigma = kernel.sigma.astype(complex)
-    if kernel.s.shape[0] <= dense_cutoff:
-        e = matrix_exp(kernel.s * dt)
-        product = e @ sigma @ e.T
-    else:
-        # two exponential actions: E (sigma E^T) with sigma E^T = -(E sigma)^T
-        half = expm_multiply(kernel.s * dt, sigma)
-        product = expm_multiply(kernel.s * dt, -half.T)
-    return float(np.abs(product - kernel.sigma).max())
+    n = kernel.n_sites
+    defect = 0.0
+    for _, product in _stepped_products(kernel, t, points):
+        p_sigma = np.hstack([-product[:, n:], product[:, :n]])
+        defect = max(defect, float(np.abs(p_sigma @ product.T - kernel.sigma).max()))
+    return defect
 
 
 def c0_fit(model: HarmonicModel, eta: float) -> float:
@@ -171,10 +182,17 @@ def c0_fit(model: HarmonicModel, eta: float) -> float:
 
 
 def theorem4_bound(c0: float, p0: float, eta: float, dt: float, d_xy: float) -> float:
-    """e^{2 p0 (c0 + p0 c0^2) dt} / (2 p0 [1 + d]^eta), for distinct sites."""
+    """e^{2 p0 (c0 + p0 c0^2) dt} / (2 p0 [1 + d]^eta), for distinct sites.
+
+    An exponential beyond the float range gives +inf.
+    """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if d_xy <= 0:
         raise ValueError("the harmonic bound requires distinct sites (d > 0)")
     rate = 2.0 * p0 * (c0 + p0 * c0 * c0)
-    return math.exp(rate * dt) / (2.0 * p0 * (1.0 + d_xy) ** eta)
+    try:
+        growth = math.exp(rate * dt)
+    except OverflowError:
+        return math.inf  # vacuous, never violated
+    return growth / (2.0 * p0 * (1.0 + d_xy) ** eta)

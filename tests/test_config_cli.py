@@ -235,7 +235,7 @@ class TestRunners:
         import csv
         import math
 
-        from liebrob.runner import SAFETY
+        from liebrob.runner import SAFETY, run_lightcone
 
         data = minimal_spin_config(coupling=0.8, rate=0.0, t=1.0, points=3)
         config = parse_config(data)
@@ -261,7 +261,7 @@ class TestRunners:
         import csv
 
         from liebrob import c0_fit, p0_constant, theorem4_bound
-        from liebrob.runner import SAFETY
+        from liebrob.runner import SAFETY, run_lightcone
 
         data = {
             "lattice": {"geometry": {"kind": "chain", "sides": [5]},
@@ -285,6 +285,74 @@ class TestRunners:
             expected = theorem4_bound(c0, p0, 2.5, float(row["dt"]),
                                       float(row["distance"]))
             assert float(row["rhs"]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rhs_scale", [1.0, 1e-24])
+    def test_verify_harmonic_rows_match_mask_loop_oracle(self, tmp_path, monkeypatch,
+                                                         rhs_scale):
+        # The per-distance reduction, one boolean mask per distance, kind and
+        # grid point, on a random power-law model on a grid with tied and
+        # irrational distances. The bound is loose by a factor above 1e11
+        # here; scaled down by 1e-24 it fails on part of the pairs.
+        import csv
+        import math
+
+        from liebrob import harmonic, lightcone_arrivals, p0_constant
+        from liebrob.bounds import VIOLATION_TOLERANCE
+        from liebrob.config import RunConfig, TimeGrid
+        from liebrob.harmonic import HarmonicModel
+        from liebrob.lattice import build_lattice
+        from liebrob.runner import SAFETY, run_lightcone
+
+        rng = np.random.default_rng(71)
+        lattice = build_lattice((3, 4), "euclidean")
+        n = lattice.n_sites
+        decay = (1.0 + lattice.dist) ** -3.0
+        a = rng.uniform(0.5, 1.0, (n, n))
+        b = rng.uniform(0.5, 1.0, (n, n))
+        m = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
+        model = HarmonicModel(lattice=lattice, a=(a + a.T) * decay, b=(b + b.T) * decay,
+                              m=0.3 * m * np.hstack([decay, decay]))
+        config = RunConfig(lattice=lattice, eta=3.0, harmonic_model=model,
+                           time=TimeGrid(t=1.5, points=7, kind="dt"))
+        bound = harmonic.theorem4_bound
+        monkeypatch.setattr(harmonic, "theorem4_bound",
+                            lambda *args: rhs_scale * bound(*args))
+        summary = run_verify_harmonic(config, tmp_path)
+
+        p0 = p0_constant(lattice, 3.0) * SAFETY
+        c0 = harmonic.c0_fit(model, 3.0) * SAFETY
+        dist = lattice.dist
+        off = ~np.eye(n, dtype=bool)
+        kernel = harmonic.build_kernel(model)
+        norms = harmonic.harmonic_commutator_norms(kernel, 1.5, 7)
+        expected, per_kind, field = [], {}, {}
+        for k, cm in enumerate(norms):
+            blocks = {"QQ": cm.values[:n, :n], "QP": cm.values[:n, n:],
+                      "PQ": cm.values[n:, :n], "PP": cm.values[n:, n:]}
+            for kind, lhs in blocks.items():
+                for d in np.unique(dist[off]):
+                    mask = (dist == d) & off
+                    lhs_max = float(lhs[mask].max())
+                    rhs = float(rhs_scale * bound(c0, p0, 3.0, cm.dt, d))
+                    slack = math.inf if lhs_max == 0.0 else rhs / lhs_max
+                    cell = int((lhs[mask] > rhs * (1.0 + VIOLATION_TOLERANCE)).sum())
+                    per_kind[kind] = per_kind.get(kind, 0) + cell
+                    curve = field.setdefault(float(d), [0.0] * len(norms))
+                    curve[k] = max(curve[k], lhs_max)
+                    expected.append([repr(float(d)), kind, repr(cm.dt), repr(lhs_max),
+                                     repr(rhs), repr(slack), str(cell)])
+        with open(tmp_path / "report.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == expected
+        assert summary["violations"] == per_kind
+        total = sum(per_kind.values())
+        assert summary["violation_count"] == total
+        assert (total == 0) == (rhs_scale == 1.0)
+        assert total < 4 * n * (n - 1) * 7
+        arrivals = [{"distance": d, "arrival": t}
+                    for d, t in lightcone_arrivals([cm.dt for cm in norms], field,
+                                                       config.epsilon)]
+        assert arrivals and summary["lightcone"] == arrivals
+        assert run_lightcone(config, tmp_path / "lightcone")["lightcone"] == arrivals
 
     def test_verify_spin_interaction_free_model(self, tmp_path):
         data = minimal_spin_config(coupling=0.0, rate=0.4)
@@ -434,26 +502,49 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["eta_above_lattice_dimension"] is False
 
-    def test_thread_cap_preserves_outputs(self, tmp_path, monkeypatch):
+    def test_overflowing_harmonic_rhs_is_vacuous(self, tmp_path):
         data = {
-            "lattice": {"geometry": {"kind": "chain", "sides": [10]},
+            "lattice": {"geometry": {"kind": "chain", "sides": [20]},
                         "metric": "graph"},
             "eta": 3.0,
             "model": {
                 "type": "harmonic",
-                "a": {"power_law": {"amplitude": 1.0, "eta": 3.0}},
-                "b": {"identity": {}},
+                "a": {"power_law": {"amplitude": 0.98, "eta": 3.0}},
+                "b": {"identity": {"scale": 0.98}},
                 "m": {"local_damping": {"rate": 0.1}},
             },
-            "time": {"t": 1.0, "dt_points": 5},
+            "time": {"t": 40.0, "dt_points": 21},
         }
         path = write_config(tmp_path, data)
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.delenv("LIEBROB_THREADS", raising=False)
+        out = tmp_path / "out"
         assert main(["verify-harmonic", "--config", str(path),
-                     "--out", str(out1)]) == 0
-        monkeypatch.setenv("LIEBROB_THREADS", "4")
-        assert main(["verify-harmonic", "--config", str(path),
-                     "--out", str(out2)]) == 0
-        for name in ("report.csv", "summary.json", "lightcone.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+                     "--out", str(out)]) == 0
+        rhs = [line.split(",")[4]
+               for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert "inf" in rhs and rhs[0] != "inf"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["violation_count"] == 0
+
+    @pytest.mark.parametrize("command", ["verify-harmonic", "lightcone"])
+    def test_overflowing_harmonic_lhs_exits_one(self, tmp_path, capsys, command):
+        # inverted oscillators: S has eigenvalues +-1, e^{S dt} passes the
+        # float range around dt = 710 while each step e^{100 S} is finite
+        data = {
+            "lattice": {"geometry": {"kind": "chain", "sides": [2]},
+                        "metric": "graph"},
+            "eta": 2.0,
+            "model": {
+                "type": "harmonic",
+                "a": {"identity": {}},
+                "b": {"identity": {"scale": -1.0}},
+                "m": {"zero": {}},
+            },
+            "time": {"t": 1000.0, "dt_points": 11},
+        }
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "/time/t" in err and "t = 1000.0" in err
+        assert "Traceback" not in err

@@ -108,13 +108,36 @@ class TestBuildKernel:
         np.testing.assert_allclose(kernel.s.real, [[0.0, -1.0], [omega**2, 0.0]],
                                    atol=1e-15)
 
+    def test_kernel_is_real_and_matches_complex_assembly(self):
+        rng = np.random.default_rng(59)
+        n = 40
+        m = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
+        models = (
+            HarmonicModel(lattice=build_lattice(n), a=0.5 * np.eye(n), b=np.eye(n), m=m),
+            damped_chain(12, eta=3.0, gamma=0.2),
+        )
+        for model in models:
+            n = model.n_sites
+            kernel = build_kernel(model)
+            assert kernel.s.dtype == np.float64
+            mq, mp = model.m[:, :n], model.m[:, n:]
+            complex_s = np.zeros((2 * n, 2 * n), dtype=complex)
+            complex_s[:n, n:] = -model.b
+            complex_s[n:, :n] = model.a
+            d_plus_f = -0.5j * (mq.conj().T @ mq).T + 0.5j * (mq.conj().T @ mq).T
+            e_plus_g = -0.5j * (mp.conj().T @ mq).T + 0.5j * (mq.conj().T @ mp)
+            upper = np.hstack([d_plus_f, e_plus_g])
+            complex_s[:n, :] += upper
+            complex_s[n:, :] -= upper
+            assert np.abs(kernel.s - complex_s).max() <= 1e-15 * np.abs(complex_s).max()
+
 
 class TestHarmonicCommutatorNorms:
     def test_canonical_structure_at_dt_zero(self):
         rng = np.random.default_rng(55)
         model = closed_model(rng, 3)
         kernel = build_kernel(model)
-        cm = harmonic_commutator_norms(kernel, 0.0)
+        cm = harmonic_commutator_norms(kernel, 0.0, 2)[-1]
         np.testing.assert_allclose(cm.values, np.abs(symplectic_form(3)), atol=1e-15)
 
     def test_single_site_oscillator_rotation(self):
@@ -123,7 +146,7 @@ class TestHarmonicCommutatorNorms:
                               b=np.array([[1.0]]), m=np.zeros((1, 2)))
         kernel = build_kernel(model)
         for dt in (0.0, 0.3, 1.0, 2.5):
-            cm = harmonic_commutator_norms(kernel, dt)
+            cm = harmonic_commutator_norms(kernel, dt, 2)[-1]
             assert cm.values[0, 0] == pytest.approx(abs(np.sin(dt)), abs=1e-12)
             assert cm.values[0, 1] == pytest.approx(abs(np.cos(dt)), abs=1e-12)
 
@@ -138,12 +161,15 @@ class TestHarmonicCommutatorNorms:
                 defect = np.abs(e @ sigma @ e.T - sigma).max()
                 assert defect < 1e-9
 
-    def test_action_path_matches_dense_path(self):
-        model = damped_chain(8, eta=3.0, gamma=0.2)
-        kernel = build_kernel(model)
-        dense = harmonic_commutator_norms(kernel, 1.3)
-        action = harmonic_commutator_norms(kernel, 1.3, dense_cutoff=1)
-        np.testing.assert_allclose(action.values, dense.values, atol=1e-10)
+    def test_stepped_grid_matches_per_point_exponentials(self):
+        rng = np.random.default_rng(58)
+        for model in (damped_chain(12, eta=3.0, gamma=0.2), closed_model(rng, 12)):
+            kernel = build_kernel(model)
+            norms = harmonic_commutator_norms(kernel, 2.0, 101)
+            assert [cm.dt for cm in norms] == np.linspace(0.0, 2.0, 101).tolist()
+            for cm in norms:
+                direct = np.abs(matrix_exp(kernel.s * cm.dt) @ kernel.sigma)
+                assert np.abs(cm.values - direct).max() <= 1e-12 * direct.max()
 
     def test_decoupled_model_has_no_off_diagonal_spread(self):
         # diagonal A and B: sites never talk, so QQ and PP norms stay
@@ -155,7 +181,7 @@ class TestHarmonicCommutatorNorms:
         kernel = build_kernel(model)
         off = ~np.eye(n, dtype=bool)
         for dt in (0.0, 0.7, 2.0):
-            cm = harmonic_commutator_norms(kernel, dt)
+            cm = harmonic_commutator_norms(kernel, dt, 2)[-1]
             assert np.abs(cm.values[:n, :n][off]).max() == 0.0
             assert np.abs(cm.values[n:, n:][off]).max() == 0.0
             assert np.abs(cm.values[:n, n:][off]).max() == 0.0
@@ -164,15 +190,15 @@ class TestHarmonicCommutatorNorms:
         rng = np.random.default_rng(57)
         closed = closed_model(rng, 6)
         kernel = build_kernel(closed)
-        assert symplectic_defect(kernel, 1.5) < 1e-11
-        assert symplectic_defect(kernel, 1.5, dense_cutoff=1) < 1e-9
-        damped = damped_chain(6, eta=3.0, gamma=0.5)
-        assert symplectic_defect(build_kernel(damped), 1.5) > 1e-3
+        damped = build_kernel(damped_chain(6, eta=3.0, gamma=0.5))
+        for points in (2, 101):
+            assert symplectic_defect(kernel, 1.5, points) < 1e-11
+            assert symplectic_defect(damped, 1.5, points) > 1e-3
 
     def test_negative_dt_rejected(self):
         kernel = build_kernel(damped_chain(2, 2.0, 0.1))
         with pytest.raises(ValueError):
-            harmonic_commutator_norms(kernel, -0.1)
+            harmonic_commutator_norms(kernel, -0.1, 2)
 
     def test_overflow_reported(self):
         # inverted oscillator: S has real eigenvalues +-1e4, so the
@@ -182,7 +208,16 @@ class TestHarmonicCommutatorNorms:
                               b=np.array([[-1.0e4]]), m=np.zeros((1, 2)))
         kernel = build_kernel(model)
         with pytest.raises(OverflowError):
-            harmonic_commutator_norms(kernel, 100.0)
+            harmonic_commutator_norms(kernel, 100.0, 2)
+
+    def test_overflow_while_stepping_reported(self):
+        # S = [[0, 1], [1, 0]] and h = 100: e^{S h} is finite, e^{8 S h} is not
+        lattice = build_lattice(1)
+        model = HarmonicModel(lattice=lattice, a=np.array([[1.0]]),
+                              b=np.array([[-1.0]]), m=np.zeros((1, 2)))
+        kernel = build_kernel(model)
+        with pytest.raises(OverflowError, match="dt = "):
+            harmonic_commutator_norms(kernel, 1000.0, 11)
 
 
 class TestC0Fit:
@@ -252,8 +287,8 @@ class TestSoundnessSweep:
         c0 = c0_fit(model, eta)
         off = ~np.eye(n, dtype=bool)
         dist = model.lattice.dist
-        for dt in np.linspace(0.0, 2.0, 9):
-            cm = harmonic_commutator_norms(kernel, float(dt))
+        for cm in harmonic_commutator_norms(kernel, 2.0, 9):
+            dt = cm.dt
             rhs = np.exp(2 * p0 * (c0 + p0 * c0 * c0) * dt) / (
                 2.0 * p0 * (1.0 + dist) ** eta
             )
