@@ -13,11 +13,8 @@ from .bounds import (
     PowerLawCert,
     Theorem1Params,
     build_j_matrix,
-    c2_path_sum,
-    c3_path_sum,
     certify,
     commutator_theorem1_params,
-    general_theorem1_params,
     lambda0_fit,
     lightcone_arrivals,
     matrix_exp,
@@ -52,11 +49,9 @@ from .lindblad import (
     GKSLModel,
     HamiltonianTerm,
     LindbladTerm,
-    Superoperator,
     TimeProfile,
     build_adjoint_generator,
     build_generator,
-    commutator_norm_curve,
     commutator_norm_curves,
     heisenberg_evolve,
     schrodinger_evolve,

@@ -76,7 +76,6 @@ class Theorem1Params:
     c: float
     v: float
     eta: float
-    variant: str = "commutator_form"
 
 
 def commutator_theorem1_params(o_x_norm: float, o_y_norm: float, size_x: int,
@@ -84,24 +83,20 @@ def commutator_theorem1_params(o_x_norm: float, o_y_norm: float, size_x: int,
                                eta: float) -> Theorem1Params:
     """Parameters for the commutator form: C = 2 ||O_X|| ||O_Y|| |X||Y| / p0."""
     c = 2.0 * o_x_norm * o_y_norm * size_x * size_y / p0
-    return Theorem1Params(c=c, v=lambda0 * p0, eta=eta, variant="commutator_form")
-
-
-def general_theorem1_params(k_norm: float, o_y_norm: float, size_x: int,
-                            size_y: int, p0: float, lambda0: float,
-                            eta: float) -> Theorem1Params:
-    """Parameters for a general local super-operator K_X of known norm."""
-    c = k_norm * o_y_norm * size_x * size_y / p0
-    return Theorem1Params(c=c, v=lambda0 * p0, eta=eta, variant="general_K")
+    return Theorem1Params(c=c, v=lambda0 * p0, eta=eta)
 
 
 def theorem1_bound(params: Theorem1Params, dt: float, d_xy: float) -> float:
-    """C (e^{v dt} - 1) / [1 + d(X,Y)]^eta."""
+    """C (e^{v dt} - 1) / [1 + d(X,Y)]^eta; +inf beyond the float range."""
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if d_xy <= 0:
         raise ValueError("the bound requires disjoint supports (d(X,Y) > 0)")
-    return params.c * math.expm1(params.v * dt) / (1.0 + d_xy) ** params.eta
+    try:
+        growth = math.expm1(params.v * dt)
+    except OverflowError:
+        return math.inf  # vacuous, never violated
+    return params.c * growth / (1.0 + d_xy) ** params.eta
 
 
 def theorem2_bound(lambda0: float, p1: float, n_lambda: float, k_norm: float,
@@ -110,7 +105,8 @@ def theorem2_bound(lambda0: float, p1: float, n_lambda: float, k_norm: float,
     """Rescaled-time bound, valid for every eta > 0.
 
     C1 (e^{v1 dt / N} - 1) / [1 + d]^eta with C1 = ||K|| ||O|| |X||Y| N / p1
-    and v1 = lambda0 p1; N is the lattice rescaling factor.
+    and v1 = lambda0 p1; N is the lattice rescaling factor. An exponential
+    beyond the float range gives +inf.
     """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
@@ -118,7 +114,11 @@ def theorem2_bound(lambda0: float, p1: float, n_lambda: float, k_norm: float,
         raise ValueError("the bound requires disjoint supports (d(X,Y) > 0)")
     c1 = k_norm * o_norm * size_x * size_y * n_lambda / p1
     v1 = lambda0 * p1
-    return c1 * math.expm1(v1 * dt / n_lambda) / (1.0 + d_xy) ** eta
+    try:
+        growth = math.expm1(v1 * dt / n_lambda)
+    except OverflowError:
+        return math.inf  # vacuous, never violated
+    return c1 * growth / (1.0 + d_xy) ** eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +183,16 @@ def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
 
 
 def theorem3_matrix(jm: JMatrix, dt: float) -> np.ndarray:
-    """exp(kappa J dt); entries are nonnegative and nondecreasing in dt."""
+    """exp(kappa J dt); entries are nonnegative and nondecreasing in dt.
+
+    An exponential beyond the float range gives a matrix of +inf.
+    """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    return matrix_exp(jm.kappa * jm.matrix * dt)
+    try:
+        return matrix_exp(jm.kappa * jm.matrix * dt)
+    except OverflowError:
+        return np.full(jm.matrix.shape, math.inf)  # vacuous, never violated
 
 
 def theorem3_bound(jm: JMatrix, k_norm: float, o_norm: float, dt: float,
@@ -214,73 +220,19 @@ def matrix_exp(m) -> np.ndarray:
     return e
 
 
-def c2_path_sum(j_matrix, i: int, k: int) -> float:
-    """Second power-series coefficient via the explicit three-sum expansion.
+def certify(lhs, rhs):
+    """Pointwise comparison of aligned LHS and RHS arrays: (slack, violated).
 
-    Direct nested loops over two-edge paths from i to k: intermediate paths,
-    plus the two families where one edge connects i and k directly.
+    Slack is rhs/lhs, infinite where the LHS vanishes; a point is a violation
+    iff lhs > rhs * (1 + VIOLATION_TOLERANCE).
     """
-    j = np.asarray(j_matrix.matrix if isinstance(j_matrix, JMatrix) else j_matrix)
-    n = j.shape[0]
-    total = sum(j[i, m] * j[m, k] for m in range(n) if m not in (i, k))
-    total += sum(j[i, m] * j[i, k] for m in range(n) if m != i)
-    total += sum(j[i, k] * j[m, k] for m in range(n) if m != k)
-    return float(total)
-
-
-def c3_path_sum(j_matrix, i: int, k: int) -> float:
-    """Third power-series coefficient via the explicit seven-sum expansion."""
-    j = np.asarray(j_matrix.matrix if isinstance(j_matrix, JMatrix) else j_matrix)
-    n = j.shape[0]
-    idx = range(n)
-    s1 = sum(j[i, a] * j[a, b] * j[b, k]
-             for a in idx if a != i for b in idx if b not in (a, k))
-    s2 = sum(j[i, a] * j[i, b] * j[i, k]
-             for a in idx if a != i for b in idx if b != i)
-    s3 = sum(j[i, a] * j[i, k] * j[b, k]
-             for a in idx if a != i for b in idx if b != k)
-    s4 = sum(j[i, k] * j[a, k] * j[b, k]
-             for a in idx if a != k for b in idx if b != k)
-    s5 = sum(j[i, a] * j[i, b] * j[b, k]
-             for a in idx if a != i for b in idx if b not in (i, k))
-    s6 = sum(j[i, a] * j[b, a] * j[a, k]
-             for a in idx if a not in (i, k) for b in idx if b != a)
-    s7 = sum(j[i, a] * j[a, k] * j[b, k]
-             for a in idx if a not in (i, k) for b in idx if b != a)
-    return float(s1 + s2 + s3 + s4 + s5 + s6 + s7)
-
-
-@dataclass(frozen=True)
-class CertPoint:
-    """One grid point of an LHS-vs-RHS comparison."""
-
-    x: float
-    lhs: float
-    rhs: float
-    slack: float
-    violation: bool
-
-
-def certify(lhs_curve, rhs_curve, tolerance: float = VIOLATION_TOLERANCE):
-    """Pointwise comparison of two curves sharing a grid.
-
-    Slack is rhs/lhs (infinite where the LHS vanishes); a point is flagged as
-    a violation iff lhs > rhs * (1 + tolerance).
-    """
-    lhs_curve = list(lhs_curve)
-    rhs_curve = list(rhs_curve)
-    if len(lhs_curve) != len(rhs_curve):
-        raise ValueError("curves have different lengths")
-    points = []
-    for (xl, lhs), (xr, rhs) in zip(lhs_curve, rhs_curve):
-        if xl != xr:
-            raise ValueError(f"grid mismatch: {xl} vs {xr}")
-        slack = math.inf if lhs == 0.0 else rhs / lhs
-        points.append(
-            CertPoint(x=xl, lhs=lhs, rhs=rhs, slack=slack,
-                      violation=lhs > rhs * (1.0 + tolerance))
-        )
-    return points
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if lhs.shape != rhs.shape:
+        raise ValueError(f"shape mismatch: lhs {lhs.shape} vs rhs {rhs.shape}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.where(lhs == 0.0, math.inf, rhs / lhs)
+    return slack, lhs > rhs * (1.0 + VIOLATION_TOLERANCE)
 
 
 def lightcone_arrivals(dt_grid, curves, epsilon: float):

@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="seed for stochastic subroutines (runs are deterministic)")
         cmd.add_argument("--guard-dim", type=int, default=None,
                          help="override the desk-scale Hilbert dimension guard")
     return parser

@@ -1,10 +1,13 @@
 """GKSL generators as dense superoperators, and exact propagation.
 
 States evolve forward under the generator (Schrodinger picture); observables
-evolve backward under its Hilbert-Schmidt adjoint (Heisenberg picture). For
-time-dependent models the propagator is a time-ordered product of
-piecewise-constant midpoint exponentials, so every step is exactly a
-channel / adjoint channel.
+evolve backward under its Hilbert-Schmidt adjoint (Heisenberg picture). All
+propagation is one stepped sweep over a uniform grid: a time-independent
+model takes a single exponential e^{h L} for the grid step h and applies it
+once per interval; a time-dependent model takes a time-ordered product of
+piecewise-constant midpoint exponentials per interval, so every step is
+exactly a channel / adjoint channel. Single-interval evolution is the
+two-point grid.
 """
 
 from __future__ import annotations
@@ -168,15 +171,6 @@ class GKSLModel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """Dense matrix acting on column-stacked vectorized operators."""
-
-    dim: int
-    matrix: np.ndarray
-    kind: str  # generator | adjoint_generator | propagator
-
-
 def _check_guard(model: GKSLModel) -> None:
     if model.hilbert_dim > model.guard_dim:
         raise ValueError(
@@ -214,58 +208,69 @@ def _assemble(pieces, dim: int, time: float) -> np.ndarray:
     return total
 
 
-def build_generator(model: GKSLModel, time: float = 0.0) -> Superoperator:
+def build_generator(model: GKSLModel, time: float = 0.0) -> np.ndarray:
     """Matrix of the GKSL generator at the given time (column stacking).
 
     Action on a vectorized state:  -i(H rho - rho H)
     + sum_v gamma_v [L rho L^dag - (L^dag L rho + rho L^dag L)/2].
     """
-    pieces = _superop_pieces(model, adjoint=False)
-    return Superoperator(
-        dim=model.hilbert_dim,
-        matrix=_assemble(pieces, model.hilbert_dim, time),
-        kind="generator",
-    )
+    return _assemble(_superop_pieces(model, adjoint=False), model.hilbert_dim, time)
 
 
-def build_adjoint_generator(model: GKSLModel, time: float = 0.0) -> Superoperator:
+def build_adjoint_generator(model: GKSLModel, time: float = 0.0) -> np.ndarray:
     """Hilbert-Schmidt adjoint of the generator; annihilates the identity."""
-    pieces = _superop_pieces(model, adjoint=True)
-    return Superoperator(
-        dim=model.hilbert_dim,
-        matrix=_assemble(pieces, model.hilbert_dim, time),
-        kind="adjoint_generator",
-    )
+    return _assemble(_superop_pieces(model, adjoint=True), model.hilbert_dim, time)
 
 
-def _ordered_apply(model: GKSLModel, block: np.ndarray, s0: float, s1: float,
-                   steps: int, adjoint: bool) -> np.ndarray:
-    """Apply the time-ordered midpoint-exponential product for [s0, s1].
+def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
+                    points: int, adjoint: bool, substeps: int):
+    """Yield the vectorized block at each point of linspace(lo, hi, points).
 
-    ``adjoint=True`` propagates observables backward from s1 to s0 (earliest
-    midpoint applied last); ``adjoint=False`` propagates states forward.
+    ``adjoint=True`` propagates observables backward from hi (points in
+    descending order); ``adjoint=False`` propagates states forward from lo.
+    The step h = (hi - lo) / (points - 1) comes from the endpoints and the
+    point count, never from differences of grid values. A time-independent
+    model takes one exponential e^{h L}; a time-dependent one takes
+    ``substeps`` midpoint exponentials per interval, earliest midpoint
+    applied last when going backward, so every step is exactly a channel.
     """
-    pieces = _superop_pieces(model, adjoint=adjoint)
+    if points < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {points}")
     d = model.hilbert_dim
-    h = (s1 - s0) / steps
-    ks = range(steps - 1, -1, -1) if adjoint else range(steps)
-    out = block
-    for k in ks:
-        midpoint = s0 + (k + 0.5) * h
-        out = expm(h * _assemble(pieces, d, midpoint)) @ out
-    return out
+    h = (hi - lo) / (points - 1)
+    time_dependent = model.is_time_dependent
+    if time_dependent:
+        pieces = _superop_pieces(model, adjoint=adjoint)
+        sub = h / substeps
+    else:
+        # the pieces are dropped before the exponential, which needs their memory
+        step = expm(h * _assemble(_superop_pieces(model, adjoint=adjoint), d, 0.0))
+    yield block
+    for j in range(points - 1):
+        if time_dependent:
+            k = points - 2 - j if adjoint else j  # the interval [lo + k h, lo + (k+1) h]
+            for m in range(substeps - 1, -1, -1) if adjoint else range(substeps):
+                midpoint = lo + (k * substeps + m + 0.5) * sub
+                block = expm(sub * _assemble(pieces, d, midpoint)) @ block
+        else:
+            block = step @ block
+        yield block
 
 
-def _evolved_matrix(model, mat, lo, hi, steps, adjoint, check, label):
-    d = model.hilbert_dim
-    v = vec(mat)
-    if not model.is_time_dependent:
-        gen = build_adjoint_generator(model) if adjoint else build_generator(model)
-        return unvec(expm((hi - lo) * gen.matrix) @ v, d)
-    out = unvec(_ordered_apply(model, v, lo, hi, steps, adjoint), d)
-    if check:
-        fine = unvec(_ordered_apply(model, v, lo, hi, 2 * steps, adjoint), d)
-        defect = svdvals(fine - out)[0]
+def _two_point(model: GKSLModel, mat: np.ndarray, lo: float, hi: float, steps: int,
+               adjoint: bool, check: bool, label: str) -> np.ndarray:
+    """mat carried across [lo, hi] by the sweep on the two-point grid.
+
+    With ``check`` on a time-dependent model the sweep is rerun at
+    ``2*steps`` and a gap above 1e-8 warns.
+    """
+    def endpoint(n):
+        *_, last = _stepped_blocks(model, vec(mat), lo, hi, 2, adjoint, n)
+        return unvec(last, model.hilbert_dim)
+
+    out = endpoint(steps)
+    if check and model.is_time_dependent:
+        defect = svdvals(endpoint(2 * steps) - out)[0]
         if defect > 1e-8:
             warnings.warn(
                 f"{label}: results at {steps} and {2 * steps} steps differ by"
@@ -297,8 +302,8 @@ def heisenberg_evolve(model: GKSLModel, observable, r: float, t: float,
     if r == t:
         out = mat.copy()
     else:
-        out = _evolved_matrix(model, mat, r, t, steps, adjoint=True,
-                              check=check_convergence, label="heisenberg_evolve")
+        out = _two_point(model, mat, r, t, steps, adjoint=True,
+                         check=check_convergence, label="heisenberg_evolve")
     if isinstance(observable, Operator):
         return Operator(matrix=out, support=observable.support,
                         dim_per_site=observable.dim_per_site,
@@ -331,8 +336,8 @@ def schrodinger_evolve(model: GKSLModel, rho, s: float, t: float,
         raise ValueError("input state is not positive semidefinite")
     if s == t:
         return rho.copy()
-    out = _evolved_matrix(model, rho, s, t, steps, adjoint=False,
-                          check=check_convergence, label="schrodinger_evolve")
+    out = _two_point(model, rho, s, t, steps, adjoint=False,
+                     check=check_convergence, label="schrodinger_evolve")
     if abs(np.trace(out) - 1.0) > 1e-10:
         raise RuntimeError("propagation failed to preserve the trace")
     if np.abs(out - out.conj().T).max() > 1e-10:
@@ -348,18 +353,18 @@ def _as_embedded(op: Operator, model: GKSLModel) -> Operator:
     return embed(op.matrix, op.support, model.lattice, model.dim_per_site)
 
 
-def commutator_norm_curves(model: GKSLModel, pairs, t: float, r_grid,
+def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
                            substeps: int = 16):
     """Curves r -> ||[tau(r, t) O_Y, O_X]|| for several observable pairs.
 
     ``pairs`` is a sequence of (O_X, O_Y) Operators with disjoint supports.
-    All pairs share one backward sweep over the sorted r grid; on
-    time-dependent models each grid interval is subdivided into ``substeps``
-    midpoint exponentials. Returns one list of (r, value) per pair, in the
-    order of the input grid.
+    All pairs share one backward sweep over the grid linspace(0, t, points);
+    on time-dependent models each grid interval is subdivided into
+    ``substeps`` midpoint exponentials. Returns one list of (r, value) per
+    pair, in ascending r.
     """
-    if min(r_grid) < 0 or max(r_grid) > t:
-        raise ValueError("r_grid must lie within [0, t]")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     _check_guard(model)
     d = model.hilbert_dim
     pairs = [(_as_embedded(ox, model), _as_embedded(oy, model)) for ox, oy in pairs]
@@ -380,47 +385,18 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, r_grid,
             y_index[key] = len(columns)
             columns.append(vec(oy.matrix))
         y_keys.append(key)
-    block = np.stack(columns, axis=1)
+    evolved = list(_stepped_blocks(model, np.stack(columns, axis=1), 0.0, t, points,
+                                   adjoint=True, substeps=substeps))[::-1]
 
-    rs = sorted({float(r) for r in r_grid}, reverse=True)
-    time_dependent = model.is_time_dependent
-    if time_dependent:
-        pieces = _superop_pieces(model, adjoint=True)
-    else:
-        gen = build_adjoint_generator(model).matrix
-        step_cache: dict[float, np.ndarray] = {}
-
-    evolved: dict[float, np.ndarray] = {}
-    cursor = t
-    for r in rs:
-        delta = cursor - r
-        if delta > 0:
-            if time_dependent:
-                h = delta / substeps
-                for k in range(substeps - 1, -1, -1):
-                    midpoint = r + (k + 0.5) * h
-                    block = expm(h * _assemble(pieces, d, midpoint)) @ block
-            else:
-                if delta not in step_cache:
-                    step_cache[delta] = expm(delta * gen)
-                block = step_cache[delta] @ block
-        evolved[r] = block.copy()
-        cursor = r
-
+    rs = np.linspace(0.0, t, points).tolist()
     curves = []
     for (ox, _), key in zip(pairs, y_keys):
         col = y_index[key]
         xmat = ox.matrix
         curve = []
-        for r in r_grid:
-            m = unvec(evolved[float(r)][:, col], d)
+        for r, block in zip(rs, evolved):
+            m = unvec(block[:, col], d)
             comm = m @ xmat - xmat @ m
-            curve.append((float(r), float(svdvals(comm)[0])))
+            curve.append((r, float(svdvals(comm)[0])))
         curves.append(curve)
     return curves
-
-
-def commutator_norm_curve(model: GKSLModel, o_x: Operator, o_y: Operator,
-                          t: float, r_grid, substeps: int = 16):
-    """Single-pair version of :func:`commutator_norm_curves`."""
-    return commutator_norm_curves(model, [(o_x, o_y)], t, r_grid, substeps)[0]

@@ -2,7 +2,7 @@
 
 Each run computes everything first and writes its output files in one pass at
 the end, so a failing run leaves no partial output. Outputs are deterministic
-byte-for-byte for a fixed config and seed.
+byte-for-byte for a fixed config.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -85,12 +84,11 @@ def _spin_lhs(config: RunConfig, model: GKSLModel):
     """Exact commutator-norm curves for every configured pair."""
     if config.time is None or config.time.kind != "r":
         raise ConfigError("/time", "spin runs need a time section with r_points")
-    r_grid = config.time.grid()
     pairs = _spin_pairs(config, model)
     curves = commutator_norm_curves(
-        model, [(ox, oy) for _, _, ox, oy, _ in pairs], config.time.t, r_grid
+        model, [(ox, oy) for _, _, ox, oy, _ in pairs], config.time.t, config.time.points
     )
-    return r_grid, pairs, curves
+    return config.time.grid(), pairs, curves
 
 
 def _lightcone_from_curves(r_grid, t, pairs, curves, epsilon):
@@ -128,11 +126,8 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         jm = bnd.build_j_matrix(model, 0.0, t)
     except ValueError:
         jm = None  # terms on three or more sites: matrix-exponential bound inapplicable
-    exp3 = {}
-    if jm is not None:
-        for r in r_grid:
-            dt = t - float(r)
-            exp3[dt] = bnd.theorem3_matrix(jm, dt)
+    dts = [t - r for r in r_grid.tolist()]
+    exp3 = [bnd.theorem3_matrix(jm, dt) for dt in dts] if jm is not None else None
 
     report = bnd.BoundReport()
     for (_, _, ox, oy, d_xy), curve in zip(pairs, curves):
@@ -141,35 +136,35 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         params1 = bnd.commutator_theorem1_params(
             ox_norm, oy_norm, len(ox.support), len(oy.support), p0, lambda0, eta
         )
-        single_site = len(ox.support) == 1 and len(oy.support) == 1
-        for r, lhs in curve:
-            dt = t - r
-            rhs1 = bnd.theorem1_bound(params1, dt, d_xy)
-            rhs2 = None
-            if n_lam is not None:
-                rhs2 = bnd.theorem2_bound(
-                    lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
-                    len(ox.support), len(oy.support), eta, dt, d_xy,
-                )
-            rhs3 = None
-            if jm is not None and single_site:
-                rhs3 = float(
-                    2.0 * ox_norm * oy_norm * exp3[dt][ox.support[0], oy.support[0]]
-                )
-            flags = []
-            slacks = []
-            for name, rhs in (("thm1", rhs1), ("thm2", rhs2), ("thm3", rhs3)):
-                if rhs is None:
-                    slacks.append(None)
-                    continue
-                slacks.append(math.inf if lhs == 0.0 else rhs / lhs)
-                if lhs > rhs * (1.0 + bnd.VIOLATION_TOLERANCE):
-                    flags.append(name)
+        rhs1 = [bnd.theorem1_bound(params1, dt, d_xy) for dt in dts]
+        rhs2 = rhs3 = None
+        if n_lam is not None:
+            rhs2 = [bnd.theorem2_bound(
+                lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
+                len(ox.support), len(oy.support), eta, dt, d_xy,
+            ) for dt in dts]
+        if exp3 is not None and len(ox.support) == 1 and len(oy.support) == 1:
+            rhs3 = [float(2.0 * ox_norm * oy_norm * e[ox.support[0], oy.support[0]])
+                    for e in exp3]
+        lhs = [value for _, value in curve]
+        blank = [None] * len(curve)  # an inapplicable theorem's column
+        rhs, slack, flags = [], [], [[] for _ in curve]
+        for name, values in zip(("thm1", "thm2", "thm3"), (rhs1, rhs2, rhs3)):
+            if values is None:
+                rhs.append(blank)
+                slack.append(blank)
+                continue
+            ratio, violated = bnd.certify(lhs, values)
+            rhs.append(values)
+            slack.append(ratio.tolist())
+            for k in np.flatnonzero(violated):
+                flags[k].append(name)
+        for (r, value), rhs_k, slack_k, flags_k in zip(curve, zip(*rhs), zip(*slack), flags):
             report.rows.append(bnd.BoundRow(
                 x_sites=ox.support, y_sites=oy.support, distance=d_xy, t=t, r=r,
-                lhs=lhs, rhs1=rhs1, rhs2=rhs2, rhs3=rhs3,
-                slack1=slacks[0], slack2=slacks[1], slack3=slacks[2],
-                flags=tuple(flags),
+                lhs=value, rhs1=rhs_k[0], rhs2=rhs_k[1], rhs3=rhs_k[2],
+                slack1=slack_k[0], slack2=slack_k[1], slack3=slack_k[2],
+                flags=tuple(flags_k),
             ))
 
     arrivals, _, _ = _lightcone_from_curves(r_grid, t, pairs, curves, config.epsilon)
@@ -280,13 +275,12 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     field = []
     for dt, lhs, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
         rhs = np.array([harm.theorem4_bound(c0, p0, eta, dt, d) for d in distances])
-        threshold = rhs * (1.0 + bnd.VIOLATION_TOLERANCE)
+        slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
         cell_viol = np.zeros(lhs_max.shape, dtype=int)
-        if np.any(lhs_max > threshold):  # no segment violates unless its max does
-            cell_viol = np.add.reduceat(lhs > np.repeat(threshold, pair_counts), starts,
-                                        axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slack = np.where(lhs_max == 0.0, math.inf, rhs / lhs_max)
+        if violated.any():  # no segment violates unless its max does
+            _, pair_viol = bnd.certify(lhs, np.broadcast_to(np.repeat(rhs, pair_counts),
+                                                            lhs.shape))
+            cell_viol = np.add.reduceat(pair_viol, starts, axis=1)
         rhs_text = list(map(repr, rhs.tolist()))
         for kind, kind_max, kind_slack, kind_viol in zip(
             _HARMONIC_KINDS, lhs_max.tolist(), slack.tolist(), cell_viol.tolist()

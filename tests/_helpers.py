@@ -4,7 +4,14 @@ from pathlib import Path
 
 import numpy as np
 
-from liebrob import GKSLModel, HamiltonianTerm, LindbladTerm, TimeProfile, build_lattice
+from liebrob import (
+    GKSLModel,
+    HamiltonianTerm,
+    JMatrix,
+    LindbladTerm,
+    TimeProfile,
+    build_lattice,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -85,3 +92,39 @@ def apply_adjoint_term(h, lindblads, a):
         ldl = l.conj().T @ l
         out += gamma * (l.conj().T @ a @ l - 0.5 * (ldl @ a + a @ ldl))
     return out
+
+
+def c2_path_sum(j_matrix, i: int, k: int) -> float:
+    """Second power-series coefficient via the explicit three-sum expansion.
+
+    Direct nested loops over two-edge paths from i to k: intermediate paths,
+    plus the two families where one edge connects i and k directly.
+    """
+    j = np.asarray(j_matrix.matrix if isinstance(j_matrix, JMatrix) else j_matrix)
+    n = j.shape[0]
+    total = sum(j[i, m] * j[m, k] for m in range(n) if m not in (i, k))
+    total += sum(j[i, m] * j[i, k] for m in range(n) if m != i)
+    total += sum(j[i, k] * j[m, k] for m in range(n) if m != k)
+    return float(total)
+
+
+def c3_path_sum(j_matrix, i: int, k: int) -> float:
+    """Third power-series coefficient via the explicit seven-sum expansion."""
+    j = np.asarray(j_matrix.matrix if isinstance(j_matrix, JMatrix) else j_matrix)
+    n = j.shape[0]
+    idx = range(n)
+    s1 = sum(j[i, a] * j[a, b] * j[b, k]
+             for a in idx if a != i for b in idx if b not in (a, k))
+    s2 = sum(j[i, a] * j[i, b] * j[i, k]
+             for a in idx if a != i for b in idx if b != i)
+    s3 = sum(j[i, a] * j[i, k] * j[b, k]
+             for a in idx if a != i for b in idx if b != k)
+    s4 = sum(j[i, k] * j[a, k] * j[b, k]
+             for a in idx if a != k for b in idx if b != k)
+    s5 = sum(j[i, a] * j[i, b] * j[b, k]
+             for a in idx if a != i for b in idx if b not in (i, k))
+    s6 = sum(j[i, a] * j[b, a] * j[a, k]
+             for a in idx if a not in (i, k) for b in idx if b != a)
+    s7 = sum(j[i, a] * j[a, k] * j[b, k]
+             for a in idx if a not in (i, k) for b in idx if b != a)
+    return float(s1 + s2 + s3 + s4 + s5 + s6 + s7)

@@ -21,8 +21,6 @@ from liebrob import (
     build_generator,
     build_kernel,
     build_lattice,
-    c2_path_sum,
-    c3_path_sum,
     harmonic_commutator_norms,
     heisenberg_evolve,
     matrix_exp,
@@ -45,6 +43,8 @@ from liebrob.runner import run_verify_harmonic, run_verify_spin
 
 from _helpers import (
     CONFIG_DIR,
+    c2_path_sum,
+    c3_path_sum,
     random_density_matrix,
     random_hermitian,
     random_matrix,
@@ -110,8 +110,8 @@ def test_04_structural_generator_checks():
     for k in range(50):
         model = random_model(rng, n_sites=2, time_dependent=bool(k % 2))
         when = float(rng.uniform(0.0, 2.0))
-        gen = build_generator(model, when).matrix
-        adj = build_adjoint_generator(model, when).matrix
+        gen = build_generator(model, when)
+        adj = build_adjoint_generator(model, when)
         dim = model.hilbert_dim
         rho = random_density_matrix(rng, dim)
         worst_trace = max(worst_trace, abs(np.trace(unvec(gen @ vec(rho), dim))))

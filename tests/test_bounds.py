@@ -11,8 +11,6 @@ from liebrob import (
     LindbladTerm,
     build_j_matrix,
     build_lattice,
-    c2_path_sum,
-    c3_path_sum,
     certify,
     commutator_theorem1_params,
     lambda0_fit,
@@ -25,7 +23,7 @@ from liebrob import (
 )
 from liebrob.operators import PAULI_X, PAULI_Y, PAULI_Z
 
-from _helpers import random_matrix
+from _helpers import c2_path_sum, c3_path_sum, random_matrix
 
 
 def xy_dephasing_model(n_sites=5, gamma=0.5):
@@ -146,7 +144,6 @@ class TestTheorem1Bound:
         )
         assert params.c == pytest.approx(2.0 * 3.0 * 2.0 * 2 * 1 / 4.0)
         assert params.v == pytest.approx(20.0)
-        assert params.variant == "commutator_form"
 
 
 class TestTheorem2Bound:
@@ -397,47 +394,44 @@ class TestPathSums:
 
 class TestCertify:
     def test_three_qubit_end_to_end_has_no_violations(self):
-        from liebrob import commutator_norm_curve, n_lambda, p0_constant
+        from liebrob import commutator_norm_curves, n_lambda, p0_constant
         from liebrob.operators import local_operator
 
         model = xy_dephasing_model(n_sites=3, gamma=0.5)
         lattice = model.lattice
         eta = 2.0
         t = 1.5
-        r_grid = list(np.linspace(0.0, t, 11))
         cert = lambda0_fit(model, eta)
         p0 = p0_constant(lattice, eta)
-        curve = commutator_norm_curve(
-            model, local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)),
-            t, r_grid,
-        )
+        curve = commutator_norm_curves(
+            model, [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))],
+            t, 11,
+        )[0]
         params = commutator_theorem1_params(1.0, 1.0, 1, 1, p0, cert.lambda0, eta)
-        rhs_curve = [(r, theorem1_bound(params, t - r, 2.0)) for r in r_grid]
-        points = certify(curve, rhs_curve)
-        assert not any(p.violation for p in points)
-        assert min(p.slack for p in points) > 1.0
+        rhs = [theorem1_bound(params, t - r, 2.0) for r, _ in curve]
+        slack, violated = certify([v for _, v in curve], rhs)
+        assert not violated.any()
+        assert slack.min() > 1.0
 
     def test_zero_lhs_gives_infinite_slack(self):
-        grid = [0.0, 0.5, 1.0]
-        points = certify([(x, 0.0) for x in grid], [(x, 1.0) for x in grid])
-        assert all(p.slack == math.inf and not p.violation for p in points)
+        slack, violated = certify(np.zeros(3), np.ones(3))
+        assert np.all(slack == math.inf) and not violated.any()
 
     def test_equal_curves_have_unit_slack(self):
-        grid = [0.0, 1.0]
-        points = certify([(x, 2.0) for x in grid], [(x, 2.0) for x in grid])
-        assert all(p.slack == 1.0 and not p.violation for p in points)
+        slack, violated = certify([2.0, 2.0], [2.0, 2.0])
+        assert np.all(slack == 1.0) and not violated.any()
 
     def test_violation_threshold(self):
-        points = certify([(0.0, 1.0 + 2e-9)], [(0.0, 1.0)])
-        assert points[0].violation
-        points = certify([(0.0, 1.0 + 5e-10)], [(0.0, 1.0)])
-        assert not points[0].violation
+        _, violated = certify([1.0 + 2e-9], [1.0])
+        assert violated[0]
+        _, violated = certify([1.0 + 5e-10], [1.0])
+        assert not violated[0]
 
-    def test_grid_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            certify([(0.0, 1.0)], [(0.1, 1.0)])
+            certify([1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            certify([(0.0, 1.0)], [(0.0, 1.0), (1.0, 1.0)])
+            certify(np.ones((2, 3)), np.ones(3))
 
 
 class TestLightconeArrivals:

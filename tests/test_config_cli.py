@@ -384,8 +384,12 @@ class TestCli:
         assert main(["assumptions", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
-    def test_usage_error_exits_one(self, capsys):
+    def test_usage_error_exits_one(self, capsys, tmp_path):
         assert main(["verify-spin"]) == 1
+        path = write_config(tmp_path, minimal_spin_config())
+        assert main(["verify-spin", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == 1
+        assert not (tmp_path / "out").exists()
         capsys.readouterr()
 
     def test_assumptions_roundtrip(self, tmp_path):
@@ -522,6 +526,31 @@ class TestCli:
         rhs = [line.split(",")[4]
                for line in (out / "report.csv").read_text().splitlines()[1:]]
         assert "inf" in rhs and rhs[0] != "inf"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["violation_count"] == 0
+
+    def test_overflowing_spin_rhs_is_vacuous(self, tmp_path, capsys):
+        # XX+YY chain at t = 200: e^{v dt} and e^{kappa J dt} leave the float
+        # range at the early grid points, the dissipative LHS stays bounded
+        import csv
+        import math
+
+        data = minimal_spin_config(rate=0.5, t=200.0, points=21)
+        data["model"]["hamiltonian"].append(
+            {"sites": [0, 1], "operator": {"kron": ["pauli_y", "pauli_y"]}})
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-spin", "--config", str(path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for name in ("report.csv", "summary.json", "lightcone.csv"):
+            assert (out / name).is_file()
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21
+        for name in ("rhs1", "rhs2", "rhs3"):
+            cells = [row[name] for row in rows]
+            assert cells[0] == "inf" and cells[-1] == "0.0"
+            assert all(c == "inf" or math.isfinite(float(c)) for c in cells)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["violation_count"] == 0
 

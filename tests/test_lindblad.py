@@ -12,7 +12,6 @@ from liebrob import (
     build_adjoint_generator,
     build_generator,
     build_lattice,
-    commutator_norm_curve,
     commutator_norm_curves,
     heisenberg_evolve,
     schrodinger_evolve,
@@ -115,15 +114,14 @@ class TestModelValidation:
 class TestGenerators:
     def test_empty_model_gives_zero_matrix(self):
         gen = build_generator(single_qubit_model())
-        assert gen.kind == "generator"
-        np.testing.assert_array_equal(gen.matrix, np.zeros((4, 4)))
+        np.testing.assert_array_equal(gen, np.zeros((4, 4)))
 
     def test_hamiltonian_action_is_commutator(self):
         model = single_qubit_model(
             hamiltonian_terms=(HamiltonianTerm(support=(0,), matrix=PAULI_Z),)
         )
         gen = build_generator(model)
-        out = unvec(gen.matrix @ vec(PAULI_X), 2)
+        out = unvec(gen @ vec(PAULI_X), 2)
         oracle = -1j * (PAULI_Z @ PAULI_X - PAULI_X @ PAULI_Z)
         np.testing.assert_allclose(out, oracle, atol=1e-14)
 
@@ -133,14 +131,14 @@ class TestGenerators:
         )
         gen = build_generator(model)
         excited = np.diag([0.0, 1.0]).astype(complex)
-        out = unvec(gen.matrix @ vec(excited), 2)
+        out = unvec(gen @ vec(excited), 2)
         np.testing.assert_allclose(out, np.diag([1.0, -1.0]), atol=1e-14)
 
     def test_adjoint_annihilates_identity(self):
         rng = np.random.default_rng(31)
         model = random_model(rng, n_sites=2, time_dependent=True)
         adj = build_adjoint_generator(model, time=0.37)
-        out = adj.matrix @ vec(np.eye(4, dtype=complex))
+        out = adj @ vec(np.eye(4, dtype=complex))
         assert np.abs(out).max() < 1e-10
 
     def test_generator_preserves_trace(self):
@@ -149,7 +147,7 @@ class TestGenerators:
         gen = build_generator(model, time=0.81)
         for _ in range(5):
             rho = random_density_matrix(rng, 4)
-            assert abs(np.trace(unvec(gen.matrix @ vec(rho), 4))) < 1e-10
+            assert abs(np.trace(unvec(gen @ vec(rho), 4))) < 1e-10
 
     def test_qutrit_model_preserves_trace(self):
         rng = np.random.default_rng(30)
@@ -164,21 +162,21 @@ class TestGenerators:
         )
         gen = build_generator(model)
         rho = random_density_matrix(rng, 9)
-        assert abs(np.trace(unvec(gen.matrix @ vec(rho), 9))) < 1e-10
+        assert abs(np.trace(unvec(gen @ vec(rho), 9))) < 1e-10
         adj = build_adjoint_generator(model)
-        assert np.abs(adj.matrix @ vec(np.eye(9, dtype=complex))).max() < 1e-10
+        assert np.abs(adj @ vec(np.eye(9, dtype=complex))).max() < 1e-10
 
     def test_dephasing_eigenaction(self):
         gamma = 0.8
         adj = build_adjoint_generator(dephasing_model(gamma))
-        out = unvec(adj.matrix @ vec(PAULI_X), 2)
+        out = unvec(adj @ vec(PAULI_X), 2)
         np.testing.assert_allclose(out, -2.0 * gamma * PAULI_X, atol=1e-13)
 
     def test_hilbert_schmidt_duality(self):
         rng = np.random.default_rng(33)
         model = random_model(rng, n_sites=2)
-        gen = build_generator(model).matrix
-        adj = build_adjoint_generator(model).matrix
+        gen = build_generator(model)
+        adj = build_adjoint_generator(model)
         np.testing.assert_allclose(adj, gen.conj().T, atol=1e-12)
         for _ in range(5):
             rho = random_density_matrix(rng, 4)
@@ -390,8 +388,8 @@ class TestCommutatorNormCurve:
         model = xy_chain_with_dephasing()
         o_x = local_operator(PAULI_Z, (0,))
         o_y = local_operator(PAULI_Z, (2,))
-        curve = commutator_norm_curve(model, o_x, o_y, t=1.0, r_grid=[1.0])
-        assert curve[0] == (1.0, 0.0)
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t=1.0, points=2)[0]
+        assert curve[-1] == (1.0, 0.0)
 
     def test_onsite_only_model_has_flat_zero_curve(self):
         lattice = build_lattice(3)
@@ -402,27 +400,26 @@ class TestCommutatorNormCurve:
             ),
             lindblad_terms=(LindbladTerm(support=(1,), matrix=PAULI_Z, rate=0.3),),
         )
-        curve = commutator_norm_curve(
-            model, local_operator(PAULI_X, (0,)), local_operator(PAULI_X, (2,)),
-            t=1.0, r_grid=np.linspace(0, 1, 5),
-        )
+        curve = commutator_norm_curves(
+            model, [(local_operator(PAULI_X, (0,)), local_operator(PAULI_X, (2,)))],
+            t=1.0, points=5,
+        )[0]
         assert all(v < 1e-12 for _, v in curve)
 
     def test_grid_outside_window_rejected(self):
         model = xy_chain_with_dephasing()
-        o_x = local_operator(PAULI_Z, (0,))
-        o_y = local_operator(PAULI_Z, (2,))
-        with pytest.raises(ValueError, match="r_grid"):
-            commutator_norm_curve(model, o_x, o_y, t=1.0, r_grid=[0.5, 1.5])
-        with pytest.raises(ValueError, match="r_grid"):
-            commutator_norm_curve(model, o_x, o_y, t=1.0, r_grid=[-0.1, 0.5])
+        pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            commutator_norm_curves(model, pairs, t=-0.5, points=5)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            commutator_norm_curves(model, pairs, t=1.0, points=1)
 
     def test_overlapping_supports_rejected(self):
         model = xy_chain_with_dephasing()
         with pytest.raises(ValueError, match="overlap"):
-            commutator_norm_curve(
-                model, local_operator(np.kron(PAULI_Z, PAULI_Z), (0, 1)),
-                local_operator(PAULI_Z, (1,)), t=1.0, r_grid=[0.5],
+            commutator_norm_curves(
+                model, [(local_operator(np.kron(PAULI_Z, PAULI_Z), (0, 1)),
+                         local_operator(PAULI_Z, (1,)))], t=1.0, points=2,
             )
 
     def test_matches_independent_ode_oracle(self):
@@ -430,9 +427,8 @@ class TestCommutatorNormCurve:
         o_x = local_operator(PAULI_Z, (0,))
         o_y = local_operator(PAULI_Z, (2,))
         t = 1.2
-        r_grid = [0.0, 0.3, 0.6, 0.9, 1.2]
-        curve = commutator_norm_curve(model, o_x, o_y, t, r_grid)
-        oracle = reference_heisenberg_curve(3, 0.4, 0, 2, t, r_grid)
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, 5)[0]
+        oracle = reference_heisenberg_curve(3, 0.4, 0, 2, t, [r for r, _ in curve])
         for r, value in curve:
             assert value == pytest.approx(oracle[r], abs=1e-8)
 
@@ -441,13 +437,16 @@ class TestCommutatorNormCurve:
         model = random_model(rng, n_sites=2, time_dependent=True)
         o_x = local_operator(PAULI_Z, (0,))
         o_y = local_operator(random_matrix(rng, 2), (1,))
-        r, t, substeps = 0.3, 1.1, 32
-        curve = commutator_norm_curve(model, o_x, o_y, t, [r], substeps=substeps)
+        t, points, substeps = 1.1, 12, 32
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
+                                       substeps=substeps)[0]
+        r, value = curve[3]  # r = 0.3: 8 grid intervals below t
         evolved = heisenberg_evolve(model, embed(o_y.matrix, (1,), model.lattice),
-                                    r, t, steps=substeps, check_convergence=False)
+                                    r, t, steps=8 * substeps, check_convergence=False)
         x_full = embed(PAULI_Z, (0,), model.lattice).matrix
         comm = evolved.matrix @ x_full - x_full @ evolved.matrix
-        assert curve[0][1] == pytest.approx(operator_norm(comm), abs=1e-12)
+        assert r == pytest.approx(0.3, abs=1e-15)
+        assert value == pytest.approx(operator_norm(comm), abs=1e-12)
 
     def test_curves_share_the_sweep(self):
         model = xy_chain_with_dephasing()
@@ -455,8 +454,40 @@ class TestCommutatorNormCurve:
             (local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,))),
             (local_operator(PAULI_Z, (1,)), local_operator(PAULI_Z, (2,))),
         ]
-        grid = np.linspace(0, 1, 6)
-        batched = commutator_norm_curves(model, pairs, 1.0, grid)
+        batched = commutator_norm_curves(model, pairs, 1.0, 6)
         for pair, batch in zip(pairs, batched):
-            single = commutator_norm_curve(model, pair[0], pair[1], 1.0, grid)
+            single = commutator_norm_curves(model, [pair], 1.0, 6)[0]
             assert batch == single
+
+    def test_time_independent_sweep_takes_one_exponential(self, monkeypatch):
+        import liebrob.lindblad as lindblad
+
+        calls = []
+
+        def counting_expm(m):
+            calls.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(lindblad, "expm", counting_expm)
+        model = xy_chain_with_dephasing()
+        pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
+        commutator_norm_curves(model, pairs, 2.0, 21)
+        assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_stepped_grid_matches_direct_evolution(self, time_dependent):
+        rng = np.random.default_rng(40)
+        model = random_model(rng, n_sites=2, time_dependent=time_dependent)
+        o_x = local_operator(PAULI_Z, (0,))
+        o_y = embed(random_matrix(rng, 2), (1,), model.lattice)
+        t, points, substeps = 1.3, 7, 4
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
+                                       substeps=substeps)[0]
+        x_full = embed(PAULI_Z, (0,), model.lattice).matrix
+        for k, (r, value) in enumerate(curve):
+            # a fresh backward evolution over the points - 1 - k intervals above r
+            steps = max(1, (points - 1 - k) * substeps)
+            evolved = heisenberg_evolve(model, o_y, r, t, steps=steps,
+                                        check_convergence=False).matrix
+            direct = operator_norm(evolved @ x_full - x_full @ evolved)
+            assert value == pytest.approx(direct, abs=1e-12)
