@@ -7,8 +7,6 @@ side, and certify LHS <= RHS pointwise.
 """
 
 from .bounds import (
-    BoundReport,
-    BoundRow,
     JMatrix,
     PowerLawCert,
     Theorem1Params,

@@ -7,11 +7,10 @@ optimistic. Reported slack quantifies the looseness.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -86,39 +85,68 @@ def commutator_theorem1_params(o_x_norm: float, o_y_norm: float, size_x: int,
     return Theorem1Params(c=c, v=lambda0 * p0, eta=eta)
 
 
-def theorem1_bound(params: Theorem1Params, dt: float, d_xy: float) -> float:
-    """C (e^{v dt} - 1) / [1 + d(X,Y)]^eta; +inf beyond the float range."""
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if d_xy <= 0:
-        raise ValueError("the bound requires disjoint supports (d(X,Y) > 0)")
-    try:
-        growth = math.expm1(params.v * dt)
-    except OverflowError:
-        return math.inf  # vacuous, never violated
-    return params.c * growth / (1.0 + d_xy) ** params.eta
+def _check_dt(dt) -> np.ndarray:
+    """dt as a float array; ValueError if any entry is negative."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt < 0):
+        raise ValueError(f"dt must be nonnegative, got {float(dt.min())}")
+    return dt
+
+
+def _check_distance(d_xy, requirement: str) -> np.ndarray:
+    """d_xy as a float array; ValueError(requirement) unless all of it is positive."""
+    d_xy = np.asarray(d_xy, dtype=float)
+    if np.any(d_xy <= 0):
+        raise ValueError(requirement)
+    return d_xy
+
+
+def _vacuous_on_overflow(value, *parts):
+    """value, with +inf wherever one of its parts left the float range.
+
+    An infinite RHS is a vacuous bound, never violated. It is taken even
+    under a zero prefactor, and where a denominator such as [1 + d]^eta
+    overflows, which would otherwise round the bound down to 0. Scalar inputs
+    give a scalar.
+    """
+    overflow = False
+    for part in parts:
+        overflow = overflow | np.isinf(part)
+    return np.where(overflow, math.inf, value)[()]
+
+
+_DISJOINT = "the bound requires disjoint supports (d(X,Y) > 0)"
+
+
+def theorem1_bound(params: Theorem1Params, dt, d_xy):
+    """C (e^{v dt} - 1) / [1 + d(X,Y)]^eta, elementwise over broadcast dt, d_xy.
+
+    +inf wherever the exponential or the distance factor leaves the float range.
+    """
+    dt = _check_dt(dt)
+    d_xy = _check_distance(d_xy, _DISJOINT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.expm1(params.v * dt)
+        falloff = np.power(1.0 + d_xy, params.eta)
+        return _vacuous_on_overflow(params.c * growth / falloff, growth, falloff)
 
 
 def theorem2_bound(lambda0: float, p1: float, n_lambda: float, k_norm: float,
-                   o_norm: float, size_x: int, size_y: int, eta: float,
-                   dt: float, d_xy: float) -> float:
-    """Rescaled-time bound, valid for every eta > 0.
+                   o_norm: float, size_x: int, size_y: int, eta: float, dt, d_xy):
+    """Rescaled-time bound, valid for every eta > 0; elementwise like Theorem 1.
 
     C1 (e^{v1 dt / N} - 1) / [1 + d]^eta with C1 = ||K|| ||O|| |X||Y| N / p1
-    and v1 = lambda0 p1; N is the lattice rescaling factor. An exponential
-    beyond the float range gives +inf.
+    and v1 = lambda0 p1; N is the lattice rescaling factor. An exponential or
+    a distance factor beyond the float range gives +inf.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if d_xy <= 0:
-        raise ValueError("the bound requires disjoint supports (d(X,Y) > 0)")
+    dt = _check_dt(dt)
+    d_xy = _check_distance(d_xy, _DISJOINT)
     c1 = k_norm * o_norm * size_x * size_y * n_lambda / p1
     v1 = lambda0 * p1
-    try:
-        growth = math.expm1(v1 * dt / n_lambda)
-    except OverflowError:
-        return math.inf  # vacuous, never violated
-    return c1 * growth / (1.0 + d_xy) ** eta
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.expm1(v1 * dt / n_lambda)
+        falloff = np.power(1.0 + d_xy, eta)
+        return _vacuous_on_overflow(c1 * growth / falloff, growth, falloff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,26 +210,26 @@ def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
     return JMatrix(matrix=j, kappa=kappa, onsite_excluded=onsite)
 
 
-def theorem3_matrix(jm: JMatrix, dt: float) -> np.ndarray:
-    """exp(kappa J dt); entries are nonnegative and nondecreasing in dt.
+def theorem3_matrix(jm: JMatrix, dt) -> np.ndarray:
+    """exp(kappa J dt) for each dt, stacked along dt's shape.
 
-    An exponential beyond the float range gives a matrix of +inf.
+    Entries are nonnegative and nondecreasing in dt. A dt whose exponential
+    leaves the float range gives a matrix of +inf.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    try:
-        return matrix_exp(jm.kappa * jm.matrix * dt)
-    except OverflowError:
-        return np.full(jm.matrix.shape, math.inf)  # vacuous, never violated
+    dt = _check_dt(dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(jm.kappa * jm.matrix * dt[..., None, None])
+    overflow = ~np.isfinite(e).all(axis=(-2, -1))
+    return np.where(overflow[..., None, None], math.inf, e)  # vacuous, never violated
 
 
-def theorem3_bound(jm: JMatrix, k_norm: float, o_norm: float, dt: float,
-                   i: int, j: int) -> float:
-    """||K|| ||O|| [exp(kappa J dt)]_{i,j} for single sites i != j."""
+def theorem3_bound(jm: JMatrix, k_norm: float, o_norm: float, dt, i: int, j: int):
+    """||K|| ||O|| [exp(kappa J dt)]_{i,j} for single sites i != j, per dt."""
     if i == j:
         raise ValueError("the matrix-exponential bound requires i != j")
-    e = theorem3_matrix(jm, dt)
-    return float(k_norm * o_norm * e[i, j].real)
+    e = theorem3_matrix(jm, dt)[..., i, j]
+    with np.errstate(invalid="ignore"):
+        return _vacuous_on_overflow(k_norm * o_norm * e, e)
 
 
 def matrix_exp(m) -> np.ndarray:
@@ -261,74 +289,3 @@ def lightcone_arrivals(dt_grid, curves, epsilon: float):
             arrival = t0 + (epsilon - v0) * (t1 - t0) / (v1 - v0)
         arrivals.append((float(distance), float(arrival)))
     return arrivals
-
-
-@dataclass(frozen=True)
-class BoundRow:
-    """One (pair, grid point) record of the certification report."""
-
-    x_sites: tuple[int, ...]
-    y_sites: tuple[int, ...]
-    distance: float
-    t: float
-    r: float
-    lhs: float
-    rhs1: float | None
-    rhs2: float | None
-    rhs3: float | None
-    slack1: float | None
-    slack2: float | None
-    slack3: float | None
-    flags: tuple[str, ...]
-
-
-@dataclass
-class BoundReport:
-    """Certification rows plus the light-cone arrival table."""
-
-    rows: list[BoundRow] = field(default_factory=list)
-    lightcone: list[tuple[float, float]] = field(default_factory=list)
-
-    CSV_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
-                   "slack1", "slack2", "slack3", "flags")
-
-    def violation_counts(self) -> dict[str, int]:
-        counts = {"thm1": 0, "thm2": 0, "thm3": 0}
-        for row in self.rows:
-            for name in counts:
-                if name in row.flags:
-                    counts[name] += 1
-        return counts
-
-    def max_finite_slack(self) -> dict[str, float | None]:
-        out: dict[str, float | None] = {}
-        for name, attr in (("thm1", "slack1"), ("thm2", "slack2"), ("thm3", "slack3")):
-            finite = [getattr(r, attr) for r in self.rows
-                      if getattr(r, attr) is not None and math.isfinite(getattr(r, attr))]
-            out[name] = max(finite) if finite else None
-        return out
-
-    def min_slack(self) -> dict[str, float | None]:
-        out: dict[str, float | None] = {}
-        for name, attr in (("thm1", "slack1"), ("thm2", "slack2"), ("thm3", "slack3")):
-            present = [getattr(r, attr) for r in self.rows if getattr(r, attr) is not None]
-            out[name] = min(present) if present else None
-        return out
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow([
-                    ";".join(str(s) for s in row.x_sites),
-                    ";".join(str(s) for s in row.y_sites),
-                    repr(row.distance),
-                    repr(row.t),
-                    repr(row.r),
-                    repr(row.lhs),
-                    *(("" if v is None else repr(v))
-                      for v in (row.rhs1, row.rhs2, row.rhs3,
-                                row.slack1, row.slack2, row.slack3)),
-                    "|".join(row.flags),
-                ])

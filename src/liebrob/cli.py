@@ -41,8 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--guard-dim", type=int, default=None,
-                         help="override the desk-scale Hilbert dimension guard")
+        if name in ("verify-spin", "lightcone"):
+            cmd.add_argument("--guard-dim", type=int, default=None,
+                             help="override the desk-scale Hilbert dimension guard")
     return parser
 
 
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
         elif args.command == "verify-harmonic":
             summary = run_verify_harmonic(config, args.out)
         else:
-            summary = run_lightcone(config, args.out)
+            summary = run_lightcone(config, args.out, guard_dim=args.guard_dim)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -14,12 +14,11 @@ exponential either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import matrix_exp
+from .bounds import _check_distance, _check_dt, _vacuous_on_overflow, matrix_exp
 from .lattice import Lattice, _check_eta
 
 SYMMETRY_TOL = 1e-12
@@ -181,18 +180,16 @@ def c0_fit(model: HarmonicModel, eta: float) -> float:
     return float(c0)
 
 
-def theorem4_bound(c0: float, p0: float, eta: float, dt: float, d_xy: float) -> float:
+def theorem4_bound(c0: float, p0: float, eta: float, dt, d_xy):
     """e^{2 p0 (c0 + p0 c0^2) dt} / (2 p0 [1 + d]^eta), for distinct sites.
 
-    An exponential beyond the float range gives +inf.
+    Elementwise over broadcast dt and d_xy; +inf wherever the exponential or
+    the denominator leaves the float range.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if d_xy <= 0:
-        raise ValueError("the harmonic bound requires distinct sites (d > 0)")
+    dt = _check_dt(dt)
+    d_xy = _check_distance(d_xy, "the harmonic bound requires distinct sites (d > 0)")
     rate = 2.0 * p0 * (c0 + p0 * c0 * c0)
-    try:
-        growth = math.exp(rate * dt)
-    except OverflowError:
-        return math.inf  # vacuous, never violated
-    return growth / (2.0 * p0 * (1.0 + d_xy) ** eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(rate * dt)
+        denominator = 2.0 * p0 * np.power(1.0 + d_xy, eta)
+        return _vacuous_on_overflow(growth / denominator, growth, denominator)

@@ -180,23 +180,33 @@ def _check_guard(model: GKSLModel) -> None:
 
 
 def _superop_pieces(model: GKSLModel, adjoint: bool):
-    """Unscaled per-term superoperator matrices with their profiles and rates."""
+    """Superoperator matrices summed per time profile: (matrix, profile, 1.0).
+
+    Each term's rate is folded into its matrix, so terms that share a
+    profile share one D^2 x D^2 piece.
+    """
     _check_guard(model)
     d = model.hilbert_dim
     eye = np.eye(d, dtype=complex)
-    pieces = []
+    sums: dict[TimeProfile, np.ndarray] = {}
+
+    def add(profile: TimeProfile, matrix: np.ndarray) -> None:
+        if profile in sums:
+            sums[profile] += matrix
+        else:
+            sums[profile] = matrix
+
     for term in model.hamiltonian_terms:
         h = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
         comm = np.kron(eye, h) - np.kron(h.T, eye)  # vec(H rho - rho H)
-        sign = 1.0j if adjoint else -1.0j
-        pieces.append((sign * comm, term.profile, 1.0))
+        add(term.profile, (1.0j if adjoint else -1.0j) * comm)
     for term in model.lindblad_terms:
         l = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
         ldl = l.conj().T @ l
         anti = 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
         jump = np.kron(l.T, l.conj().T) if adjoint else np.kron(l.conj(), l)
-        pieces.append((jump - anti, term.profile, term.rate))
-    return pieces
+        add(term.profile, term.rate * (jump - anti))
+    return [(matrix, profile, 1.0) for profile, matrix in sums.items()]
 
 
 def _assemble(pieces, dim: int, time: float) -> np.ndarray:

@@ -26,10 +26,10 @@ from .operators import operator_norm, support_distance
 # Absorbs summation rounding in the fitted constants before certification.
 SAFETY = 1.0 + 1e-12
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or an infinity raises ValueError instead of being written."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_lightcone_csv(path: Path, arrivals) -> None:
@@ -38,6 +38,31 @@ def _write_lightcone_csv(path: Path, arrivals) -> None:
         writer.writerow(("distance", "arrival"))
         for distance, arrival in arrivals:
             writer.writerow((repr(distance), repr(arrival)))
+
+
+def _write_outputs(out_dir, header, rows, summary: dict, arrivals) -> None:
+    """report.csv, summary.json and lightcone.csv.
+
+    The summary is serialised before any file is written, so a summary that
+    is not strict JSON leaves no output.
+    """
+    summary_text = _json_text(summary)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "report.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    (out_dir / "summary.json").write_text(summary_text)
+    _write_lightcone_csv(out_dir / "lightcone.csv", arrivals)
+
+
+def _finite_range(slacks) -> tuple[float | None, float | None]:
+    """(max, min) over the finite entries of slack arrays; None where there are none."""
+    finite = np.concatenate([s[np.isfinite(s)] for s in slacks] + [np.empty(0)])
+    if finite.size == 0:
+        return None, None
+    return float(finite.max()), float(finite.min())
 
 
 def run_assumptions(config: RunConfig, out_dir) -> dict:
@@ -56,9 +81,10 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
     else:
         payload["n_lambda"] = consts.n_lambda
         payload["p1"] = consts.p1
+    text = _json_text(payload)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "constants.json", payload)
+    (out_dir / "constants.json").write_text(text)
     return payload
 
 
@@ -99,16 +125,29 @@ def _lightcone_from_curves(r_grid, t, pairs, curves, epsilon):
         values = np.array([v for _, v in reversed(curve)])
         key = float(d_xy)
         field[key] = np.maximum(field[key], values) if key in field else values
-    return bnd.lightcone_arrivals(dt_grid, field, epsilon), dt_grid, field
+    return bnd.lightcone_arrivals(dt_grid, field, epsilon)
+
+
+def _spin_model(config: RunConfig, guard_dim: int | None) -> GKSLModel:
+    """The configured spin model, its Hilbert dimension guard overridden if given."""
+    model = config.spin_model
+    return model if guard_dim is None else dataclasses.replace(model, guard_dim=guard_dim)
+
+
+_SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
+                 "slack1", "slack2", "slack3", "flags")
+_THEOREMS = ("thm1", "thm2", "thm3")
+
+
+def _repr_list(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
 
 
 def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) -> dict:
     """Certify Theorems 1-3 against exact spin dynamics; write report files."""
     if config.spin_model is None:
         raise ConfigError("/model", "verify-spin requires a spin model")
-    model = config.spin_model
-    if guard_dim is not None:
-        model = dataclasses.replace(model, guard_dim=guard_dim)
+    model = _spin_model(config, guard_dim)
     lattice = config.lattice
     eta = config.eta
     t = config.time.t if config.time else None
@@ -126,51 +165,51 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         jm = bnd.build_j_matrix(model, 0.0, t)
     except ValueError:
         jm = None  # terms on three or more sites: matrix-exponential bound inapplicable
-    dts = [t - r for r in r_grid.tolist()]
-    exp3 = [bnd.theorem3_matrix(jm, dt) for dt in dts] if jm is not None else None
+    dts = t - r_grid
 
-    report = bnd.BoundReport()
+    rows = []  # report.csv rows, formatted
+    counts = dict.fromkeys(_THEOREMS, 0)
+    slacks = {name: [] for name in _THEOREMS}
+    rhs_overflow = 0
     for (_, _, ox, oy, d_xy), curve in zip(pairs, curves):
         ox_norm = operator_norm(ox.matrix)
         oy_norm = operator_norm(oy.matrix)
-        params1 = bnd.commutator_theorem1_params(
-            ox_norm, oy_norm, len(ox.support), len(oy.support), p0, lambda0, eta
-        )
-        rhs1 = [bnd.theorem1_bound(params1, dt, d_xy) for dt in dts]
-        rhs2 = rhs3 = None
+        sizes = len(ox.support), len(oy.support)
+        params1 = bnd.commutator_theorem1_params(ox_norm, oy_norm, *sizes, p0, lambda0,
+                                                 eta)
+        rhs = {"thm1": bnd.theorem1_bound(params1, dts, d_xy)}
         if n_lam is not None:
-            rhs2 = [bnd.theorem2_bound(
-                lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
-                len(ox.support), len(oy.support), eta, dt, d_xy,
-            ) for dt in dts]
-        if exp3 is not None and len(ox.support) == 1 and len(oy.support) == 1:
-            rhs3 = [float(2.0 * ox_norm * oy_norm * e[ox.support[0], oy.support[0]])
-                    for e in exp3]
-        lhs = [value for _, value in curve]
-        blank = [None] * len(curve)  # an inapplicable theorem's column
-        rhs, slack, flags = [], [], [[] for _ in curve]
-        for name, values in zip(("thm1", "thm2", "thm3"), (rhs1, rhs2, rhs3)):
-            if values is None:
-                rhs.append(blank)
-                slack.append(blank)
+            rhs["thm2"] = bnd.theorem2_bound(lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
+                                             *sizes, eta, dts, d_xy)
+        if jm is not None and sizes == (1, 1):
+            rhs["thm3"] = bnd.theorem3_bound(jm, 2.0 * ox_norm, oy_norm, dts,
+                                             ox.support[0], oy.support[0])
+        rs, lhs = np.array(curve).T
+        blank = [""] * len(rs)  # an inapplicable theorem's column
+        rhs_text, slack_text, hits = [], [], []
+        for name in _THEOREMS:
+            if name not in rhs:
+                rhs_text.append(blank)
+                slack_text.append(blank)
                 continue
-            ratio, violated = bnd.certify(lhs, values)
-            rhs.append(values)
-            slack.append(ratio.tolist())
-            for k in np.flatnonzero(violated):
-                flags[k].append(name)
-        for (r, value), rhs_k, slack_k, flags_k in zip(curve, zip(*rhs), zip(*slack), flags):
-            report.rows.append(bnd.BoundRow(
-                x_sites=ox.support, y_sites=oy.support, distance=d_xy, t=t, r=r,
-                lhs=value, rhs1=rhs_k[0], rhs2=rhs_k[1], rhs3=rhs_k[2],
-                slack1=slack_k[0], slack2=slack_k[1], slack3=slack_k[2],
-                flags=tuple(flags_k),
-            ))
+            slack, violated = bnd.certify(lhs, rhs[name])
+            rhs_text.append(_repr_list(rhs[name]))
+            slack_text.append(_repr_list(slack))
+            hits.append(np.where(violated, name, ""))
+            counts[name] += int(violated.sum())
+            slacks[name].append(slack)
+            rhs_overflow += int(np.isinf(rhs[name]).sum())
+        flags = ["|".join(filter(None, names)) for names in zip(*hits)]
+        rows.extend(zip(
+            repeat(";".join(map(str, ox.support))),
+            repeat(";".join(map(str, oy.support))),
+            repeat(repr(d_xy)), repeat(repr(t)), _repr_list(rs), _repr_list(lhs),
+            *rhs_text, *slack_text, flags,
+        ))
+    ranges = {name: _finite_range(v) for name, v in slacks.items()}
 
-    arrivals, _, _ = _lightcone_from_curves(r_grid, t, pairs, curves, config.epsilon)
-    report.lightcone = arrivals
+    arrivals = _lightcone_from_curves(r_grid, t, pairs, curves, config.epsilon)
 
-    counts = report.violation_counts()
     summary = {
         "mode": "verify-spin",
         "eta": eta,
@@ -186,20 +225,16 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         "kappa_below_one": bool(jm is not None and jm.kappa < 1.0),
         "onsite_terms_excluded_from_j": bool(jm is not None and jm.onsite_excluded),
         "theorem3_applicable": jm is not None,
-        "rows": len(report.rows),
+        "rows": len(rows),
         "violations": counts,
         "violation_count": sum(counts.values()),
-        "max_slack": report.max_finite_slack(),
-        "min_slack": report.min_slack(),
+        "rhs_overflow": rhs_overflow,
+        "max_slack": {name: hi for name, (hi, _) in ranges.items()},
+        "min_slack": {name: lo for name, (_, lo) in ranges.items()},
         "epsilon": config.epsilon,
         "lightcone": [{"distance": d, "arrival": a} for d, a in arrivals],
     }
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out_dir / "report.csv")
-    _write_json(out_dir / "summary.json", summary)
-    _write_lightcone_csv(out_dir / "lightcone.csv", arrivals)
+    _write_outputs(out_dir, _SPIN_COLUMNS, rows, summary, arrivals)
     return summary
 
 
@@ -227,6 +262,8 @@ def _harmonic_sweep(config: RunConfig, kernel: harm.KernelMatrix, pairs, starts)
     stay in cache; lhs_max is its per-kind, per-distance maximum. A grid on
     which e^{S dt} overflows is a configuration error.
     """
+    if config.time is None or config.time.kind != "dt":
+        raise ConfigError("/time", "harmonic runs need a time section with dt_points")
     t = config.time.t
     try:
         norms = harm.harmonic_commutator_norms(kernel, t, config.time.points)
@@ -246,8 +283,6 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     """Certify the harmonic bound against the exact kernel dynamics."""
     if config.harmonic_model is None:
         raise ConfigError("/model", "verify-harmonic requires a harmonic model")
-    if config.time is None or config.time.kind != "dt":
-        raise ConfigError("/time", "harmonic runs need a time section with dt_points")
     model = config.harmonic_model
     lattice = config.lattice
     eta = config.eta
@@ -269,30 +304,32 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     d_text = list(map(repr, distances.tolist()))
 
     rows = []  # report.csv rows, formatted
-    finite_slacks = []
+    slacks = []
     per_kind = {kind: 0 for kind in _HARMONIC_KINDS}
+    rhs_overflow = 0
     dt_grid = []
     field = []
     for dt, lhs, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
-        rhs = np.array([harm.theorem4_bound(c0, p0, eta, dt, d) for d in distances])
+        rhs = harm.theorem4_bound(c0, p0, eta, dt, distances)
         slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
         cell_viol = np.zeros(lhs_max.shape, dtype=int)
         if violated.any():  # no segment violates unless its max does
             _, pair_viol = bnd.certify(lhs, np.broadcast_to(np.repeat(rhs, pair_counts),
                                                             lhs.shape))
             cell_viol = np.add.reduceat(pair_viol, starts, axis=1)
-        rhs_text = list(map(repr, rhs.tolist()))
+        rhs_text = _repr_list(rhs)
         for kind, kind_max, kind_slack, kind_viol in zip(
             _HARMONIC_KINDS, lhs_max.tolist(), slack.tolist(), cell_viol.tolist()
         ):
             rows.extend(zip(d_text, repeat(kind), repeat(repr(dt)), map(repr, kind_max),
                             rhs_text, map(repr, kind_slack), kind_viol))
             per_kind[kind] += sum(kind_viol)
-        finite_slacks.append(slack[np.isfinite(slack)])
+        slacks.append(slack)
+        rhs_overflow += len(_HARMONIC_KINDS) * int(np.isinf(rhs).sum())
         dt_grid.append(dt)
         field.append(lhs_max.max(axis=0))
     violation_count = sum(per_kind.values())
-    finite_slacks = np.concatenate(finite_slacks).tolist()
+    max_slack, min_slack = _finite_range(slacks)
 
     arrivals = bnd.lightcone_arrivals(
         dt_grid, dict(zip(distances.tolist(), np.array(field).T)), config.epsilon
@@ -315,37 +352,28 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "rows": len(rows),
         "violation_count": violation_count,
         "violations": per_kind,
-        "max_slack": max(finite_slacks) if finite_slacks else None,
-        "min_slack": min(finite_slacks) if finite_slacks else None,
+        "rhs_overflow": rhs_overflow,
+        "max_slack": max_slack,
+        "min_slack": min_slack,
         "epsilon": config.epsilon,
         "note": "x = y pairs are excluded: the bound is stated for distinct sites",
         "symplectic_defect": symplectic,
         "lightcone": [{"distance": d, "arrival": a} for d, a in arrivals],
     }
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("distance", "pair_kind", "dt", "lhs_max", "rhs",
-                         "slack_min", "violations"))
-        writer.writerows(rows)
-    _write_json(out_dir / "summary.json", summary)
-    _write_lightcone_csv(out_dir / "lightcone.csv", arrivals)
+    _write_outputs(out_dir, ("distance", "pair_kind", "dt", "lhs_max", "rhs",
+                             "slack_min", "violations"), rows, summary, arrivals)
     return summary
 
 
-def run_lightcone(config: RunConfig, out_dir) -> dict:
+def run_lightcone(config: RunConfig, out_dir, guard_dim: int | None = None) -> dict:
     """Emit threshold-arrival times for the configured model's exact dynamics."""
     out_dir = Path(out_dir)
     if config.spin_model is not None:
-        r_grid, pairs, curves = _spin_lhs(config, config.spin_model)
-        arrivals, _, _ = _lightcone_from_curves(
-            r_grid, config.time.t, pairs, curves, config.epsilon
-        )
+        r_grid, pairs, curves = _spin_lhs(config, _spin_model(config, guard_dim))
+        arrivals = _lightcone_from_curves(r_grid, config.time.t, pairs, curves,
+                                          config.epsilon)
     elif config.harmonic_model is not None:
-        if config.time is None or config.time.kind != "dt":
-            raise ConfigError("/time", "harmonic runs need a time section with dt_points")
         kernel = harm.build_kernel(config.harmonic_model)
         pairs, starts, distances = _pair_segments(config.lattice.dist)
         dt_grid, field = [], []

@@ -128,3 +128,89 @@ def c3_path_sum(j_matrix, i: int, k: int) -> float:
     s7 = sum(j[i, a] * j[a, k] * j[b, k]
              for a in idx if a not in (i, k) for b in idx if b != a)
     return float(s1 + s2 + s3 + s4 + s5 + s6 + s7)
+
+
+def spin_report_oracle(config, rhs1_scale=1.0):
+    """The spin certification as a scalar loop over pairs and grid points.
+
+    One ``math.expm1`` per point for Theorems 1 and 2 (an overflow is +inf),
+    one matrix exponential per dt for Theorem 3, and the certification rule
+    written out per point. ``rhs1_scale`` multiplies the Theorem-1 RHS.
+    Returns the report rows (site tuples, floats, None for a blank cell, the
+    flags string) and the summary's counts, slack extremes and overflow count.
+    """
+    import math
+
+    from liebrob import (
+        assumption_constants,
+        build_j_matrix,
+        commutator_norm_curves,
+        lambda0_fit,
+        matrix_exp,
+        operator_norm,
+        support_distance,
+    )
+    from liebrob.bounds import VIOLATION_TOLERANCE
+    from liebrob.runner import SAFETY
+
+    def vacuous_on_overflow(fn):
+        try:
+            return fn()
+        except OverflowError:
+            return math.inf
+
+    model, lattice, eta, t = config.spin_model, config.lattice, config.eta, config.time.t
+    consts = assumption_constants(lattice, eta)
+    p0 = consts.p0 * SAFETY
+    p1 = consts.p1 * SAFETY
+    n_lam = consts.n_lambda * SAFETY
+    lambda0 = lambda0_fit(model, eta).lambda0 * SAFETY
+    jm = build_j_matrix(model, 0.0, t)
+    ops = [(config.observables[x], config.observables[y]) for x, y in config.pairs]
+    curves = commutator_norm_curves(model, ops, t, config.time.points)
+
+    names = ("thm1", "thm2", "thm3")
+    rows = []
+    counts = dict.fromkeys(names, 0)
+    slacks = {name: [] for name in names}
+    overflow = 0
+    for (ox, oy), curve in zip(ops, curves):
+        d = support_distance(ox.support, oy.support, lattice)
+        k_norm = 2.0 * operator_norm(ox.matrix)
+        o_norm = operator_norm(oy.matrix)
+        sizes = len(ox.support) * len(oy.support)
+        for r, lhs in curve:
+            dt = t - r
+            rhs = {
+                "thm1": rhs1_scale * vacuous_on_overflow(
+                    lambda: k_norm * o_norm * sizes / p0
+                    * math.expm1(lambda0 * p0 * dt) / (1.0 + d) ** eta),
+                "thm2": vacuous_on_overflow(
+                    lambda: k_norm * o_norm * sizes * n_lam / p1
+                    * math.expm1(lambda0 * p1 * dt / n_lam) / (1.0 + d) ** eta),
+                "thm3": None,
+            }
+            if sizes == 1:
+                rhs["thm3"] = vacuous_on_overflow(
+                    lambda: k_norm * o_norm * matrix_exp(jm.kappa * jm.matrix * dt)[
+                        ox.support[0], oy.support[0]])
+            slack, flags = {name: None for name in names}, []
+            for name, value in rhs.items():
+                if value is None:
+                    continue
+                overflow += value == math.inf
+                slack[name] = math.inf if lhs == 0.0 else value / lhs
+                if math.isfinite(slack[name]):
+                    slacks[name].append(slack[name])
+                if lhs > value * (1.0 + VIOLATION_TOLERANCE):
+                    flags.append(name)
+                    counts[name] += 1
+            rows.append([ox.support, oy.support, d, t, r, lhs,
+                         *rhs.values(), *slack.values(), "|".join(flags)])
+    summary = {
+        "violations": counts,
+        "max_slack": {name: max(v, default=None) for name, v in slacks.items()},
+        "min_slack": {name: min(v, default=None) for name, v in slacks.items()},
+        "rhs_overflow": overflow,
+    }
+    return rows, summary

@@ -198,6 +198,91 @@ class TestTheorem2Bound:
             assert substituted <= stated * (1.0 + 1e-12)
 
 
+class TestArrayGrids:
+    """Every RHS evaluates elementwise on a broadcast (dt, distance) grid."""
+
+    DTS = np.linspace(0.0, 3.0, 7)
+    DISTANCES = np.array([0.5, 1.0, 2.0, math.sqrt(5.0)])
+
+    def test_theorem1_grid_matches_pointwise_calls(self):
+        from liebrob.bounds import Theorem1Params
+
+        params = Theorem1Params(c=1.7, v=2.3, eta=1.37)
+        grid = theorem1_bound(params, self.DTS[:, None], self.DISTANCES)
+        assert grid.shape == (7, 4)
+        np.testing.assert_array_equal(
+            grid, [[theorem1_bound(params, dt, d) for d in self.DISTANCES]
+                   for dt in self.DTS])
+
+    def test_theorem2_grid_matches_pointwise_calls(self):
+        args = (3.0, 4.0, 1.5, 2.0, 1.0, 1, 2, 1.37)
+        grid = theorem2_bound(*args, self.DTS[:, None], self.DISTANCES)
+        np.testing.assert_array_equal(
+            grid, [[theorem2_bound(*args, dt, d) for d in self.DISTANCES]
+                   for dt in self.DTS])
+
+    def test_theorem3_grid_matches_pointwise_calls(self):
+        jm = build_j_matrix(xy_dephasing_model(n_sites=4), 0.0, 1.0)
+        stacked = theorem3_matrix(jm, self.DTS)
+        assert stacked.shape == (7, 4, 4)
+        for dt, e in zip(self.DTS, stacked):
+            np.testing.assert_array_equal(e, theorem3_matrix(jm, dt))
+            np.testing.assert_array_equal(e, matrix_exp(jm.kappa * jm.matrix * dt))
+        np.testing.assert_array_equal(theorem3_bound(jm, 2.0, 1.0, self.DTS, 0, 3),
+                                      2.0 * stacked[:, 0, 3])
+
+    def test_scalar_arguments_give_scalars(self):
+        from liebrob.bounds import Theorem1Params
+
+        jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
+        for value in (theorem1_bound(Theorem1Params(c=1.0, v=1.0, eta=1.0), 0.5, 1.0),
+                      theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, 0.5, 1.0),
+                      theorem3_bound(jm, 1.0, 1.0, 0.5, 0, 1)):
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+    def test_overflow_is_infinite_even_under_a_zero_prefactor(self):
+        from liebrob.bounds import Theorem1Params
+
+        for c in (0.0, 1.0):
+            values = theorem1_bound(Theorem1Params(c=c, v=1.0, eta=1.0),
+                                    [1.0, 800.0], 1.0)
+            assert values[0] == pytest.approx(c * math.expm1(1.0) / 2.0, rel=1e-15)
+            assert values[1] == math.inf
+            values = theorem2_bound(1.0, 1.0, 1.0, c, 1.0, 1, 1, 1.0, [1.0, 800.0], 1.0)
+            assert np.isfinite(values[0]) and values[1] == math.inf
+        jm = JMatrix(matrix=np.array([[1.0, 1.0], [1.0, 1.0]]), kappa=1.0,
+                     onsite_excluded=False)
+        stacked = theorem3_matrix(jm, [1.0, 400.0])
+        assert np.all(np.isfinite(stacked[0])) and np.all(stacked[1] == math.inf)
+        np.testing.assert_array_equal(theorem3_bound(jm, 0.0, 1.0, [1.0, 400.0], 0, 1),
+                                      [0.0, math.inf])
+
+    def test_overflowing_distance_factor_is_vacuous(self):
+        # [1 + d]^eta beyond the float range would round the bound down to 0,
+        # a false violation for any positive LHS
+        from liebrob.bounds import Theorem1Params
+
+        params = Theorem1Params(c=1.0, v=1.0, eta=40.0)
+        values = theorem1_bound(params, 1.0, [1.0, 1e10])
+        assert 0.0 < values[0] < math.inf and values[1] == math.inf
+        values = theorem2_bound(1.0, 1.0, 1.0, 1.0, 1.0, 1, 1, 40.0, 1.0, [1.0, 1e10])
+        assert 0.0 < values[0] < math.inf and values[1] == math.inf
+
+    def test_negative_dt_anywhere_rejected(self):
+        from liebrob.bounds import Theorem1Params
+
+        params = Theorem1Params(c=1.0, v=1.0, eta=1.0)
+        jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
+        with pytest.raises(ValueError, match="nonnegative"):
+            theorem1_bound(params, [0.0, -1e-3], 1.0)
+        with pytest.raises(ValueError, match="disjoint"):
+            theorem1_bound(params, 1.0, [1.0, 0.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, [0.5, -0.5], 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            theorem3_matrix(jm, [0.5, -0.5])
+
+
 class TestJMatrix:
     def test_no_pair_terms_gives_identity(self):
         lattice = build_lattice(3)

@@ -11,6 +11,10 @@ from liebrob.runner import run_assumptions, run_verify_harmonic, run_verify_spin
 from _helpers import CONFIG_DIR
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -354,6 +358,72 @@ class TestRunners:
         assert arrivals and summary["lightcone"] == arrivals
         assert run_lightcone(config, tmp_path / "lightcone")["lightcone"] == arrivals
 
+    @pytest.mark.parametrize("t, rhs1_scale", [(1.5, 1.0), (1.5, 1e-24), (60.0, 1.0)])
+    def test_verify_spin_rows_match_scalar_oracle(self, tmp_path, monkeypatch, t,
+                                                 rhs1_scale):
+        # A random 4-site long-range model with one 2-site observable (its
+        # rhs3 cells stay blank). Scaled down by 1e-24 the Theorem-1 bound
+        # fails on part of the grid; at t = 60 the early RHS cells overflow.
+        import csv
+        import math
+
+        from liebrob import bounds
+        from liebrob.config import RunConfig, TimeGrid
+        from liebrob.lattice import build_lattice
+        from liebrob.lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
+        from liebrob.operators import PAULI_Z, local_operator
+
+        from _helpers import random_hermitian, spin_report_oracle
+
+        rng = np.random.default_rng(83)
+        lattice = build_lattice(4)
+        h_terms = [HamiltonianTerm(support=(x, y), matrix=random_hermitian(rng, 4)
+                                   / (1.0 + lattice.dist[x, y]) ** 2)
+                   for x in range(4) for y in range(x + 1, 4)]
+        h_terms += [HamiltonianTerm(support=(x,), matrix=random_hermitian(rng, 2))
+                    for x in range(4)]
+        l_terms = [LindbladTerm(support=(x,), matrix=PAULI_Z, rate=0.3) for x in range(4)]
+        model = GKSLModel(lattice=lattice, hamiltonian_terms=tuple(h_terms),
+                          lindblad_terms=tuple(l_terms))
+        observables = {
+            "A01": local_operator(random_hermitian(rng, 4), (0, 1)),
+            "X0": local_operator(random_hermitian(rng, 2), (0,)),
+            "Z2": local_operator(PAULI_Z, (2,)),
+            "Z3": local_operator(PAULI_Z, (3,)),
+        }
+        config = RunConfig(lattice=lattice, eta=2.0, spin_model=model,
+                           time=TimeGrid(t=t, points=13, kind="r"),
+                           observables=observables,
+                           pairs=[("A01", "Z3"), ("X0", "Z2"), ("X0", "Z3"), ("Z3", "X0")])
+        bound = bounds.theorem1_bound
+        monkeypatch.setattr(bounds, "theorem1_bound",
+                            lambda *args: rhs1_scale * bound(*args))
+        summary = run_verify_spin(config, tmp_path)
+        expected_rows, expected = spin_report_oracle(config, rhs1_scale)
+
+        def close(a, b):
+            return a == b or (math.isfinite(a) and math.isfinite(b)
+                              and abs(a - b) <= 1e-12 * max(abs(a), abs(b)))
+
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(expected_rows) == 4 * 13
+        for row, want in zip(rows, expected_rows):
+            assert row[:2] == [";".join(map(str, want[0])), ";".join(map(str, want[1]))]
+            for cell, value in zip(row[2:12], want[2:12]):
+                assert (cell == "") == (value is None)
+                assert value is None or close(float(cell), value), (cell, value)
+            assert row[12] == want[12]
+        assert summary["violations"] == expected["violations"]
+        assert summary["violation_count"] == sum(expected["violations"].values())
+        assert summary["rhs_overflow"] == expected["rhs_overflow"]
+        for key in ("max_slack", "min_slack"):
+            for name, value in expected[key].items():
+                assert close(summary[key][name], value), (key, name)
+        assert (summary["violations"]["thm1"] > 0) == (rhs1_scale != 1.0)
+        assert (summary["rhs_overflow"] > 0) == (t > 10.0)
+        assert all(row[8] == "" for row in rows[:13])  # 2-site X: no Theorem 3
+
     def test_verify_spin_interaction_free_model(self, tmp_path):
         data = minimal_spin_config(coupling=0.0, rate=0.4)
         data["model"]["hamiltonian"] = []
@@ -363,6 +433,11 @@ class TestRunners:
         assert summary["lambda0"] == 0.0
         rows = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 5  # header + one pair over five grid points
+        # the LHS vanishes everywhere, so no slack is finite: strict JSON, nulls
+        written = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert written["min_slack"] == written["max_slack"] == dict.fromkeys(
+            ("thm1", "thm2", "thm3"))
 
 
 class TestCli:
@@ -389,6 +464,8 @@ class TestCli:
         path = write_config(tmp_path, minimal_spin_config())
         assert main(["verify-spin", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 1
+        assert main(["assumptions", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--guard-dim", "8"]) == 1
         assert not (tmp_path / "out").exists()
         capsys.readouterr()
 
@@ -406,6 +483,7 @@ class TestCli:
         assert main(["verify-spin", "--config", str(path), "--out", str(out2)]) == 0
         for name in ("report.csv", "summary.json", "lightcone.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert json.loads((out1 / "summary.json").read_text())["rhs_overflow"] == 0
 
     def test_weak_coupling_pairwise_bound_fails_and_exits_two(self, tmp_path, capsys):
         # kappa < 1 breaks the power-series step behind the matrix-exponential
@@ -421,13 +499,14 @@ class TestCli:
         assert summary["violations"]["thm1"] == 0
         assert summary["violations"]["thm2"] == 0
 
-    def test_guard_dim_flag(self, tmp_path):
+    @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
+    def test_guard_dim_flag(self, tmp_path, command):
         data = minimal_spin_config(n_sites=4, coupling=0.5)
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
-        assert main(["verify-spin", "--config", str(path), "--out", str(out),
+        assert main([command, "--config", str(path), "--out", str(out),
                      "--guard-dim", "8"]) == 1
-        assert main(["verify-spin", "--config", str(path), "--out", str(out),
+        assert main([command, "--config", str(path), "--out", str(out),
                      "--guard-dim", "16"]) == 0
 
     def test_lightcone_subcommand(self, tmp_path):
@@ -528,6 +607,7 @@ class TestCli:
         assert "inf" in rhs and rhs[0] != "inf"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["violation_count"] == 0
+        assert summary["rhs_overflow"] == rhs.count("inf") > 0
 
     def test_overflowing_spin_rhs_is_vacuous(self, tmp_path, capsys):
         # XX+YY chain at t = 200: e^{v dt} and e^{kappa J dt} leave the float
@@ -553,6 +633,8 @@ class TestCli:
             assert all(c == "inf" or math.isfinite(float(c)) for c in cells)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["violation_count"] == 0
+        assert summary["rhs_overflow"] == sum(
+            row[name] == "inf" for row in rows for name in ("rhs1", "rhs2", "rhs3")) > 0
 
     @pytest.mark.parametrize("command", ["verify-harmonic", "lightcone"])
     def test_overflowing_harmonic_lhs_exits_one(self, tmp_path, capsys, command):

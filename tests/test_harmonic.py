@@ -277,6 +277,27 @@ class TestTheorem4Bound:
         with pytest.raises(ValueError):
             theorem4_bound(1.0, 1.0, 1.0, 1.0, 0.0)
 
+    def test_grid_matches_pointwise_calls(self):
+        dts = np.linspace(0.0, 2.0, 5)
+        distances = np.array([1.0, np.sqrt(2.0), 2.0, 3.5])
+        grid = theorem4_bound(0.8, 1.9, 2.7, dts[:, None], distances)
+        assert grid.shape == (5, 4)
+        np.testing.assert_array_equal(
+            grid, [[theorem4_bound(0.8, 1.9, 2.7, dt, d) for d in distances]
+                   for dt in dts])
+        assert isinstance(theorem4_bound(0.8, 1.9, 2.7, 1.0, 1.0), float)
+
+    def test_overflow_is_infinite(self):
+        values = theorem4_bound(1.0, 1.0, 2.0, [1.0, 400.0], [1.0, 2.0])
+        assert np.isfinite(values[0]) and values[1] == np.inf
+        # a denominator beyond the float range is vacuous too, not a 0 bound
+        values = theorem4_bound(1.0, 1.0, 40.0, 1.0, [1.0, 1e10])
+        assert 0.0 < values[0] < np.inf and values[1] == np.inf
+        with pytest.raises(ValueError):
+            theorem4_bound(1.0, 1.0, 1.0, [1.0, -1.0], 1.0)
+        with pytest.raises(ValueError):
+            theorem4_bound(1.0, 1.0, 1.0, 1.0, [1.0, 0.0])
+
 
 class TestSoundnessSweep:
     def test_damped_chain_respects_bound(self):

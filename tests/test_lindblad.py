@@ -185,6 +185,42 @@ class TestGenerators:
             rhs = np.trace(rho.conj().T @ unvec(adj @ vec(a), 4))
             assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_terms_sharing_a_profile_share_one_piece(self, adjoint):
+        # Pieces are summed per time profile; the generator stays the sum of
+        # its one-term generators at every time.
+        from liebrob.lindblad import _superop_pieces
+
+        rng = np.random.default_rng(37)
+        static = random_model(rng, n_sites=3)
+        assert len(_superop_pieces(static, adjoint)) == 1
+        model = random_model(rng, n_sites=3, time_dependent=True)
+        shared = model.hamiltonian_terms[0].profile
+        model = GKSLModel(
+            lattice=model.lattice,
+            hamiltonian_terms=model.hamiltonian_terms + (
+                HamiltonianTerm(support=(2,), matrix=random_hermitian(rng, 2),
+                                profile=shared),),
+            lindblad_terms=model.lindblad_terms + (
+                LindbladTerm(support=(0,), matrix=LOWERING, rate=0.4, profile=shared),),
+        )
+        profiles = {term.profile
+                    for term in model.hamiltonian_terms + model.lindblad_terms}
+        pieces = _superop_pieces(model, adjoint)
+        assert len(pieces) == len(profiles) < len(model.hamiltonian_terms
+                                                   + model.lindblad_terms)
+        build = build_adjoint_generator if adjoint else build_generator
+        for time in (0.0, 0.37, 1.9):
+            one_term_sum = sum(
+                build(GKSLModel(lattice=model.lattice, hamiltonian_terms=(term,)), time)
+                for term in model.hamiltonian_terms
+            ) + sum(
+                build(GKSLModel(lattice=model.lattice, lindblad_terms=(term,)), time)
+                for term in model.lindblad_terms
+            )
+            np.testing.assert_allclose(build(model, time), one_term_sum, rtol=0,
+                                       atol=1e-13)
+
 
 class TestHeisenbergEvolve:
     def test_r_equals_t_is_identity(self):
