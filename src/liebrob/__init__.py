@@ -1,9 +1,10 @@
 """Exact open-system lattice dynamics with Lieb-Robinson bound certification.
 
 Small spin lattices evolve exactly through dense vectorized GKSL generators;
-large harmonic lattices evolve exactly through a 2n x 2n kernel matrix. The
-bounds modules fit the decay constants, evaluate every theorem's right-hand
-side, and certify LHS <= RHS pointwise.
+large harmonic lattices evolve exactly through a 2n x 2n kernel matrix, in
+one stepping pass per run. The bounds modules fit the decay constants,
+evaluate every theorem's right-hand side, and certify LHS <= RHS pointwise.
+The package exports only what the certifier runs.
 """
 
 from .bounds import (
@@ -22,12 +23,11 @@ from .bounds import (
     theorem3_matrix,
 )
 from .harmonic import (
-    CommutatorMatrix,
     HarmonicModel,
     KernelMatrix,
     build_kernel,
     c0_fit,
-    harmonic_commutator_norms,
+    stepped_products,
     symplectic_defect,
     symplectic_form,
     theorem4_bound,
@@ -40,7 +40,6 @@ from .lattice import (
     extensivity_sup,
     n_lambda,
     p0_constant,
-    p1_constant,
 )
 from .lindblad import (
     EvolutionConvergenceWarning,
@@ -55,17 +54,11 @@ from .lindblad import (
     schrodinger_evolve,
 )
 from .operators import (
-    ConvergenceError,
     Operator,
-    SuperoperatorNormBound,
-    adjoint_term_norm_upper,
     embed,
     local_operator,
     named_operator,
     operator_norm,
-    schatten_norm,
-    superop_norm_1to1_estimate,
-    superop_norm_inf_estimate,
     support_distance,
     unvec,
     vec,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import Lattice, _check_eta
-from .lindblad import GKSLModel
+from .lattice import _check_eta
+from .lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
 from .operators import operator_norm
 
 VIOLATION_TOLERANCE = 1e-9  # multiplicative; separates violations from float noise
@@ -36,24 +36,29 @@ class PowerLawCert:
     basis: str = "certified_upper"
 
 
+def _term_norm_bound(term: HamiltonianTerm | LindbladTerm, sup: float) -> float:
+    """Certified inf->inf norm bound of one generator term whose |profile| <= sup.
+
+    Triangle inequality: 2 ||H|| sup for i[H, .], and 2 gamma sup ||L||^2
+    for gamma (L^dag . L - {L^dag L, .}/2).
+    """
+    if isinstance(term, LindbladTerm):
+        return 2.0 * term.rate * sup * operator_norm(term.matrix) ** 2
+    return 2.0 * operator_norm(term.matrix) * sup
+
+
 def _support_norm_bounds(model: GKSLModel) -> dict[tuple[int, ...], float]:
     """Certified sup-over-time norm upper bound per distinct support set."""
     bounds: dict[tuple[int, ...], float] = defaultdict(float)
-    for term in model.hamiltonian_terms:
+    for term in model.hamiltonian_terms + model.lindblad_terms:
         key = tuple(sorted(term.support))
-        bounds[key] += 2.0 * operator_norm(term.matrix) * term.profile.sup_abs
-    for term in model.lindblad_terms:
-        key = tuple(sorted(term.support))
-        bounds[key] += (
-            2.0 * term.rate * term.profile.sup_abs * operator_norm(term.matrix) ** 2
-        )
+        bounds[key] += _term_norm_bound(term, term.profile.sup_abs)
     return dict(bounds)
 
 
-def lambda0_fit(model: GKSLModel, eta: float, lattice: Lattice | None = None) -> PowerLawCert:
+def lambda0_fit(model: GKSLModel, eta: float) -> PowerLawCert:
     """Minimal lambda0 over all distinct site pairs, by direct summation."""
     eta = _check_eta(eta)
-    lat = lattice if lattice is not None else model.lattice
     totals: dict[tuple[int, int], float] = defaultdict(float)
     for support, bound in _support_norm_bounds(model).items():
         if len(support) < 2 or bound == 0.0:
@@ -62,9 +67,8 @@ def lambda0_fit(model: GKSLModel, eta: float, lattice: Lattice | None = None) ->
             totals[(x, y)] += bound
     if not totals:
         return PowerLawCert(lambda0=0.0, eta=eta)
-    lam = max(
-        (1.0 + lat.dist[x, y]) ** eta * total for (x, y), total in totals.items()
-    )
+    dist = model.lattice.dist
+    lam = max((1.0 + dist[x, y]) ** eta * total for (x, y), total in totals.items())
     return PowerLawCert(lambda0=float(lam), eta=eta)
 
 
@@ -178,7 +182,7 @@ def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
     n = model.lattice.n_sites
     j = np.eye(n)
     onsite = False
-    for term in model.hamiltonian_terms:
+    for term in model.hamiltonian_terms + model.lindblad_terms:
         support = tuple(sorted(term.support))
         if len(support) == 1:
             onsite = True
@@ -187,22 +191,7 @@ def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
             raise ValueError(
                 f"J matrix requires pairwise terms; got support {support}"
             )
-        bound = 2.0 * operator_norm(term.matrix) * term.profile.sup_abs_on(r, t)
-        j[support[0], support[1]] += bound
-        j[support[1], support[0]] += bound
-    for term in model.lindblad_terms:
-        support = tuple(sorted(term.support))
-        if len(support) == 1:
-            onsite = True
-            continue
-        if len(support) > 2:
-            raise ValueError(
-                f"J matrix requires pairwise terms; got support {support}"
-            )
-        bound = (
-            2.0 * term.rate * term.profile.sup_abs_on(r, t)
-            * operator_norm(term.matrix) ** 2
-        )
+        bound = _term_norm_bound(term, term.profile.sup_abs_on(r, t))
         j[support[0], support[1]] += bound
         j[support[1], support[0]] += bound
     off = j - np.eye(n)

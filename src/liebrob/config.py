@@ -324,11 +324,10 @@ class RunConfig:
     observables: dict[str, Operator] = field(default_factory=dict)
     pairs: list[tuple[str, str]] = field(default_factory=list)
     epsilon: float = 1e-2
-    output_dir: str | None = None
 
 
 _TOP_KEYS = ("lattice", "eta", "model", "time", "observables", "pairs",
-             "thresholds", "output")
+             "thresholds")
 
 
 def parse_config(data) -> RunConfig:
@@ -406,18 +405,9 @@ def parse_config(data) -> RunConfig:
         if "epsilon" in section:
             epsilon = _number(section["epsilon"], "/thresholds/epsilon", strict_min=0.0)
 
-    output_dir = None
-    if "output" in data:
-        section = _check_keys(data["output"], "/output", optional=("directory",))
-        if "directory" in section:
-            output_dir = section["directory"]
-            if not isinstance(output_dir, str):
-                raise ConfigError("/output/directory", "expected a string")
-
     return RunConfig(lattice=lattice, eta=eta, spin_model=spin_model,
                      harmonic_model=harmonic_model, time=time_grid,
-                     observables=observables, pairs=pairs, epsilon=epsilon,
-                     output_dir=output_dir)
+                     observables=observables, pairs=pairs, epsilon=epsilon)
 
 
 def load_config(path) -> RunConfig:

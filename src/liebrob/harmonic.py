@@ -6,7 +6,9 @@ coordinate commutators follow from a matrix exponential:
 [R_k(s), R_l] is the scalar i (e^{S dt} sigma)_{k,l} times the identity.
 
 On a uniform grid dt_k = k h the products P_k = e^{S dt_k} sigma are stepped,
-P_{k+1} = E P_k with E = e^{S h}, so a run takes one exponential. Because
+P_{k+1} = E P_k with E = e^{S h}, so a run takes one exponential and one
+pass: :func:`stepped_products` yields each P_k once, and every consumer (the
+commutator norms |P_k|, the symplectic defect) reads it there. Because
 sigma^2 = -1, E_k = e^{S dt_k} = -P_k sigma, and the symplectic defect
 E_k sigma E_k^T - sigma equals P_k sigma P_k^T - sigma: it needs no further
 exponential either.
@@ -71,10 +73,6 @@ class KernelMatrix:
     """The real 2n x 2n generator S of the coordinate equations of motion."""
 
     s: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
     sigma: np.ndarray
 
     @property
@@ -103,22 +101,17 @@ def build_kernel(model: HarmonicModel) -> KernelMatrix:
     upper = np.hstack([d + f, e + g]).real
     s[:n, :] += upper
     s[n:, :] -= upper
-    return KernelMatrix(s=s, d=d, e=e, f=f, g=g, sigma=symplectic_form(n))
+    return KernelMatrix(s=s, sigma=symplectic_form(n))
 
 
-@dataclass(frozen=True, eq=False)
-class CommutatorMatrix:
-    """Entry (k, l) is ||[R_k(s), R_l]|| at dt = t - s."""
-
-    dt: float
-    values: np.ndarray
-
-
-def _stepped_products(kernel: KernelMatrix, t: float, points: int):
+def stepped_products(kernel: KernelMatrix, t: float, points: int):
     """Yield (dt_k, e^{S dt_k} sigma) on the grid linspace(0, t, points).
 
     One exponential E = e^{S h}, h = t / (points - 1), then P_{k+1} = E P_k.
     The step comes from t and points, never from differences of grid values.
+    |P_k| is the matrix of coordinate commutator norms at dt_k: [R_k(s), R_l]
+    = sum_m [e^{S dt}]_{k,m} i sigma_{m,l} 1 is a scalar multiple of the
+    identity. A product that leaves the float range raises OverflowError.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -135,31 +128,17 @@ def _stepped_products(kernel: KernelMatrix, t: float, points: int):
         yield dt, product
 
 
-def harmonic_commutator_norms(kernel: KernelMatrix, t: float,
-                              points: int) -> list[CommutatorMatrix]:
-    """All coordinate commutator norms on the grid: |e^{S dt} sigma| entrywise.
-
-    [R_k(s), R_l] = sum_m [e^{S dt}]_{k,m} i sigma_{m,l} 1, a scalar multiple
-    of the identity, so its operator norm is the absolute value of that
-    scalar. One matrix per point of linspace(0, t, points).
-    """
-    return [CommutatorMatrix(dt=dt, values=np.abs(product))
-            for dt, product in _stepped_products(kernel, t, points)]
-
-
-def symplectic_defect(kernel: KernelMatrix, t: float, points: int) -> float:
-    """max over the grid of |e^{S dt} sigma e^{S dt}^T - sigma|; zero if closed.
+def symplectic_defect(kernel: KernelMatrix, product: np.ndarray) -> float:
+    """max |e^{S dt} sigma e^{S dt}^T - sigma| for P = e^{S dt} sigma; 0 if closed.
 
     Hamiltonian kernels generate symplectic flows, so this is a consistency
-    check for M = 0 models. With P = e^{S dt} sigma the product is
-    P sigma P^T, and P sigma = [-P[:, n:] | P[:, :n]].
+    check for M = 0 models. The product is P sigma P^T, and
+    P sigma = [-P[:, n:] | P[:, :n]].
     """
     n = kernel.n_sites
-    defect = 0.0
-    for _, product in _stepped_products(kernel, t, points):
-        p_sigma = np.hstack([-product[:, n:], product[:, :n]])
-        defect = max(defect, float(np.abs(p_sigma @ product.T - kernel.sigma).max()))
-    return defect
+    p_sigma = np.hstack([-product[:, n:], product[:, :n]])
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond the float range: inf
+        return float(np.abs(p_sigma @ product.T - kernel.sigma).max())
 
 
 def c0_fit(model: HarmonicModel, eta: float) -> float:

@@ -9,6 +9,7 @@ multiplicative safety factor to absorb summation rounding.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ def p0_constant(lattice: Lattice, eta: float) -> float:
     including x = y (the safest reading, which only tightens the constant).
     """
     k = decay_kernel(lattice, eta)
-    return float(((k @ k) / k).max())
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where k underflows
+        return float(((k @ k) / k).max())
 
 
 def extensivity_sup(lattice: Lattice, eta: float) -> float:
@@ -94,13 +96,10 @@ def n_lambda(lattice: Lattice, eta: float) -> float:
     if lattice.n_sites < 2:
         raise ValueError("n_lambda requires at least two sites")
     k = decay_kernel(lattice, eta)
-    off_site = k.sum(axis=1) - 1.0  # diagonal entries of k are exactly 1
-    return float(1.0 / off_site.max())
-
-
-def p1_constant(lattice: Lattice, eta: float) -> float:
-    """Minimal p1 of the rescaled kernel inequality; equals n_lambda * p0."""
-    return n_lambda(lattice, eta) * p0_constant(lattice, eta)
+    # summed off the diagonal: 1 + sum - 1 would round a tiny sum to 0
+    np.fill_diagonal(k, 0.0)
+    with np.errstate(divide="ignore"):  # a sum that underflows to 0 gives inf
+        return float(1.0 / k.sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,12 @@ class AssumptionConstants:
 
 
 def assumption_constants(lattice: Lattice, eta: float) -> AssumptionConstants:
-    """Compute all assumption constants for a lattice in one pass."""
+    """Compute all assumption constants for a lattice in one pass.
+
+    ``p1`` is the minimal constant of the rescaled kernel inequality,
+    n_lambda * p0. A p0 or n_lambda outside the float range raises
+    ValueError naming the constant and eta.
+    """
     eta = _check_eta(eta)
     p0 = p0_constant(lattice, eta)
     ext = extensivity_sup(lattice, eta)
@@ -129,4 +133,10 @@ def assumption_constants(lattice: Lattice, eta: float) -> AssumptionConstants:
     else:
         nl = None
         p1 = None
+    for name, value in (("p0", p0), ("n_lambda", nl)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(
+                f"the decay constant {name} is {value} at eta = {eta!r}: the kernel"
+                " 1/[1 + d]^eta leaves the float range; lower eta"
+            )
     return AssumptionConstants(eta=eta, p0=p0, extensivity_sup=ext, n_lambda=nl, p1=p1)

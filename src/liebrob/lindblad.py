@@ -180,7 +180,7 @@ def _check_guard(model: GKSLModel) -> None:
 
 
 def _superop_pieces(model: GKSLModel, adjoint: bool):
-    """Superoperator matrices summed per time profile: (matrix, profile, 1.0).
+    """Superoperator matrices summed per time profile: (matrix, profile).
 
     Each term's rate is folded into its matrix, so terms that share a
     profile share one D^2 x D^2 piece.
@@ -206,13 +206,13 @@ def _superop_pieces(model: GKSLModel, adjoint: bool):
         anti = 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
         jump = np.kron(l.T, l.conj().T) if adjoint else np.kron(l.conj(), l)
         add(term.profile, term.rate * (jump - anti))
-    return [(matrix, profile, 1.0) for profile, matrix in sums.items()]
+    return [(matrix, profile) for profile, matrix in sums.items()]
 
 
 def _assemble(pieces, dim: int, time: float) -> np.ndarray:
     total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for matrix, profile, scale in pieces:
-        c = scale * profile.value(time)
+    for matrix, profile in pieces:
+        c = profile.value(time)
         if c != 0.0:
             total += c * matrix
     return total

@@ -1,7 +1,8 @@
 """Operator algebra on spin lattices.
 
-Tensor embedding by support, Schatten and operator norms, and two-sided
-estimates of induced super-operator norms. The vectorization convention used
+Named single-site operators, tensor embedding by support, the operator norm
+(dense SVD: the pipeline only takes norms of local term and observable
+matrices) and support distances. The vectorization convention used
 throughout the package is column stacking,
 
     vec(X Y Z) = (Z^T kron X) vec(Y),
@@ -19,10 +20,6 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from .lattice import Lattice
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance within the budget."""
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -141,51 +138,10 @@ def embed(local, support, lattice: Lattice, dim_per_site: int | None = None) -> 
     )
 
 
-def schatten_norm(a, p) -> float:
-    """Schatten p-norm [Tr (A^dag A)^{p/2}]^{1/p}; p = inf is the operator norm."""
-    m = _matrix(a)
-    if not (p == np.inf or math.isinf(p)):
-        p = float(p)
-        if p < 1:
-            raise ValueError(f"Schatten norms require p >= 1, got {p}")
-    s = svdvals(m)
-    if s.size == 0:
-        return 0.0
-    if p == np.inf or math.isinf(p):
-        return float(s[0])
-    return float((s**p).sum() ** (1.0 / p))
-
-
-def operator_norm(a, dense_cutoff: int = 256, tol: float = 1e-10,
-                  max_iter: int = 10_000) -> float:
-    """Largest singular value.
-
-    Dense SVD up to ``dense_cutoff``; beyond that, power iteration on A^dag A
-    with relative tolerance ``tol``. Non-convergence raises
-    :class:`ConvergenceError`.
-    """
-    m = _matrix(a)
-    if m.shape[0] <= dense_cutoff:
-        s = svdvals(m)
-        return float(s[0]) if s.size else 0.0
-    h = m.conj().T @ m
-    rng = np.random.default_rng(0x1D)
-    v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    v /= np.linalg.norm(v)
-    prev = np.inf
-    for _ in range(max_iter):
-        w = h @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = float(np.real(np.vdot(v, h @ v)))
-        if abs(lam - prev) <= tol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
-        prev = lam
-    raise ConvergenceError(
-        f"power iteration did not converge to rel. tol {tol} in {max_iter} iterations"
-    )
+def operator_norm(a) -> float:
+    """Largest singular value, by dense SVD."""
+    s = svdvals(_matrix(a))
+    return float(s[0]) if s.size else 0.0
 
 
 def support_distance(x_sites, y_sites, lattice: Lattice) -> float:
@@ -195,95 +151,3 @@ def support_distance(x_sites, y_sites, lattice: Lattice) -> float:
     if not x_sites or not y_sites:
         raise ValueError("support sets must be nonempty")
     return float(min(lattice.dist[x, y] for x in x_sites for y in y_sites))
-
-
-def adjoint_term_norm_upper(h_matrix, lindblad_terms=()) -> float:
-    """Certified upper bound on the inf->inf norm of a local adjoint-generator term.
-
-    Triangle inequality gives  2 ||H|| + 2 sum_v gamma_v ||L_v||^2  for the
-    term  i[H, .] + sum_v gamma_v (L^dag . L - {L^dag L, .}/2).
-    """
-    total = 0.0
-    if h_matrix is not None:
-        total += 2.0 * operator_norm(h_matrix)
-    for l_matrix, gamma in lindblad_terms:
-        gamma = float(gamma)
-        if gamma < 0:
-            raise ValueError(f"dissipation rates must be nonnegative, got {gamma}")
-        total += 2.0 * gamma * operator_norm(l_matrix) ** 2
-    return total
-
-
-@dataclass(frozen=True)
-class SuperoperatorNormBound:
-    """Two-sided sandwich for an induced super-operator norm."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
-
-
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def superop_norm_1to1_estimate(t_matrix, restarts: int = 16, seed: int = 0,
-                               tol: float = 1e-3, max_iter: int = 200,
-                               ) -> SuperoperatorNormBound:
-    """Estimate the induced 1->1 norm of a super-operator matrix.
-
-    The lower estimate maximizes ||T(|psi><phi|)||_1 over rank-one inputs
-    (the extreme points of the trace-norm unit ball) with random restarts and
-    alternating vector updates; each update maximizes the current dual
-    linearization, so the ascent is monotone. The upper bound is the norm
-    relaxation sqrt(dim) * ||T||_{2->2}. Estimation only; never used for
-    bound constants.
-    """
-    t = np.asarray(t_matrix.matrix if hasattr(t_matrix, "matrix") else t_matrix,
-                   dtype=complex)
-    d = math.isqrt(t.shape[0])
-    if d * d != t.shape[0] or t.shape[0] != t.shape[1]:
-        raise ValueError(f"super-operator matrix must be d^2 x d^2, got {t.shape}")
-    if d > 16:
-        raise ValueError(f"norm estimation supported only up to dimension 16, got {d}")
-    upper = float(math.sqrt(d) * svdvals(t)[0])
-    t_adj = t.conj().T
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(max(1, restarts)):
-        psi = _random_unit(rng, d)
-        phi = _random_unit(rng, d)
-        val_prev = -np.inf
-        for _ in range(max_iter):
-            y = unvec(t @ vec(np.outer(psi, phi.conj())), d)
-            u, s, vh = np.linalg.svd(y)
-            w = u @ vh
-            z = unvec(t_adj @ vec(w), d)
-            zphi = z @ phi
-            if np.linalg.norm(zphi) > 0:
-                psi = zphi / np.linalg.norm(zphi)
-            y = unvec(t @ vec(np.outer(psi, phi.conj())), d)
-            u, s, vh = np.linalg.svd(y)
-            val = float(s.sum())
-            w = u @ vh
-            z = unvec(t_adj @ vec(w), d)
-            zpsi = z.conj().T @ psi
-            if np.linalg.norm(zpsi) > 0:
-                phi = zpsi / np.linalg.norm(zpsi)
-            if val - val_prev <= tol * max(1.0, abs(val)):
-                val_prev = val
-                break
-            val_prev = val
-        best = max(best, val_prev)
-    return SuperoperatorNormBound(lower=min(best, upper), upper=upper)
-
-
-def superop_norm_inf_estimate(t_matrix, **kwargs) -> SuperoperatorNormBound:
-    """Estimate the inf->inf norm via duality with the 1->1 norm of the adjoint."""
-    t = np.asarray(t_matrix.matrix if hasattr(t_matrix, "matrix") else t_matrix,
-                   dtype=complex)
-    return superop_norm_1to1_estimate(t.conj().T, **kwargs)

@@ -88,7 +88,7 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
     return payload
 
 
-def _spin_pairs(config: RunConfig, model: GKSLModel):
+def _spin_pairs(config: RunConfig):
     """Embedded observable pairs with their support distances."""
     if not config.pairs:
         raise ConfigError("/pairs", "no observable pairs configured")
@@ -110,7 +110,7 @@ def _spin_lhs(config: RunConfig, model: GKSLModel):
     """Exact commutator-norm curves for every configured pair."""
     if config.time is None or config.time.kind != "r":
         raise ConfigError("/time", "spin runs need a time section with r_points")
-    pairs = _spin_pairs(config, model)
+    pairs = _spin_pairs(config)
     curves = commutator_norm_curves(
         model, [(ox, oy) for _, _, ox, oy, _ in pairs], config.time.t, config.time.points
     )
@@ -255,28 +255,40 @@ def _pair_segments(dist: np.ndarray):
 
 
 def _harmonic_sweep(config: RunConfig, kernel: harm.KernelMatrix, pairs, starts):
-    """Per grid point (dt, lhs, lhs_max) of the stepped commutator norms.
+    """Per grid point (dt, product, lhs, lhs_max), in one stepping pass.
 
-    lhs gathers every kind's norms (rows in _HARMONIC_KINDS order) over the
-    distance-sorted pairs of _pair_segments, one n x n block at a time to
+    product is e^{S dt} sigma from harm.stepped_products; lhs gathers every
+    kind's commutator norms |product| (rows in _HARMONIC_KINDS order) over
+    the distance-sorted pairs of _pair_segments, one n x n block at a time to
     stay in cache; lhs_max is its per-kind, per-distance maximum. A grid on
     which e^{S dt} overflows is a configuration error.
     """
     if config.time is None or config.time.kind != "dt":
         raise ConfigError("/time", "harmonic runs need a time section with dt_points")
     t = config.time.t
+    n = kernel.n_sites
     try:
-        norms = harm.harmonic_commutator_norms(kernel, t, config.time.points)
+        for dt, product in harm.stepped_products(kernel, t, config.time.points):
+            values = np.abs(product)
+            lhs = np.stack([np.take(values[r:r + n, c:c + n], pairs)
+                            for r in (0, n) for c in (0, n)])
+            yield dt, product, lhs, np.maximum.reduceat(lhs, starts, axis=1)
     except OverflowError as exc:
         raise ConfigError(
             "/time/t", f"{exc}: e^(S dt) leaves the float range before t = {t!r};"
             " lower t"
         ) from exc
-    n = kernel.n_sites
-    for cm in norms:
-        lhs = np.stack([np.take(cm.values[r:r + n, c:c + n], pairs)
-                        for r in (0, n) for c in (0, n)])
-        yield cm.dt, lhs, np.maximum.reduceat(lhs, starts, axis=1)
+
+
+def _harmonic_arrivals(steps, distances: np.ndarray, epsilon: float):
+    """Threshold arrivals of the per-distance maximum over all kinds.
+
+    steps holds (dt, lhs_max) per grid point, as _harmonic_sweep yields them.
+    """
+    dt_grid = [dt for dt, _ in steps]
+    field = np.array([lhs_max.max(axis=0) for _, lhs_max in steps])
+    return bnd.lightcone_arrivals(dt_grid, dict(zip(distances.tolist(), field.T)),
+                                  epsilon)
 
 
 def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
@@ -307,9 +319,12 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     slacks = []
     per_kind = {kind: 0 for kind in _HARMONIC_KINDS}
     rhs_overflow = 0
-    dt_grid = []
-    field = []
-    for dt, lhs, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
+    steps = []  # (dt, lhs_max) per grid point
+    closed = bool(np.all(model.m == 0))  # the flow must then preserve sigma
+    defect = 0.0
+    for dt, product, lhs, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
+        if closed:
+            defect = max(defect, harm.symplectic_defect(kernel, product))
         rhs = harm.theorem4_bound(c0, p0, eta, dt, distances)
         slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
         cell_viol = np.zeros(lhs_max.shape, dtype=int)
@@ -326,19 +341,10 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
             per_kind[kind] += sum(kind_viol)
         slacks.append(slack)
         rhs_overflow += len(_HARMONIC_KINDS) * int(np.isinf(rhs).sum())
-        dt_grid.append(dt)
-        field.append(lhs_max.max(axis=0))
+        steps.append((dt, lhs_max))
     violation_count = sum(per_kind.values())
     max_slack, min_slack = _finite_range(slacks)
-
-    arrivals = bnd.lightcone_arrivals(
-        dt_grid, dict(zip(distances.tolist(), np.array(field).T)), config.epsilon
-    )
-
-    symplectic = None
-    if np.all(model.m == 0):  # closed system: the flow must preserve sigma
-        # the same steps as the sweep above, so they cannot overflow here
-        symplectic = harm.symplectic_defect(kernel, config.time.t, config.time.points)
+    arrivals = _harmonic_arrivals(steps, distances, config.epsilon)
 
     summary = {
         "mode": "verify-harmonic",
@@ -348,7 +354,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "c0": c0 / SAFETY,
         "growth_rate": rate,
         "sites": model.n_sites,
-        "dt_points": len(dt_grid),
+        "dt_points": len(steps),
         "rows": len(rows),
         "violation_count": violation_count,
         "violations": per_kind,
@@ -357,7 +363,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "min_slack": min_slack,
         "epsilon": config.epsilon,
         "note": "x = y pairs are excluded: the bound is stated for distinct sites",
-        "symplectic_defect": symplectic,
+        "symplectic_defect": defect if closed else None,
         "lightcone": [{"distance": d, "arrival": a} for d, a in arrivals],
     }
 
@@ -376,13 +382,9 @@ def run_lightcone(config: RunConfig, out_dir, guard_dim: int | None = None) -> d
     elif config.harmonic_model is not None:
         kernel = harm.build_kernel(config.harmonic_model)
         pairs, starts, distances = _pair_segments(config.lattice.dist)
-        dt_grid, field = [], []
-        for dt, _, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
-            dt_grid.append(dt)
-            field.append(lhs_max.max(axis=0))
-        arrivals = bnd.lightcone_arrivals(
-            dt_grid, dict(zip(distances.tolist(), np.array(field).T)), config.epsilon
-        )
+        steps = [(dt, lhs_max) for dt, _, _, lhs_max
+                 in _harmonic_sweep(config, kernel, pairs, starts)]
+        arrivals = _harmonic_arrivals(steps, distances, config.epsilon)
     else:
         raise ConfigError("/model", "the lightcone command requires a model")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,16 @@
-"""Shared test utilities: random models, states, and channels."""
+"""Shared test utilities: random models, states and channels, and test oracles.
 
+The oracles (Schatten norms and the two-sided super-operator norm estimates)
+check the certified quantities of the package; the package itself never
+calls them.
+"""
+
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from liebrob import (
     GKSLModel,
@@ -11,7 +19,9 @@ from liebrob import (
     LindbladTerm,
     TimeProfile,
     build_lattice,
+    stepped_products,
 )
+from liebrob.operators import _matrix, unvec, vec
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -92,6 +102,104 @@ def apply_adjoint_term(h, lindblads, a):
         ldl = l.conj().T @ l
         out += gamma * (l.conj().T @ a @ l - 0.5 * (ldl @ a + a @ ldl))
     return out
+
+
+def schatten_norm(a, p) -> float:
+    """Schatten p-norm [Tr (A^dag A)^{p/2}]^{1/p}; p = inf is the operator norm."""
+    m = _matrix(a)
+    if not (p == np.inf or math.isinf(p)):
+        p = float(p)
+        if p < 1:
+            raise ValueError(f"Schatten norms require p >= 1, got {p}")
+    s = svdvals(m)
+    if s.size == 0:
+        return 0.0
+    if p == np.inf or math.isinf(p):
+        return float(s[0])
+    return float((s**p).sum() ** (1.0 / p))
+
+
+@dataclass(frozen=True)
+class SuperoperatorNormBound:
+    """Two-sided sandwich for an induced super-operator norm."""
+
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
+
+
+def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def superop_norm_1to1_estimate(t_matrix, restarts: int = 16, seed: int = 0,
+                               tol: float = 1e-3, max_iter: int = 200,
+                               ) -> SuperoperatorNormBound:
+    """Estimate the induced 1->1 norm of a super-operator matrix.
+
+    The lower estimate maximizes ||T(|psi><phi|)||_1 over rank-one inputs
+    (the extreme points of the trace-norm unit ball) with random restarts and
+    alternating vector updates; each update maximizes the current dual
+    linearization, so the ascent is monotone. The upper bound is the norm
+    relaxation sqrt(dim) * ||T||_{2->2}. Estimation only; never used for
+    bound constants.
+    """
+    t = np.asarray(t_matrix.matrix if hasattr(t_matrix, "matrix") else t_matrix,
+                   dtype=complex)
+    d = math.isqrt(t.shape[0])
+    if d * d != t.shape[0] or t.shape[0] != t.shape[1]:
+        raise ValueError(f"super-operator matrix must be d^2 x d^2, got {t.shape}")
+    if d > 16:
+        raise ValueError(f"norm estimation supported only up to dimension 16, got {d}")
+    upper = float(math.sqrt(d) * svdvals(t)[0])
+    t_adj = t.conj().T
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(max(1, restarts)):
+        psi = _random_unit(rng, d)
+        phi = _random_unit(rng, d)
+        val_prev = -np.inf
+        for _ in range(max_iter):
+            y = unvec(t @ vec(np.outer(psi, phi.conj())), d)
+            u, s, vh = np.linalg.svd(y)
+            w = u @ vh
+            z = unvec(t_adj @ vec(w), d)
+            zphi = z @ phi
+            if np.linalg.norm(zphi) > 0:
+                psi = zphi / np.linalg.norm(zphi)
+            y = unvec(t @ vec(np.outer(psi, phi.conj())), d)
+            u, s, vh = np.linalg.svd(y)
+            val = float(s.sum())
+            w = u @ vh
+            z = unvec(t_adj @ vec(w), d)
+            zpsi = z.conj().T @ psi
+            if np.linalg.norm(zpsi) > 0:
+                phi = zpsi / np.linalg.norm(zpsi)
+            if val - val_prev <= tol * max(1.0, abs(val)):
+                val_prev = val
+                break
+            val_prev = val
+        best = max(best, val_prev)
+    return SuperoperatorNormBound(lower=min(best, upper), upper=upper)
+
+
+def superop_norm_inf_estimate(t_matrix, **kwargs) -> SuperoperatorNormBound:
+    """Estimate the inf->inf norm via duality with the 1->1 norm of the adjoint."""
+    t = np.asarray(t_matrix.matrix if hasattr(t_matrix, "matrix") else t_matrix,
+                   dtype=complex)
+    return superop_norm_1to1_estimate(t.conj().T, **kwargs)
+
+
+def commutator_norms(kernel, t, points):
+    """(dt, |e^{S dt} sigma|) on the grid linspace(0, t, points), as a list.
+
+    Entry (k, l) of the matrix is ||[R_k(s), R_l]|| at dt = t - s.
+    """
+    return [(dt, np.abs(product)) for dt, product in stepped_products(kernel, t, points)]
 
 
 def c2_path_sum(j_matrix, i: int, k: int) -> float:

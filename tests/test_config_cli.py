@@ -8,7 +8,7 @@ from liebrob.config import ConfigError, load_config, parse_config
 from liebrob.operators import PAULI_X, PAULI_Y
 from liebrob.runner import run_assumptions, run_verify_harmonic, run_verify_spin
 
-from _helpers import CONFIG_DIR
+from _helpers import CONFIG_DIR, commutator_norms
 
 
 def _reject_constant(name):
@@ -67,6 +67,17 @@ class TestConfigParsing:
         data["plot"] = True
         with pytest.raises(ConfigError, match="/plot"):
             parse_config(data)
+
+    def test_output_section_rejected(self, tmp_path):
+        # --out names the output directory; a config has no output section
+        data = minimal_spin_config()
+        data["output"] = {"directory": "runs"}
+        with pytest.raises(ConfigError, match="^/output: unknown key"):
+            parse_config(data)
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-spin", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_site_out_of_range_rejected(self):
         data = minimal_spin_config()
@@ -328,22 +339,22 @@ class TestRunners:
         dist = lattice.dist
         off = ~np.eye(n, dtype=bool)
         kernel = harmonic.build_kernel(model)
-        norms = harmonic.harmonic_commutator_norms(kernel, 1.5, 7)
+        norms = commutator_norms(kernel, 1.5, 7)
         expected, per_kind, field = [], {}, {}
-        for k, cm in enumerate(norms):
-            blocks = {"QQ": cm.values[:n, :n], "QP": cm.values[:n, n:],
-                      "PQ": cm.values[n:, :n], "PP": cm.values[n:, n:]}
+        for k, (dt, values) in enumerate(norms):
+            blocks = {"QQ": values[:n, :n], "QP": values[:n, n:],
+                      "PQ": values[n:, :n], "PP": values[n:, n:]}
             for kind, lhs in blocks.items():
                 for d in np.unique(dist[off]):
                     mask = (dist == d) & off
                     lhs_max = float(lhs[mask].max())
-                    rhs = float(rhs_scale * bound(c0, p0, 3.0, cm.dt, d))
+                    rhs = float(rhs_scale * bound(c0, p0, 3.0, dt, d))
                     slack = math.inf if lhs_max == 0.0 else rhs / lhs_max
                     cell = int((lhs[mask] > rhs * (1.0 + VIOLATION_TOLERANCE)).sum())
                     per_kind[kind] = per_kind.get(kind, 0) + cell
                     curve = field.setdefault(float(d), [0.0] * len(norms))
                     curve[k] = max(curve[k], lhs_max)
-                    expected.append([repr(float(d)), kind, repr(cm.dt), repr(lhs_max),
+                    expected.append([repr(float(d)), kind, repr(dt), repr(lhs_max),
                                      repr(rhs), repr(slack), str(cell)])
         with open(tmp_path / "report.csv", newline="") as fh:
             assert list(csv.reader(fh))[1:] == expected
@@ -353,7 +364,7 @@ class TestRunners:
         assert (total == 0) == (rhs_scale == 1.0)
         assert total < 4 * n * (n - 1) * 7
         arrivals = [{"distance": d, "arrival": t}
-                    for d, t in lightcone_arrivals([cm.dt for cm in norms], field,
+                    for d, t in lightcone_arrivals([dt for dt, _ in norms], field,
                                                        config.epsilon)]
         assert arrivals and summary["lightcone"] == arrivals
         assert run_lightcone(config, tmp_path / "lightcone")["lightcone"] == arrivals
@@ -564,6 +575,41 @@ class TestCli:
         assert summary["symplectic_defect"] is not None
         assert summary["symplectic_defect"] < 1e-9
 
+    def test_closed_harmonic_run_takes_one_exponential_and_one_pass(self, tmp_path,
+                                                                    monkeypatch):
+        # the symplectic defect reads the sweep's own products: no second
+        # stepping pass and no second exponential
+        from liebrob import harmonic
+
+        calls = {"matrix_exp": 0, "stepped_products": 0}
+
+        def counted(name):
+            fn = getattr(harmonic, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harmonic, name, counted(name))
+        config = load_config(write_config(tmp_path, {
+            "lattice": {"geometry": {"kind": "grid", "sides": [3, 3]},
+                        "metric": "graph"},
+            "eta": 3.0,
+            "model": {"type": "harmonic", "a": {"power_law": {"amplitude": 0.5,
+                                                              "eta": 3.0}},
+                      "b": {"identity": {}}, "m": {"zero": {}}},
+            "time": {"t": 2.0, "dt_points": 9},
+        }))
+        summary = run_verify_harmonic(config, tmp_path / "out")
+        assert calls == {"matrix_exp": 1, "stepped_products": 1}
+        monkeypatch.undo()
+        kernel = harmonic.build_kernel(config.harmonic_model)
+        defects = [harmonic.symplectic_defect(kernel, product)
+                   for _, product in harmonic.stepped_products(kernel, 2.0, 9)]
+        assert summary["symplectic_defect"] == max(defects) < 1e-12
+
     def test_harmonic_eta_at_or_below_dimension_is_flagged(self, tmp_path, capsys):
         data = {
             "lattice": {"geometry": {"kind": "chain", "sides": [6]},
@@ -635,6 +681,20 @@ class TestCli:
         assert summary["violation_count"] == 0
         assert summary["rhs_overflow"] == sum(
             row[name] == "inf" for row in rows for name in ("rhs1", "rhs2", "rhs3")) > 0
+
+    @pytest.mark.parametrize("command", ["assumptions", "verify-spin"])
+    def test_underflowing_decay_kernel_exits_one(self, tmp_path, capsys, command):
+        # eta = 800 on a 5-site chain: the off-site kernel underflows to 0, so
+        # p0 = max (k @ k) / k is 0/0
+        data = minimal_spin_config(n_sites=5)
+        data["eta"] = 800.0
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "p0 is nan at eta = 800.0" in err
+        assert "Traceback" not in err and "JSON" not in err
 
     @pytest.mark.parametrize("command", ["verify-harmonic", "lightcone"])
     def test_overflowing_harmonic_lhs_exits_one(self, tmp_path, capsys, command):

@@ -6,13 +6,15 @@ from liebrob import (
     build_kernel,
     build_lattice,
     c0_fit,
-    harmonic_commutator_norms,
     matrix_exp,
     p0_constant,
+    stepped_products,
     symplectic_defect,
     symplectic_form,
     theorem4_bound,
 )
+
+from _helpers import commutator_norms
 
 
 def closed_model(rng, n, scale=0.3):
@@ -62,13 +64,15 @@ class TestBuildKernel:
         np.testing.assert_allclose(kernel.s[n:, n:], np.zeros((n, n)), atol=1e-15)
 
     def test_f_is_minus_d(self):
+        # F = -D, so the dissipative QQ block of S, D + F, vanishes
         rng = np.random.default_rng(52)
         n = 5
         lattice = build_lattice(n)
         m = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
         model = HarmonicModel(lattice=lattice, a=np.eye(n), b=np.eye(n), m=m)
         kernel = build_kernel(model)
-        np.testing.assert_allclose(kernel.f, -kernel.d, atol=1e-15)
+        np.testing.assert_allclose(kernel.s[:n, :n], np.zeros((n, n)), atol=1e-15)
+        np.testing.assert_allclose(kernel.s[n:, :n], model.a, atol=1e-15)
 
     def test_dissipative_row_pairs_are_negatives(self):
         rng = np.random.default_rng(53)
@@ -90,14 +94,18 @@ class TestBuildKernel:
         m = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
         model = HarmonicModel(lattice=lattice, a=np.eye(n), b=np.eye(n), m=m)
         kernel = build_kernel(model)
+        s = kernel.s
         for x in range(n):
             for y in range(n):
                 d_xy = -0.5j * sum(np.conj(m[v, y]) * m[v, x] for v in range(n))
                 e_xy = -0.5j * sum(np.conj(m[v, y + n]) * m[v, x] for v in range(n))
+                f_xy = 0.5j * sum(np.conj(m[v, y]) * m[v, x] for v in range(n))
                 g_xy = 0.5j * sum(np.conj(m[v, x]) * m[v, y + n] for v in range(n))
-                assert kernel.d[x, y] == pytest.approx(d_xy, rel=1e-12)
-                assert kernel.e[x, y] == pytest.approx(e_xy, rel=1e-12)
-                assert kernel.g[x, y] == pytest.approx(g_xy, rel=1e-12)
+                upper_q, upper_p = (d_xy + f_xy).real, (e_xy + g_xy).real
+                assert s[x, y] == pytest.approx(upper_q, abs=1e-15)
+                assert s[x, y + n] == pytest.approx(-model.b[x, y] + upper_p, rel=1e-12)
+                assert s[x + n, y] == pytest.approx(model.a[x, y] - upper_q, rel=1e-12)
+                assert s[x + n, y + n] == pytest.approx(-upper_p, rel=1e-12)
 
     def test_single_site_oscillator_kernel(self):
         lattice = build_lattice(1)
@@ -137,8 +145,8 @@ class TestHarmonicCommutatorNorms:
         rng = np.random.default_rng(55)
         model = closed_model(rng, 3)
         kernel = build_kernel(model)
-        cm = harmonic_commutator_norms(kernel, 0.0, 2)[-1]
-        np.testing.assert_allclose(cm.values, np.abs(symplectic_form(3)), atol=1e-15)
+        _, values = commutator_norms(kernel, 0.0, 2)[-1]
+        np.testing.assert_allclose(values, np.abs(symplectic_form(3)), atol=1e-15)
 
     def test_single_site_oscillator_rotation(self):
         lattice = build_lattice(1)
@@ -146,9 +154,9 @@ class TestHarmonicCommutatorNorms:
                               b=np.array([[1.0]]), m=np.zeros((1, 2)))
         kernel = build_kernel(model)
         for dt in (0.0, 0.3, 1.0, 2.5):
-            cm = harmonic_commutator_norms(kernel, dt, 2)[-1]
-            assert cm.values[0, 0] == pytest.approx(abs(np.sin(dt)), abs=1e-12)
-            assert cm.values[0, 1] == pytest.approx(abs(np.cos(dt)), abs=1e-12)
+            _, values = commutator_norms(kernel, dt, 2)[-1]
+            assert values[0, 0] == pytest.approx(abs(np.sin(dt)), abs=1e-12)
+            assert values[0, 1] == pytest.approx(abs(np.cos(dt)), abs=1e-12)
 
     def test_closed_system_symplecticity(self):
         rng = np.random.default_rng(56)
@@ -165,11 +173,11 @@ class TestHarmonicCommutatorNorms:
         rng = np.random.default_rng(58)
         for model in (damped_chain(12, eta=3.0, gamma=0.2), closed_model(rng, 12)):
             kernel = build_kernel(model)
-            norms = harmonic_commutator_norms(kernel, 2.0, 101)
-            assert [cm.dt for cm in norms] == np.linspace(0.0, 2.0, 101).tolist()
-            for cm in norms:
-                direct = np.abs(matrix_exp(kernel.s * cm.dt) @ kernel.sigma)
-                assert np.abs(cm.values - direct).max() <= 1e-12 * direct.max()
+            norms = commutator_norms(kernel, 2.0, 101)
+            assert [dt for dt, _ in norms] == np.linspace(0.0, 2.0, 101).tolist()
+            for dt, values in norms:
+                direct = np.abs(matrix_exp(kernel.s * dt) @ kernel.sigma)
+                assert np.abs(values - direct).max() <= 1e-12 * direct.max()
 
     def test_decoupled_model_has_no_off_diagonal_spread(self):
         # diagonal A and B: sites never talk, so QQ and PP norms stay
@@ -181,10 +189,10 @@ class TestHarmonicCommutatorNorms:
         kernel = build_kernel(model)
         off = ~np.eye(n, dtype=bool)
         for dt in (0.0, 0.7, 2.0):
-            cm = harmonic_commutator_norms(kernel, dt, 2)[-1]
-            assert np.abs(cm.values[:n, :n][off]).max() == 0.0
-            assert np.abs(cm.values[n:, n:][off]).max() == 0.0
-            assert np.abs(cm.values[:n, n:][off]).max() == 0.0
+            _, values = commutator_norms(kernel, dt, 2)[-1]
+            assert np.abs(values[:n, :n][off]).max() == 0.0
+            assert np.abs(values[n:, n:][off]).max() == 0.0
+            assert np.abs(values[:n, n:][off]).max() == 0.0
 
     def test_symplectic_defect_helper(self):
         rng = np.random.default_rng(57)
@@ -192,13 +200,18 @@ class TestHarmonicCommutatorNorms:
         kernel = build_kernel(closed)
         damped = build_kernel(damped_chain(6, eta=3.0, gamma=0.5))
         for points in (2, 101):
-            assert symplectic_defect(kernel, 1.5, points) < 1e-11
-            assert symplectic_defect(damped, 1.5, points) > 1e-3
+            closed_defects = [symplectic_defect(kernel, product)
+                              for _, product in stepped_products(kernel, 1.5, points)]
+            damped_defects = [symplectic_defect(damped, product)
+                              for _, product in stepped_products(damped, 1.5, points)]
+            assert max(closed_defects) < 1e-11
+            assert max(damped_defects) > 1e-3
+            assert closed_defects[0] == damped_defects[0] == 0.0  # P_0 = sigma
 
     def test_negative_dt_rejected(self):
         kernel = build_kernel(damped_chain(2, 2.0, 0.1))
         with pytest.raises(ValueError):
-            harmonic_commutator_norms(kernel, -0.1, 2)
+            next(stepped_products(kernel, -0.1, 2))
 
     def test_overflow_reported(self):
         # inverted oscillator: S has real eigenvalues +-1e4, so the
@@ -208,7 +221,7 @@ class TestHarmonicCommutatorNorms:
                               b=np.array([[-1.0e4]]), m=np.zeros((1, 2)))
         kernel = build_kernel(model)
         with pytest.raises(OverflowError):
-            harmonic_commutator_norms(kernel, 100.0, 2)
+            next(stepped_products(kernel, 100.0, 2))
 
     def test_overflow_while_stepping_reported(self):
         # S = [[0, 1], [1, 0]] and h = 100: e^{S h} is finite, e^{8 S h} is not
@@ -217,7 +230,7 @@ class TestHarmonicCommutatorNorms:
                               b=np.array([[-1.0]]), m=np.zeros((1, 2)))
         kernel = build_kernel(model)
         with pytest.raises(OverflowError, match="dt = "):
-            harmonic_commutator_norms(kernel, 1000.0, 11)
+            commutator_norms(kernel, 1000.0, 11)
 
 
 class TestC0Fit:
@@ -308,11 +321,9 @@ class TestSoundnessSweep:
         c0 = c0_fit(model, eta)
         off = ~np.eye(n, dtype=bool)
         dist = model.lattice.dist
-        for cm in harmonic_commutator_norms(kernel, 2.0, 9):
-            dt = cm.dt
+        for dt, values in commutator_norms(kernel, 2.0, 9):
             rhs = np.exp(2 * p0 * (c0 + p0 * c0 * c0) * dt) / (
                 2.0 * p0 * (1.0 + dist) ** eta
             )
-            for block in (cm.values[:n, :n], cm.values[:n, n:],
-                          cm.values[n:, :n], cm.values[n:, n:]):
+            for block in (values[:n, :n], values[:n, n:], values[n:, :n], values[n:, n:]):
                 assert np.all(block[off] <= rhs[off] * (1.0 + 1e-9))

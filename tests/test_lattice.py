@@ -9,7 +9,6 @@ from liebrob import (
     extensivity_sup,
     n_lambda,
     p0_constant,
-    p1_constant,
 )
 
 
@@ -155,6 +154,12 @@ class TestNLambda:
         with pytest.raises(ValueError):
             n_lambda(build_lattice(1), 1.0)
 
+    def test_finite_when_the_kernel_underflows(self):
+        # eta = 800 on a 5-site chain: 1 + sum_{y != x} k(x, y) rounds to 1,
+        # but the off-site sum itself peaks at 2 * 2^-800 on an interior site
+        value = n_lambda(build_lattice(5), 800.0)
+        assert value == pytest.approx(2.0**800 / 2.0, rel=1e-12)
+
     def test_never_exceeds_two_to_eta(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -170,22 +175,23 @@ class TestNLambda:
 
 class TestP1Constant:
     def test_two_site_chain_eta_one(self):
-        assert p1_constant(build_lattice(2), 1.0) == 4.0
+        assert assumption_constants(build_lattice(2), 1.0).p1 == 4.0
 
     def test_product_identity(self):
         lat = build_lattice((3, 3))
         eta = 1.4
-        assert p1_constant(lat, eta) == n_lambda(lat, eta) * p0_constant(lat, eta)
+        p1 = assumption_constants(lat, eta).p1
+        assert p1 == n_lambda(lat, eta) * p0_constant(lat, eta)
 
     def test_finite_below_lattice_dimension(self):
         # eta < D = 1: the extensivity criterion degrades but p1 stays finite
-        value = p1_constant(build_lattice(16), 0.5)
+        value = assumption_constants(build_lattice(16), 0.5).p1
         assert np.isfinite(value) and value > 0
 
     def test_diagonal_pair_specialization(self):
         lat = build_lattice(6)
         eta = 1.0
-        p1 = p1_constant(lat, eta)
+        p1 = assumption_constants(lat, eta).p1
         nl = n_lambda(lat, eta)
         for x in range(6):
             constraint = nl * sum(
@@ -203,6 +209,11 @@ class TestAssumptionConstants:
         assert consts.n_lambda == n_lambda(lat, 2.0)
         assert consts.p1 == consts.n_lambda * consts.p0
         assert consts.p0 >= 1.0
+
+    def test_non_finite_constant_names_itself_and_eta(self):
+        # the kernel underflows to 0 off the diagonal, so p0's (k @ k) / k is 0/0
+        with pytest.raises(ValueError, match=r"p0 is nan at eta = 800\.0"):
+            assumption_constants(build_lattice(5), 800.0)
 
     def test_single_site_has_no_rescaling(self):
         consts = assumption_constants(build_lattice(1), 1.0)

@@ -2,26 +2,37 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from liebrob import build_lattice
+from liebrob import (
+    GKSLModel,
+    HamiltonianTerm,
+    LindbladTerm,
+    TimeProfile,
+    build_adjoint_generator,
+    build_lattice,
+)
+from liebrob.bounds import _support_norm_bounds
 from liebrob.operators import (
     PAULI_X,
     PAULI_Z,
-    ConvergenceError,
-    SuperoperatorNormBound,
-    adjoint_term_norm_upper,
     embed,
     local_operator,
     named_operator,
     operator_norm,
-    schatten_norm,
-    superop_norm_1to1_estimate,
-    superop_norm_inf_estimate,
     support_distance,
     unvec,
     vec,
 )
 
-from _helpers import apply_adjoint_term, random_channel_superop, random_matrix
+from _helpers import (
+    SuperoperatorNormBound,
+    apply_adjoint_term,
+    random_channel_superop,
+    random_hermitian,
+    random_matrix,
+    schatten_norm,
+    superop_norm_1to1_estimate,
+    superop_norm_inf_estimate,
+)
 
 
 def test_vec_column_stacking_identity():
@@ -140,19 +151,6 @@ class TestOperatorNorm:
             np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12
         )
 
-    def test_power_iteration_branch(self):
-        rng = np.random.default_rng(15)
-        m = random_matrix(rng, 40)
-        dense = operator_norm(m)
-        iterated = operator_norm(m, dense_cutoff=8)
-        assert iterated == pytest.approx(dense, rel=1e-7)
-
-    def test_power_iteration_nonconvergence_raises(self):
-        rng = np.random.default_rng(16)
-        m = random_matrix(rng, 12)
-        with pytest.raises(ConvergenceError):
-            operator_norm(m, dense_cutoff=2, max_iter=1)
-
 
 class TestSupportDistance:
     def test_far_pair_on_chain(self):
@@ -173,35 +171,70 @@ class TestSupportDistance:
             support_distance((), (0,), lat)
 
 
+def term_model(n_sites, h=None, lindblads=(), profile=TimeProfile()):
+    """One Hamiltonian term and Lindblad terms, all on every site of a chain."""
+    support = tuple(range(n_sites))
+    return GKSLModel(
+        lattice=build_lattice(n_sites),
+        hamiltonian_terms=() if h is None else (HamiltonianTerm(support, h, profile),),
+        lindblad_terms=tuple(LindbladTerm(support, l, gamma, profile)
+                             for l, gamma in lindblads),
+    )
+
+
 class TestAdjointTermNormUpper:
+    """The certified inf->inf bound of a local adjoint-generator term.
+
+    ``bounds._support_norm_bounds`` takes it per support set: 2 ||H|| sup|f|
+    + sum_v 2 gamma_v sup|f| ||L_v||^2 by the triangle inequality.
+    """
+
     def test_pure_dephasing(self):
-        bound = adjoint_term_norm_upper(None, [(PAULI_Z, 1.0)])
-        assert bound == pytest.approx(2.0)
+        bounds = _support_norm_bounds(term_model(1, lindblads=[(PAULI_Z, 1.0)]))
+        assert bounds == {(0,): pytest.approx(2.0)}
         # the bound is attained on pauli_x: ||sz sx sz - sx|| = 2
         action = apply_adjoint_term(None, [(PAULI_Z, 1.0)], PAULI_X)
         assert operator_norm(action) == pytest.approx(2.0)
 
     def test_hamiltonian_only(self):
-        assert adjoint_term_norm_upper(PAULI_Z) == pytest.approx(2.0)
+        bounds = _support_norm_bounds(term_model(1, h=PAULI_Z))
+        assert bounds == {(0,): pytest.approx(2.0)}
 
     def test_empty_term(self):
-        assert adjoint_term_norm_upper(None, []) == 0.0
+        assert _support_norm_bounds(term_model(1)) == {}
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            adjoint_term_norm_upper(None, [(PAULI_Z, -0.1)])
+            term_model(1, lindblads=[(PAULI_Z, -0.1)])
 
     def test_certified_above_sampled_ratios(self):
         rng = np.random.default_rng(17)
-        h = 0.5 * (random_matrix(rng, 4) + random_matrix(rng, 4).conj().T)
+        h = random_hermitian(rng, 4)  # a model's Hamiltonian terms are Hermitian
         lindblads = [(random_matrix(rng, 4), 0.3), (random_matrix(rng, 4), 0.8)]
-        bound = adjoint_term_norm_upper(h, lindblads)
+        bound = _support_norm_bounds(term_model(2, h, lindblads))[(0, 1)]
         for _ in range(1000):
             a = random_matrix(rng, 4)
             if rng.random() < 0.5:
                 a = a + a.conj().T
             ratio = operator_norm(apply_adjoint_term(h, lindblads, a)) / operator_norm(a)
             assert ratio <= bound * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_estimated_lower_norm_below_certified_bound(self, n_sites):
+        # the estimator's lower value is attained by some input, so it can
+        # never exceed a sound upper bound on the same term
+        rng = np.random.default_rng(22 + n_sites)
+        dim = 2**n_sites
+        for trial in range(4):
+            h = random_hermitian(rng, dim)
+            lindblads = [(random_matrix(rng, dim), float(rng.uniform(0.05, 1.0)))
+                         for _ in range(2)]
+            amplitude = float(rng.uniform(0.3, 2.0))
+            model = term_model(n_sites, h, lindblads, TimeProfile(amplitude=amplitude))
+            bound = _support_norm_bounds(model)[tuple(range(n_sites))]
+            est = superop_norm_inf_estimate(build_adjoint_generator(model), restarts=4,
+                                            seed=trial)
+            assert 0.0 < est.lower <= bound * (1.0 + 1e-12)
 
 
 class TestSuperopNormEstimate:
