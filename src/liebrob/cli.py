@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         if name in ("verify-spin", "lightcone"):
             cmd.add_argument("--guard-dim", type=int, default=None,
-                             help="override the desk-scale Hilbert dimension guard")
+                             help="cap the spin Hilbert dimension at N")
     return parser
 
 

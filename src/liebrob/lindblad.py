@@ -1,23 +1,27 @@
-"""GKSL generators as dense superoperators, and exact propagation.
+"""GKSL generators as sparse superoperators, and their propagation.
 
 States evolve forward under the generator (Schrodinger picture); observables
-evolve backward under its Hilbert-Schmidt adjoint (Heisenberg picture). All
-propagation is one stepped sweep over a uniform grid: a time-independent
-model takes a single exponential e^{h L} for the grid step h and applies it
-once per interval; a time-dependent model takes a time-ordered product of
-piecewise-constant midpoint exponentials per interval, so every step is
-exactly a channel / adjoint channel. Single-interval evolution is the
-two-point grid.
+evolve backward under its Hilbert-Schmidt adjoint (Heisenberg picture). The
+generator is a CSR matrix whose per-profile pieces share one sparsity pattern.
+All propagation is one stepped sweep over a uniform grid by scipy's
+``expm_multiply`` (Al-Mohy & Higham 2011), which never forms an exponential
+and works to a backward-error target, with no a-posteriori certificate: one
+call for the whole grid of a time-independent model, one per midpoint
+substep of a time-dependent one. Single-interval evolution is the two-point
+grid.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm, svdvals
+import scipy.sparse as sp
+from scipy.linalg import svdvals
+from scipy.sparse.linalg import expm_multiply
 
 from .lattice import Lattice
 from .operators import Operator, embed, unvec, vec
@@ -125,7 +129,7 @@ class GKSLModel:
     dim_per_site: int = 2
     hamiltonian_terms: tuple[HamiltonianTerm, ...] = ()
     lindblad_terms: tuple[LindbladTerm, ...] = ()
-    guard_dim: int = 64
+    guard_dim: int | None = None  # an explicit Hilbert-dimension cap
 
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian_terms", tuple(self.hamiltonian_terms))
@@ -171,65 +175,104 @@ class GKSLModel:
         )
 
 
-def _check_guard(model: GKSLModel) -> None:
-    if model.hilbert_dim > model.guard_dim:
-        raise ValueError(
-            f"Hilbert dimension {model.hilbert_dim} exceeds the desk-scale guard"
-            f" {model.guard_dim}; raise guard_dim to override"
-        )
+def _check_guard(model: GKSLModel, held_bytes: int) -> None:
+    """Refuse a sweep above the explicit dimension cap or the free memory.
+
+    The estimate uses the local term matrices only, before anything large is
+    built: an embedded matrix with k nonzeros stores at most D k entries per
+    Kronecker product with the identity, a jump L nnz(L)^2. An entry costs 16
+    bytes per profile in the pieces' values and at most 96 in the build and
+    the assembled generators; ``held_bytes`` is the sweep's blocks.
+    """
+    dim = model.hilbert_dim
+    if model.guard_dim is not None and dim > model.guard_dim:
+        raise ValueError(f"Hilbert dimension {dim} exceeds the guard {model.guard_dim};"
+                         " raise guard_dim to override")
+
+    def nnz(local: np.ndarray) -> int:  # of the embedded matrix
+        return np.count_nonzero(local) * (dim // len(local))
+
+    entries = sum(2 * dim * nnz(term.matrix) for term in model.hamiltonian_terms)
+    entries += sum(2 * dim * nnz(term.matrix.conj().T @ term.matrix) + nnz(term.matrix) ** 2
+                   for term in model.lindblad_terms)
+    profiles = len({term.profile for term in model.hamiltonian_terms + model.lindblad_terms})
+    needed = min(entries, dim**4) * (16 * profiles + 96) + held_bytes
+    available = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > available:
+        raise ValueError(f"the spin sweep needs an estimated {needed} bytes but only"
+                         f" {available} bytes of memory are available")
 
 
-def _superop_pieces(model: GKSLModel, adjoint: bool):
-    """Superoperator matrices summed per time profile: (matrix, profile).
+@dataclass(frozen=True, eq=False)
+class _Pieces:
+    """Row p of ``data``: profile p's generator values on the shared ``pattern``."""
+
+    profiles: tuple[TimeProfile, ...]
+    data: np.ndarray  # (profiles, nnz)
+    pattern: sp.csr_array
+
+    def __len__(self) -> int:
+        return len(self.profiles)
+
+
+def _superop_pieces(model: GKSLModel, adjoint: bool, held_bytes: int = 0) -> _Pieces:
+    """Sparse superoperators summed per time profile, on one shared CSR pattern.
 
     Each term's rate is folded into its matrix, so terms that share a
-    profile share one D^2 x D^2 piece.
+    profile share one piece. ``held_bytes`` goes to the memory guard.
     """
-    _check_guard(model)
+    _check_guard(model, held_bytes)
     d = model.hilbert_dim
-    eye = np.eye(d, dtype=complex)
-    sums: dict[TimeProfile, np.ndarray] = {}
+    eye = sp.eye_array(d, dtype=complex, format="csr")
+    sums: dict[TimeProfile, sp.csr_array] = {}
 
-    def add(profile: TimeProfile, matrix: np.ndarray) -> None:
-        if profile in sums:
-            sums[profile] += matrix
-        else:
-            sums[profile] = matrix
+    def embedded(term) -> sp.csr_array:
+        return sp.csr_array(
+            embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix)
 
     for term in model.hamiltonian_terms:
-        h = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
-        comm = np.kron(eye, h) - np.kron(h.T, eye)  # vec(H rho - rho H)
-        add(term.profile, (1.0j if adjoint else -1.0j) * comm)
+        h = embedded(term)
+        comm = sp.kron(eye, h) - sp.kron(h.T, eye)  # vec(H rho - rho H)
+        sums[term.profile] = sums.get(term.profile, 0) + (1.0j if adjoint else -1.0j) * comm
     for term in model.lindblad_terms:
-        l = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
+        l = embedded(term)
         ldl = l.conj().T @ l
-        anti = 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-        jump = np.kron(l.T, l.conj().T) if adjoint else np.kron(l.conj(), l)
-        add(term.profile, term.rate * (jump - anti))
-    return [(matrix, profile) for profile, matrix in sums.items()]
+        anti = 0.5 * (sp.kron(eye, ldl) + sp.kron(ldl.T, eye))
+        jump = sp.kron(l.T, l.conj().T) if adjoint else sp.kron(l.conj(), l)
+        sums[term.profile] = sums.get(term.profile, 0) + term.rate * (jump - anti)
+    # The union pattern, from int64 keys row * D^2 + col in row-major order.
+    n = d * d
+    coos = [matrix.tocoo() for matrix in sums.values()]
+    keys = [coo.row.astype(np.int64) * n + coo.col for coo in coos]
+    union = np.unique(np.concatenate([np.empty(0, np.int64)] + keys))
+    data = np.zeros((len(coos), union.size), dtype=complex)
+    for row, coo, key in zip(data, coos, keys):
+        row[np.searchsorted(union, key)] = coo.data
+    pattern = sp.csr_array((np.ones(union.size, np.int8), (union // n, union % n)),
+                           shape=(n, n))
+    return _Pieces(tuple(sums), data, pattern)
 
 
-def _assemble(pieces, dim: int, time: float) -> np.ndarray:
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for matrix, profile in pieces:
-        c = profile.value(time)
-        if c != 0.0:
-            total += c * matrix
-    return total
+def _assemble(pieces: _Pieces, time: float) -> sp.csr_array:
+    """The generator at ``time``: one weighted sum of the pieces' values."""
+    coeffs = np.array([profile.value(time) for profile in pieces.profiles])
+    pattern = pieces.pattern
+    return sp.csr_array((coeffs @ pieces.data, pattern.indices, pattern.indptr),
+                        shape=pattern.shape)
 
 
-def build_generator(model: GKSLModel, time: float = 0.0) -> np.ndarray:
-    """Matrix of the GKSL generator at the given time (column stacking).
+def build_generator(model: GKSLModel, time: float = 0.0) -> sp.csr_array:
+    """CSR matrix of the GKSL generator at the given time (column stacking).
 
     Action on a vectorized state:  -i(H rho - rho H)
     + sum_v gamma_v [L rho L^dag - (L^dag L rho + rho L^dag L)/2].
     """
-    return _assemble(_superop_pieces(model, adjoint=False), model.hilbert_dim, time)
+    return _assemble(_superop_pieces(model, adjoint=False), time)
 
 
-def build_adjoint_generator(model: GKSLModel, time: float = 0.0) -> np.ndarray:
+def build_adjoint_generator(model: GKSLModel, time: float = 0.0) -> sp.csr_array:
     """Hilbert-Schmidt adjoint of the generator; annihilates the identity."""
-    return _assemble(_superop_pieces(model, adjoint=True), model.hilbert_dim, time)
+    return _assemble(_superop_pieces(model, adjoint=True), time)
 
 
 def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
@@ -238,32 +281,29 @@ def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
 
     ``adjoint=True`` propagates observables backward from hi (points in
     descending order); ``adjoint=False`` propagates states forward from lo.
-    The step h = (hi - lo) / (points - 1) comes from the endpoints and the
-    point count, never from differences of grid values. A time-independent
-    model takes one exponential e^{h L}; a time-dependent one takes
-    ``substeps`` midpoint exponentials per interval, earliest midpoint
-    applied last when going backward, so every step is exactly a channel.
+    A time-independent model takes one expm_multiply over the whole grid; a
+    time-dependent one takes ``substeps`` midpoint actions per interval of
+    width h = (hi - lo) / (points - 1), earliest midpoint applied last when
+    going backward.
     """
     if points < 2:
         raise ValueError(f"the grid needs at least 2 points, got {points}")
-    d = model.hilbert_dim
-    h = (hi - lo) / (points - 1)
     time_dependent = model.is_time_dependent
-    if time_dependent:
-        pieces = _superop_pieces(model, adjoint=adjoint)
-        sub = h / substeps
-    else:
-        # the pieces are dropped before the exponential, which needs their memory
-        step = expm(h * _assemble(_superop_pieces(model, adjoint=adjoint), d, 0.0))
+    # expm_multiply's blocks: a grid sweep keeps every point and up to 56 Taylor
+    # terms (m_max + 1 in Al-Mohy & Higham's Algorithm 5.2), a step a few sums.
+    held = (8 if time_dependent else points + 60) * block.nbytes
+    pieces = _superop_pieces(model, adjoint=adjoint, held_bytes=held)
+    if not time_dependent:
+        yield from expm_multiply(_assemble(pieces, 0.0), block, start=0.0,
+                                 stop=hi - lo, num=points, endpoint=True)
+        return
+    sub = (hi - lo) / (points - 1) / substeps
     yield block
     for j in range(points - 1):
-        if time_dependent:
-            k = points - 2 - j if adjoint else j  # the interval [lo + k h, lo + (k+1) h]
-            for m in range(substeps - 1, -1, -1) if adjoint else range(substeps):
-                midpoint = lo + (k * substeps + m + 0.5) * sub
-                block = expm(sub * _assemble(pieces, d, midpoint)) @ block
-        else:
-            block = step @ block
+        k = points - 2 - j if adjoint else j  # the interval [lo + k h, lo + (k+1) h]
+        for m in range(substeps - 1, -1, -1) if adjoint else range(substeps):
+            midpoint = lo + (k * substeps + m + 0.5) * sub
+            block = expm_multiply(sub * _assemble(pieces, midpoint), block)
         yield block
 
 
@@ -295,7 +335,7 @@ def heisenberg_evolve(model: GKSLModel, observable, r: float, t: float,
                       steps: int = 64, check_convergence: bool = True):
     """Backward-evolve an observable: A(r) for A given at time t.
 
-    Time-independent models use a single matrix exponential of the adjoint
+    Time-independent models take one ``expm_multiply`` action of the adjoint
     generator; time-dependent models use the backward time-ordered midpoint
     product, with a step-doubling convergence diagnostic that warns when the
     results at ``steps`` and ``2*steps`` differ by more than 1e-8.
@@ -304,7 +344,6 @@ def heisenberg_evolve(model: GKSLModel, observable, r: float, t: float,
         raise ValueError(f"need 0 <= r <= t, got r={r}, t={t}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    _check_guard(model)
     if isinstance(observable, Operator):
         mat = observable.matrix
     else:
@@ -314,11 +353,7 @@ def heisenberg_evolve(model: GKSLModel, observable, r: float, t: float,
     else:
         out = _two_point(model, mat, r, t, steps, adjoint=True,
                          check=check_convergence, label="heisenberg_evolve")
-    if isinstance(observable, Operator):
-        return Operator(matrix=out, support=observable.support,
-                        dim_per_site=observable.dim_per_site,
-                        embedded=observable.embedded)
-    return out
+    return replace(observable, matrix=out) if isinstance(observable, Operator) else out
 
 
 STATE_TOL = 1e-10
@@ -336,7 +371,6 @@ def schrodinger_evolve(model: GKSLModel, rho, s: float, t: float,
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    _check_guard(model)
     rho = np.asarray(rho.matrix if isinstance(rho, Operator) else rho, dtype=complex)
     if np.abs(rho - rho.conj().T).max() > STATE_TOL:
         raise ValueError("input state is not Hermitian")
@@ -370,12 +404,11 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     ``pairs`` is a sequence of (O_X, O_Y) Operators with disjoint supports.
     All pairs share one backward sweep over the grid linspace(0, t, points);
     on time-dependent models each grid interval is subdivided into
-    ``substeps`` midpoint exponentials. Returns one list of (r, value) per
+    ``substeps`` midpoint actions. Returns one list of (r, value) per
     pair, in ascending r.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    _check_guard(model)
     d = model.hilbert_dim
     pairs = [(_as_embedded(ox, model), _as_embedded(oy, model)) for ox, oy in pairs]
     for ox, oy in pairs:
@@ -386,27 +419,16 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
             )
 
     # Distinct O_Y columns evolve together through a single sweep.
-    y_keys = []
-    y_index: dict = {}
-    columns = []
-    for _, oy in pairs:
-        key = (oy.support, oy.matrix.tobytes())
-        if key not in y_index:
-            y_index[key] = len(columns)
-            columns.append(vec(oy.matrix))
-        y_keys.append(key)
-    evolved = list(_stepped_blocks(model, np.stack(columns, axis=1), 0.0, t, points,
-                                   adjoint=True, substeps=substeps))[::-1]
-
+    keys = [(oy.support, oy.matrix.tobytes()) for _, oy in pairs]
+    columns = {key: vec(oy.matrix) for key, (_, oy) in zip(keys, pairs)}
+    index = {key: i for i, key in enumerate(columns)}
+    norms = np.empty((len(pairs), points))
+    blocks = _stepped_blocks(model, np.stack(list(columns.values()), axis=1), 0.0, t,
+                             points, adjoint=True, substeps=substeps)
+    for k, block in enumerate(blocks):
+        column = points - 1 - k  # the sweep runs backward from r = t
+        for i, ((ox, _), key) in enumerate(zip(pairs, keys)):
+            m = unvec(block[:, index[key]], d)
+            norms[i, column] = svdvals(m @ ox.matrix - ox.matrix @ m)[0]
     rs = np.linspace(0.0, t, points).tolist()
-    curves = []
-    for (ox, _), key in zip(pairs, y_keys):
-        col = y_index[key]
-        xmat = ox.matrix
-        curve = []
-        for r, block in zip(rs, evolved):
-            m = unvec(block[:, col], d)
-            comm = m @ xmat - xmat @ m
-            curve.append((r, float(svdvals(comm)[0])))
-        curves.append(curve)
-    return curves
+    return [list(zip(rs, row.tolist())) for row in norms]

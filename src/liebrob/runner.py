@@ -128,12 +128,6 @@ def _lightcone_from_curves(r_grid, t, pairs, curves, epsilon):
     return bnd.lightcone_arrivals(dt_grid, field, epsilon)
 
 
-def _spin_model(config: RunConfig, guard_dim: int | None) -> GKSLModel:
-    """The configured spin model, its Hilbert dimension guard overridden if given."""
-    model = config.spin_model
-    return model if guard_dim is None else dataclasses.replace(model, guard_dim=guard_dim)
-
-
 _SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
                  "slack1", "slack2", "slack3", "flags")
 _THEOREMS = ("thm1", "thm2", "thm3")
@@ -147,7 +141,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     """Certify Theorems 1-3 against exact spin dynamics; write report files."""
     if config.spin_model is None:
         raise ConfigError("/model", "verify-spin requires a spin model")
-    model = _spin_model(config, guard_dim)
+    model = dataclasses.replace(config.spin_model, guard_dim=guard_dim)
     lattice = config.lattice
     eta = config.eta
     t = config.time.t if config.time else None
@@ -376,7 +370,8 @@ def run_lightcone(config: RunConfig, out_dir, guard_dim: int | None = None) -> d
     """Emit threshold-arrival times for the configured model's exact dynamics."""
     out_dir = Path(out_dir)
     if config.spin_model is not None:
-        r_grid, pairs, curves = _spin_lhs(config, _spin_model(config, guard_dim))
+        model = dataclasses.replace(config.spin_model, guard_dim=guard_dim)
+        r_grid, pairs, curves = _spin_lhs(config, model)
         arrivals = _lightcone_from_curves(r_grid, config.time.t, pairs, curves,
                                           config.epsilon)
     elif config.harmonic_model is not None:

@@ -1,8 +1,8 @@
 """Shared test utilities: random models, states and channels, and test oracles.
 
-The oracles (Schatten norms and the two-sided super-operator norm estimates)
-check the certified quantities of the package; the package itself never
-calls them.
+The oracles (Schatten norms, the two-sided super-operator norm estimates and
+the dense GKSL engine) check the certified quantities and the sparse engine
+of the package; the package itself never calls them.
 """
 
 import math
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import svdvals
+from scipy.linalg import expm, svdvals
 
 from liebrob import (
     GKSLModel,
@@ -21,7 +21,7 @@ from liebrob import (
     build_lattice,
     stepped_products,
 )
-from liebrob.operators import _matrix, unvec, vec
+from liebrob.operators import _matrix, embed, unvec, vec
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -200,6 +200,86 @@ def commutator_norms(kernel, t, points):
     Entry (k, l) of the matrix is ||[R_k(s), R_l]|| at dt = t - s.
     """
     return [(dt, np.abs(product)) for dt, product in stepped_products(kernel, t, points)]
+
+
+def dense_superop_pieces(model, adjoint: bool):
+    """Dense superoperator matrices summed per time profile: (matrix, profile).
+
+    Each term's rate is folded into its matrix, so terms that share a
+    profile share one D^2 x D^2 piece.
+    """
+    d = model.hilbert_dim
+    eye = np.eye(d, dtype=complex)
+    sums = {}
+
+    def add(profile, matrix: np.ndarray) -> None:
+        if profile in sums:
+            sums[profile] += matrix
+        else:
+            sums[profile] = matrix
+
+    for term in model.hamiltonian_terms:
+        h = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
+        comm = np.kron(eye, h) - np.kron(h.T, eye)  # vec(H rho - rho H)
+        add(term.profile, (1.0j if adjoint else -1.0j) * comm)
+    for term in model.lindblad_terms:
+        l = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
+        ldl = l.conj().T @ l
+        anti = 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+        jump = np.kron(l.T, l.conj().T) if adjoint else np.kron(l.conj(), l)
+        add(term.profile, term.rate * (jump - anti))
+    return [(matrix, profile) for profile, matrix in sums.items()]
+
+
+def dense_assemble(pieces, dim: int, time: float) -> np.ndarray:
+    total = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for matrix, profile in pieces:
+        c = profile.value(time)
+        if c != 0.0:
+            total += c * matrix
+    return total
+
+
+def dense_stepped_blocks(model, block: np.ndarray, lo: float, hi: float,
+                         points: int, adjoint: bool, substeps: int):
+    """Dense-exponential oracle of the spin sweep, same grid and midpoints.
+
+    A time-independent model takes one exponential e^{h L}; a time-dependent
+    one takes ``substeps`` midpoint exponentials per interval.
+    """
+    if points < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {points}")
+    d = model.hilbert_dim
+    h = (hi - lo) / (points - 1)
+    time_dependent = model.is_time_dependent
+    if time_dependent:
+        pieces = dense_superop_pieces(model, adjoint=adjoint)
+        sub = h / substeps
+    else:
+        # the pieces are dropped before the exponential, which needs their memory
+        step = expm(h * dense_assemble(dense_superop_pieces(model, adjoint=adjoint),
+                                       d, 0.0))
+    yield block
+    for j in range(points - 1):
+        if time_dependent:
+            k = points - 2 - j if adjoint else j  # the interval [lo + k h, lo + (k+1) h]
+            for m in range(substeps - 1, -1, -1) if adjoint else range(substeps):
+                midpoint = lo + (k * substeps + m + 0.5) * sub
+                block = expm(sub * dense_assemble(pieces, d, midpoint)) @ block
+        else:
+            block = step @ block
+        yield block
+
+
+def dense_commutator_norms(model, o_x, o_y, t: float, points: int, substeps: int):
+    """||[tau(r, t) O_Y, O_X]|| on linspace(0, t, points) by the dense oracle sweep."""
+    d = model.hilbert_dim
+    x = embed(o_x.matrix, o_x.support, model.lattice, model.dim_per_site).matrix
+    y = embed(o_y.matrix, o_y.support, model.lattice, model.dim_per_site).matrix
+    blocks = dense_stepped_blocks(model, vec(y), 0.0, t, points, adjoint=True,
+                                  substeps=substeps)
+    values = [svdvals(unvec(b, d) @ x - x @ unvec(b, d))[0] for b in blocks]
+    return np.array(values[::-1])
 
 
 def c2_path_sum(j_matrix, i: int, k: int) -> float:

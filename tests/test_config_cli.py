@@ -520,6 +520,25 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(out),
                      "--guard-dim", "16"]) == 0
 
+    @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
+    def test_memory_guard_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        # 16 free pages of 4 KiB cannot hold a 4-qubit sweep: exit 1, no output,
+        # and the message names the estimate and the available bytes
+        import os
+
+        real = os.sysconf
+        fake = {"SC_AVPHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name, real(name)))
+        path = write_config(tmp_path, minimal_spin_config(n_sites=4, coupling=0.5))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "needs an estimated" in err and "but only 65536 bytes" in err
+        assert "Traceback" not in err
+        monkeypatch.setattr(os, "sysconf", real)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+
     def test_lightcone_subcommand(self, tmp_path):
         path = write_config(tmp_path, minimal_spin_config(coupling=1.0, rate=0.2))
         out = tmp_path / "out"

@@ -1,7 +1,11 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from liebrob import (
     EvolutionConvergenceWarning,
@@ -29,10 +33,14 @@ from liebrob.operators import (
 )
 
 from _helpers import (
+    dense_assemble,
+    dense_commutator_norms,
+    dense_superop_pieces,
     random_density_matrix,
     random_hermitian,
     random_matrix,
     random_model,
+    random_profile,
 )
 
 
@@ -114,7 +122,7 @@ class TestModelValidation:
 class TestGenerators:
     def test_empty_model_gives_zero_matrix(self):
         gen = build_generator(single_qubit_model())
-        np.testing.assert_array_equal(gen, np.zeros((4, 4)))
+        np.testing.assert_array_equal(gen.toarray(), np.zeros((4, 4)))
 
     def test_hamiltonian_action_is_commutator(self):
         model = single_qubit_model(
@@ -177,7 +185,7 @@ class TestGenerators:
         model = random_model(rng, n_sites=2)
         gen = build_generator(model)
         adj = build_adjoint_generator(model)
-        np.testing.assert_allclose(adj, gen.conj().T, atol=1e-12)
+        np.testing.assert_allclose(adj.toarray(), gen.conj().T.toarray(), atol=1e-12)
         for _ in range(5):
             rho = random_density_matrix(rng, 4)
             a = random_matrix(rng, 4)
@@ -212,14 +220,16 @@ class TestGenerators:
         build = build_adjoint_generator if adjoint else build_generator
         for time in (0.0, 0.37, 1.9):
             one_term_sum = sum(
-                build(GKSLModel(lattice=model.lattice, hamiltonian_terms=(term,)), time)
+                build(GKSLModel(lattice=model.lattice, hamiltonian_terms=(term,)),
+                      time).toarray()
                 for term in model.hamiltonian_terms
             ) + sum(
-                build(GKSLModel(lattice=model.lattice, lindblad_terms=(term,)), time)
+                build(GKSLModel(lattice=model.lattice, lindblad_terms=(term,)),
+                      time).toarray()
                 for term in model.lindblad_terms
             )
-            np.testing.assert_allclose(build(model, time), one_term_sum, rtol=0,
-                                       atol=1e-13)
+            np.testing.assert_allclose(build(model, time).toarray(), one_term_sum,
+                                       rtol=0, atol=1e-13)
 
 
 class TestHeisenbergEvolve:
@@ -495,20 +505,37 @@ class TestCommutatorNormCurve:
             single = commutator_norm_curves(model, [pair], 1.0, 6)[0]
             assert batch == single
 
-    def test_time_independent_sweep_takes_one_exponential(self, monkeypatch):
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_sweep_counts_expm_multiply_calls(self, monkeypatch, time_dependent):
+        # one call returns the whole grid of a time-independent model, a driven
+        # one takes one call per midpoint substep, and no dense exponential is
+        # ever formed on the spin path
+        import scipy.linalg
+
         import liebrob.lindblad as lindblad
 
         calls = []
 
-        def counting_expm(m):
-            calls.append(m.shape)
-            return expm(m)
+        def counting_expm_multiply(a, b, **kwargs):
+            calls.append(kwargs)
+            return expm_multiply(a, b, **kwargs)
 
-        monkeypatch.setattr(lindblad, "expm", counting_expm)
-        model = xy_chain_with_dephasing()
+        def no_dense_expm(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm reached on the spin path")
+
+        monkeypatch.setattr(lindblad, "expm_multiply", counting_expm_multiply)
+        monkeypatch.setattr(scipy.linalg, "expm", no_dense_expm)
+        assert not hasattr(lindblad, "expm")
+        rng = np.random.default_rng(41)
+        model = random_model(rng, n_sites=3, time_dependent=time_dependent)
         pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
-        commutator_norm_curves(model, pairs, 2.0, 21)
-        assert calls == [(64, 64)]
+        points, substeps = 21, 4
+        commutator_norm_curves(model, pairs, 2.0, points, substeps=substeps)
+        if time_dependent:
+            assert len(calls) == (points - 1) * substeps
+            assert all(kwargs == {} for kwargs in calls)
+        else:
+            assert calls == [dict(start=0.0, stop=2.0, num=points, endpoint=True)]
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_stepped_grid_matches_direct_evolution(self, time_dependent):
@@ -527,3 +554,131 @@ class TestCommutatorNormCurve:
                                         check_convergence=False).matrix
             direct = operator_norm(evolved @ x_full - x_full @ evolved)
             assert value == pytest.approx(direct, abs=1e-12)
+
+
+def random_qudit_model(rng, dim_per_site, n_sites, time_dependent):
+    """Random nearest-neighbour couplings, on-site fields and one jump per site."""
+    def profile():
+        return random_profile(rng) if time_dependent else TimeProfile()
+
+    h_terms = [HamiltonianTerm(support=(i, i + 1),
+                               matrix=random_hermitian(rng, dim_per_site**2),
+                               profile=profile())
+               for i in range(n_sites - 1)]
+    h_terms += [HamiltonianTerm(support=(i,), matrix=random_hermitian(rng, dim_per_site),
+                                profile=profile())
+                for i in range(n_sites)]
+    l_terms = [LindbladTerm(support=(i,), matrix=random_matrix(rng, dim_per_site),
+                            rate=float(rng.uniform(0.1, 0.8)), profile=profile())
+               for i in range(n_sites)]
+    return GKSLModel(lattice=build_lattice(n_sites), dim_per_site=dim_per_site,
+                     hamiltonian_terms=tuple(h_terms), lindblad_terms=tuple(l_terms))
+
+
+class TestDenseOracle:
+    """The sparse engine against the dense kron assembly and dense-expm sweep."""
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    @pytest.mark.parametrize("dim_per_site, n_sites", [(2, 3), (3, 2)])
+    def test_generator_matches_dense_assembly(self, dim_per_site, n_sites,
+                                              time_dependent):
+        rng = np.random.default_rng(60 + dim_per_site + 10 * time_dependent)
+        model = random_qudit_model(rng, dim_per_site, n_sites, time_dependent)
+        dim = model.hilbert_dim
+        for adjoint, build in ((False, build_generator), (True, build_adjoint_generator)):
+            pieces = dense_superop_pieces(model, adjoint)
+            for time in (0.0, 0.37, 1.9):
+                sparse = build(model, time)
+                assert sparse.format == "csr"
+                np.testing.assert_allclose(sparse.toarray(),
+                                           dense_assemble(pieces, dim, time),
+                                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["xy5", "qubit4-driven", "qutrit2-driven"])
+    def test_curves_match_dense_sweep(self, case):
+        rng = np.random.default_rng(70)
+        if case == "xy5":
+            model = xy_chain_with_dephasing(n_sites=5, gamma=0.5)  # D = 32
+            o_x, o_y = local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (4,))
+        elif case == "qubit4-driven":
+            model = random_model(rng, n_sites=4, time_dependent=True)  # D = 16
+            o_x = local_operator(random_hermitian(rng, 2), (0,))
+            o_y = local_operator(random_matrix(rng, 2), (3,))
+        else:
+            model = random_qudit_model(rng, 3, 2, time_dependent=True)  # D = 9
+            o_x = local_operator(random_hermitian(rng, 3), (0,), dim_per_site=3)
+            o_y = local_operator(random_matrix(rng, 3), (1,), dim_per_site=3)
+        t, points, substeps = 1.5, 11, 4
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
+                                       substeps=substeps)[0]
+        oracle = dense_commutator_norms(model, o_x, o_y, t, points, substeps)
+        rs, values = np.array(curve).T
+        np.testing.assert_array_equal(rs, np.linspace(0.0, t, points))
+        np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+class TestMemoryGuard:
+    @staticmethod
+    def _free_pages(monkeypatch, pages):
+        real = os.sysconf
+        fake = {"SC_AVPHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name, real(name)))
+
+    def test_no_dimension_cap_by_default(self):
+        model = xy_chain_with_dephasing(n_sites=7)  # D = 128, above the old cap of 64
+        assert model.guard_dim is None
+        assert build_adjoint_generator(model).shape == (128**2, 128**2)
+
+    def test_refusal_names_estimate_and_available_bytes(self, monkeypatch):
+        self._free_pages(monkeypatch, 16)
+        model = xy_chain_with_dephasing()
+        pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
+        pattern = r"needs an estimated \d+ bytes but only 65536 bytes"
+        with pytest.raises(ValueError, match=pattern):
+            commutator_norm_curves(model, pairs, 1.0, 5)
+        with pytest.raises(ValueError, match=pattern):
+            heisenberg_evolve(model, embed(PAULI_Z, (0,), model.lattice), 0.0, 1.0)
+        with pytest.raises(ValueError, match=pattern):
+            build_generator(model)
+
+    def test_refusal_comes_before_the_build(self, monkeypatch):
+        import liebrob.lindblad as lindblad
+
+        self._free_pages(monkeypatch, 16)
+        monkeypatch.setattr(lindblad, "embed", None)  # any build step would fail
+        with pytest.raises(ValueError, match="estimated"):
+            build_generator(xy_chain_with_dephasing())
+
+    @pytest.mark.parametrize("case", ["static-curves", "driven-curves", "two-point"])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, case):
+        # numpy reports its allocations to tracemalloc, so the traced peak is
+        # the sweep's array memory; the guard's estimate, read from its
+        # refusal of the same call with no free memory, must not undercut it
+        import re
+
+        rng = np.random.default_rng(80)
+        if case == "static-curves":
+            model = xy_chain_with_dephasing(n_sites=5)
+        else:
+            model = random_qudit_model(rng, 2, 4, time_dependent=True)
+        pairs = [(local_operator(PAULI_Z, (i,)), local_operator(PAULI_Z, (j,)))
+                 for i, j in ((0, 3), (1, 3), (0, 2))]
+
+        def run():
+            if case == "two-point":
+                heisenberg_evolve(model, embed(PAULI_Z, (0,), model.lattice), 0.0, 0.2,
+                                  steps=2, check_convergence=False)
+            else:
+                commutator_norm_curves(model, pairs, 1.0, 5, substeps=2)
+
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self._free_pages(monkeypatch, 0)
+        with pytest.raises(ValueError) as refusal:
+            run()
+        estimate = int(re.search(r"needs an estimated (\d+) bytes", str(refusal.value))[1])
+        assert 0 < peak <= estimate

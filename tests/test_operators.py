@@ -232,8 +232,8 @@ class TestAdjointTermNormUpper:
             amplitude = float(rng.uniform(0.3, 2.0))
             model = term_model(n_sites, h, lindblads, TimeProfile(amplitude=amplitude))
             bound = _support_norm_bounds(model)[tuple(range(n_sites))]
-            est = superop_norm_inf_estimate(build_adjoint_generator(model), restarts=4,
-                                            seed=trial)
+            est = superop_norm_inf_estimate(build_adjoint_generator(model).toarray(),
+                                            restarts=4, seed=trial)
             assert 0.0 < est.lower <= bound * (1.0 + 1e-12)
 
 
