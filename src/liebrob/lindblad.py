@@ -3,12 +3,14 @@
 States evolve forward under the generator (Schrodinger picture); observables
 evolve backward under its Hilbert-Schmidt adjoint (Heisenberg picture). The
 generator is a CSR matrix whose per-profile pieces share one sparsity pattern.
-All propagation is one stepped sweep over a uniform grid by scipy's
-``expm_multiply`` (Al-Mohy & Higham 2011), which never forms an exponential
-and works to a backward-error target, with no a-posteriori certificate: one
-call for the whole grid of a time-independent model, one per midpoint
-substep of a time-dependent one. Single-interval evolution is the two-point
-grid.
+All propagation is one stepped sweep over a uniform grid: one action of the
+exponential per grid interval of a time-independent model, one per midpoint
+substep of a time-dependent one, each by the in-package Taylor kernel of
+Al-Mohy & Higham (2011), Algorithm 3.2. The kernel never forms an
+exponential; it picks its degree and scaling from the exact 1-norm of the
+step's generator and works to a double-precision backward-error target,
+with no a-posteriori certificate. Single-interval evolution is the
+two-point grid.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import expm_multiply
 
 from .lattice import Lattice
 from .operators import Operator, embed, unvec, vec
@@ -253,11 +254,15 @@ def _superop_pieces(model: GKSLModel, adjoint: bool, held_bytes: int = 0) -> _Pi
     return _Pieces(tuple(sums), data, pattern)
 
 
+def _values(pieces: _Pieces, time: float) -> np.ndarray:
+    """The generator's values at ``time``: one weighted sum of the pieces'."""
+    return np.array([profile.value(time) for profile in pieces.profiles]) @ pieces.data
+
+
 def _assemble(pieces: _Pieces, time: float) -> sp.csr_array:
-    """The generator at ``time``: one weighted sum of the pieces' values."""
-    coeffs = np.array([profile.value(time) for profile in pieces.profiles])
+    """The generator at ``time`` on the pieces' shared pattern."""
     pattern = pieces.pattern
-    return sp.csr_array((coeffs @ pieces.data, pattern.indices, pattern.indptr),
+    return sp.csr_array((_values(pieces, time), pattern.indices, pattern.indptr),
                         shape=pattern.shape)
 
 
@@ -275,35 +280,93 @@ def build_adjoint_generator(model: GKSLModel, time: float = 0.0) -> sp.csr_array
     return _assemble(_superop_pieces(model, adjoint=True), time)
 
 
+# theta_m for m = 1..30, 35, ..., 55: the largest 1-norm of A at which m Taylor
+# terms of e^A meet a backward error of 2^-53 (Higham & Al-Mohy, Acta Numer. 19
+# (2010), Table A.3; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1).
+_TAYLOR_DEGREES = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
+    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
+    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08,
+    3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
+])
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _inf_norm(block: np.ndarray) -> float:
+    return np.abs(block).reshape(len(block), -1).sum(axis=1).max()
+
+
+def _expm_action(a: sp.csr_array, diag: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """e^a applied to a 1-D or 2-D block: Al-Mohy & Higham (2011), Algorithm 3.2.
+
+    ``diag`` holds the positions in ``a.data`` of the diagonal entries the
+    pattern stores; the others are zero. The trace shift mu acts as
+    ``a @ b - mu * b``, so the missing diagonals shift too, and the 1-norm of
+    a - mu I is exact: the column sums of its stored entries, plus |mu| on
+    each column without a stored diagonal. The degree m and the scaling s
+    minimise m * ceil(norm / theta_m); each of the s Taylor sums stops early
+    once two consecutive terms fall below the target relative to the sum.
+    """
+    n = a.shape[0]
+    mu = a.data[diag].sum() / n
+    weights = np.abs(a.data)
+    weights[diag] = np.abs(a.data[diag] - mu)
+    missing = np.full(n, abs(mu))
+    missing[a.indices[diag]] = 0.0
+    norm = (np.bincount(a.indices, weights, minlength=n) + missing).max()
+    scalings = np.ceil(norm / _THETA)
+    best = np.argmin(_TAYLOR_DEGREES * scalings)
+    m, s = _TAYLOR_DEGREES[best], max(1, int(scalings[best]))
+    eta = np.exp(mu / s)
+    f = b = block.astype(complex)
+    for _ in range(s):
+        c1 = _inf_norm(b)
+        for j in range(m):
+            b = a @ b - mu * b
+            b /= s * (j + 1)
+            c2 = _inf_norm(b)
+            f += b
+            if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(f):
+                break
+            c1 = c2
+        f *= eta
+        b = f
+    return f
+
+
 def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
                     points: int, adjoint: bool, substeps: int):
     """Yield the vectorized block at each point of linspace(lo, hi, points).
 
     ``adjoint=True`` propagates observables backward from hi (points in
     descending order); ``adjoint=False`` propagates states forward from lo.
-    A time-independent model takes one expm_multiply over the whole grid; a
-    time-dependent one takes ``substeps`` midpoint actions per interval of
-    width h = (hi - lo) / (points - 1), earliest midpoint applied last when
-    going backward.
+    Each step is one ``_expm_action`` (the Algorithm 3.2 Taylor kernel, its
+    degree and scaling from the exact 1-norm, to a 2^-53 backward-error
+    target and with no a-posteriori certificate) on a single matrix whose
+    values are overwritten in place: one step per grid interval of width
+    h = (hi - lo) / (points - 1) on a time-independent model, ``substeps``
+    midpoint steps per interval on a time-dependent one, earliest midpoint
+    applied last when going backward.
     """
     if points < 2:
         raise ValueError(f"the grid needs at least 2 points, got {points}")
     time_dependent = model.is_time_dependent
-    # expm_multiply's blocks: a grid sweep keeps every point and up to 56 Taylor
-    # terms (m_max + 1 in Al-Mohy & Higham's Algorithm 5.2), a step a few sums.
-    held = (8 if time_dependent else points + 60) * block.nbytes
-    pieces = _superop_pieces(model, adjoint=adjoint, held_bytes=held)
-    if not time_dependent:
-        yield from expm_multiply(_assemble(pieces, 0.0), block, start=0.0,
-                                 stop=hi - lo, num=points, endpoint=True)
-        return
-    sub = (hi - lo) / (points - 1) / substeps
+    steps = substeps if time_dependent else 1
+    # the kernel's blocks: the step's input and sum, a term and its temporaries
+    pieces = _superop_pieces(model, adjoint=adjoint, held_bytes=8 * block.nbytes)
+    sub = (hi - lo) / (points - 1) / steps
+    a = _assemble(pieces, lo)
+    a.data *= sub
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    diag = np.flatnonzero(a.indices == rows)
     yield block
     for j in range(points - 1):
         k = points - 2 - j if adjoint else j  # the interval [lo + k h, lo + (k+1) h]
-        for m in range(substeps - 1, -1, -1) if adjoint else range(substeps):
-            midpoint = lo + (k * substeps + m + 0.5) * sub
-            block = expm_multiply(sub * _assemble(pieces, midpoint), block)
+        for m in range(steps - 1, -1, -1) if adjoint else range(steps):
+            if time_dependent:
+                a.data[:] = sub * _values(pieces, lo + (k * steps + m + 0.5) * sub)
+            block = _expm_action(a, diag, block)
         yield block
 
 
@@ -335,10 +398,13 @@ def heisenberg_evolve(model: GKSLModel, observable, r: float, t: float,
                       steps: int = 64, check_convergence: bool = True):
     """Backward-evolve an observable: A(r) for A given at time t.
 
-    Time-independent models take one ``expm_multiply`` action of the adjoint
-    generator; time-dependent models use the backward time-ordered midpoint
-    product, with a step-doubling convergence diagnostic that warns when the
-    results at ``steps`` and ``2*steps`` differ by more than 1e-8.
+    One ``_expm_action`` of the adjoint generator carries a time-independent
+    model across [r, t]; a time-dependent model takes the backward
+    time-ordered product of ``steps`` midpoint actions, with a step-doubling
+    convergence diagnostic that warns when the results at ``steps`` and
+    ``2*steps`` differ by more than 1e-8. Each action picks its Taylor degree
+    and scaling from the exact 1-norm and works to a 2^-53 backward-error
+    target; no a-posteriori error certificate is computed.
     """
     if not 0 <= r <= t:
         raise ValueError(f"need 0 <= r <= t, got r={r}, t={t}")

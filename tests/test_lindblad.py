@@ -506,36 +506,49 @@ class TestCommutatorNormCurve:
             assert batch == single
 
     @pytest.mark.parametrize("time_dependent", [False, True])
-    def test_sweep_counts_expm_multiply_calls(self, monkeypatch, time_dependent):
-        # one call returns the whole grid of a time-independent model, a driven
-        # one takes one call per midpoint substep, and no dense exponential is
-        # ever formed on the spin path
+    def test_sweep_counts_kernel_calls(self, monkeypatch, time_dependent):
+        # one kernel call per grid interval of a time-independent model, one per
+        # midpoint substep of a driven one, and no dense exponential is ever
+        # formed on the spin path
         import scipy.linalg
 
         import liebrob.lindblad as lindblad
 
         calls = []
+        kernel = lindblad._expm_action
 
-        def counting_expm_multiply(a, b, **kwargs):
-            calls.append(kwargs)
-            return expm_multiply(a, b, **kwargs)
+        def counting_kernel(a, diag, block):
+            calls.append(block.shape)
+            return kernel(a, diag, block)
 
         def no_dense_expm(*args, **kwargs):
             raise AssertionError("scipy.linalg.expm reached on the spin path")
 
-        monkeypatch.setattr(lindblad, "expm_multiply", counting_expm_multiply)
+        monkeypatch.setattr(lindblad, "_expm_action", counting_kernel)
         monkeypatch.setattr(scipy.linalg, "expm", no_dense_expm)
         assert not hasattr(lindblad, "expm")
+        assert not hasattr(lindblad, "expm_multiply")
         rng = np.random.default_rng(41)
         model = random_model(rng, n_sites=3, time_dependent=time_dependent)
         pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
         points, substeps = 21, 4
         commutator_norm_curves(model, pairs, 2.0, points, substeps=substeps)
-        if time_dependent:
-            assert len(calls) == (points - 1) * substeps
-            assert all(kwargs == {} for kwargs in calls)
-        else:
-            assert calls == [dict(start=0.0, stop=2.0, num=points, endpoint=True)]
+        expected = (points - 1) * substeps if time_dependent else points - 1
+        assert calls == [(64, 1)] * expected
+
+    def test_cli_import_leaves_out_sparse_linalg(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        code = ("import sys, liebrob.cli;"
+                " print('scipy.sparse.linalg' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_stepped_grid_matches_direct_evolution(self, time_dependent):
@@ -615,6 +628,83 @@ class TestDenseOracle:
         rs, values = np.array(curve).T
         np.testing.assert_array_equal(rs, np.linspace(0.0, t, points))
         np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+def kernel_inputs(model, time=0.3, scale=1.0):
+    """The scaled adjoint generator at ``time`` and its stored diagonal positions."""
+    import liebrob.lindblad as lindblad
+
+    a = lindblad._assemble(lindblad._superop_pieces(model, adjoint=True), time)
+    a.data *= scale
+    coo = a.tocoo()
+    return a, np.flatnonzero(coo.row == coo.col)
+
+
+def blocks(rng, rows):
+    column = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    return column, rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+
+
+class TestExpmAction:
+    """The Taylor kernel against scipy's expm_multiply, kept here as an oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(a, diag, block):
+        import liebrob.lindblad as lindblad
+
+        before = block.copy()
+        ours = lindblad._expm_action(a, diag, block)
+        oracle = expm_multiply(a, block)
+        np.testing.assert_array_equal(block, before)  # the input is not touched
+        assert ours.shape == block.shape
+        assert np.abs(ours - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    @pytest.mark.parametrize("dim_per_site, n_sites", [(2, 3), (3, 2)])
+    def test_random_generators(self, dim_per_site, n_sites, time_dependent):
+        rng = np.random.default_rng(90 + dim_per_site + 10 * time_dependent)
+        model = random_qudit_model(rng, dim_per_site, n_sites, time_dependent)
+        for time, scale in ((0.0, 0.05), (0.37, 0.4), (1.9, 1.0)):
+            a, diag = kernel_inputs(model, time, scale)
+            for block in blocks(rng, a.shape[0]):
+                self.assert_matches_oracle(a, diag, block)
+
+    def test_zero_generator(self):
+        rng = np.random.default_rng(91)
+        a, diag = kernel_inputs(single_qubit_model())
+        assert a.nnz == 0 and diag.size == 0
+        for block in blocks(rng, 4):
+            self.assert_matches_oracle(a, diag, block)
+        a, diag = kernel_inputs(dephasing_model(), scale=0.0)  # stored zeros
+        assert a.nnz > 0 and diag.size > 0
+        for block in blocks(rng, 4):
+            self.assert_matches_oracle(a, diag, block)
+
+    def test_pattern_without_some_diagonals(self):
+        # XY couplings and dephasing leave the diagonal of the populations'
+        # block empty, while the trace shift is far from zero: the shift must
+        # reach the missing diagonals too
+        rng = np.random.default_rng(92)
+        a, diag = kernel_inputs(xy_chain_with_dephasing(n_sites=3), scale=0.5)
+        n = a.shape[0]
+        assert 0 < diag.size < n
+        assert abs(a.diagonal().sum() / n) > 0.1
+        for block in blocks(rng, n):
+            self.assert_matches_oracle(a, diag, block)
+
+    def test_large_norm_step(self):
+        # condition (3.13), norm <= 2 ell p_max (p_max + 3) theta_55 / (55 n0)
+        # with ell = 2 and p_max = 8, fails for n0 = 3 columns above a 1-norm of
+        # about 21, so scipy estimates norms of powers where the kernel takes
+        # the exact norm
+        rng = np.random.default_rng(93)
+        model = random_qudit_model(rng, 2, 3, time_dependent=False)
+        a, diag = kernel_inputs(model, scale=4.0)
+        n = a.shape[0]
+        mu = a.diagonal().sum() / n
+        norm = np.abs(a.toarray() - mu * np.eye(n)).sum(axis=0).max()
+        assert norm * 3 > 2 * 2 * 8 * 11 * 9.9 / 55
+        self.assert_matches_oracle(a, diag, blocks(rng, n)[1])
 
 
 class TestMemoryGuard:
