@@ -1,10 +1,11 @@
 """Exact open-system lattice dynamics with Lieb-Robinson bound certification.
 
-Small spin lattices evolve exactly through dense vectorized GKSL generators;
-large harmonic lattices evolve exactly through a 2n x 2n kernel matrix, in
-one stepping pass per run. The bounds modules fit the decay constants,
-evaluate every theorem's right-hand side, and certify LHS <= RHS pointwise.
-The package exports only what the certifier runs.
+Small spin lattices evolve through sparse CSR GKSL generators, one Taylor
+action of the exponential per step; large harmonic lattices evolve exactly
+through a 2n x 2n kernel matrix. Each takes one stepping pass per run. The
+bounds modules fit the decay constants, evaluate every theorem's right-hand
+side, and certify LHS <= RHS pointwise. The package exports only what the
+certifier runs.
 """
 
 from .bounds import (
@@ -42,16 +43,11 @@ from .lattice import (
     p0_constant,
 )
 from .lindblad import (
-    EvolutionConvergenceWarning,
     GKSLModel,
     HamiltonianTerm,
     LindbladTerm,
     TimeProfile,
-    build_adjoint_generator,
-    build_generator,
     commutator_norm_curves,
-    heisenberg_evolve,
-    schrodinger_evolve,
 )
 from .operators import (
     Operator,

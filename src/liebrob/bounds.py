@@ -166,10 +166,6 @@ class JMatrix:
     kappa: float
     onsite_excluded: bool
 
-    @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0]
-
 
 def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
     """J matrix of a pairwise model over the window [r, t].

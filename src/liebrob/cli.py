@@ -21,7 +21,7 @@ class _Parser(argparse.ArgumentParser):
     # Usage errors exit with 1; code 2 is reserved for bound violations.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_on_error) from None
+        self.exit(self.exit_code_on_error, f"{self.prog}: error: {message}\n")
 
     exit_code_on_error = EXIT_CONFIG_ERROR
 
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             summary = run_verify_harmonic(config, args.out)
         else:
             summary = run_lightcone(config, args.out, guard_dim=args.guard_dim)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ConfigError, ValueError) as exc:

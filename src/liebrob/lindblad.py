@@ -9,16 +9,14 @@ substep of a time-dependent one, each by the in-package Taylor kernel of
 Al-Mohy & Higham (2011), Algorithm 3.2. The kernel never forms an
 exponential; it picks its degree and scaling from the exact 1-norm of the
 step's generator and works to a double-precision backward-error target,
-with no a-posteriori certificate. Single-interval evolution is the
-two-point grid.
+with no a-posteriori certificate.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,10 +24,6 @@ from scipy.linalg import svdvals
 
 from .lattice import Lattice
 from .operators import Operator, embed, unvec, vec
-
-
-class EvolutionConvergenceWarning(UserWarning):
-    """Step-doubling diagnostic exceeded its tolerance."""
 
 
 _TWO_PI = 2.0 * math.pi
@@ -219,7 +213,9 @@ class _Pieces:
 def _superop_pieces(model: GKSLModel, adjoint: bool, held_bytes: int = 0) -> _Pieces:
     """Sparse superoperators summed per time profile, on one shared CSR pattern.
 
-    Each term's rate is folded into its matrix, so terms that share a
+    On column-stacked rho the generator is -i[H, rho] + sum_v gamma_v
+    (L rho L^dag - {L^dag L, rho} / 2); ``adjoint`` gives its Hilbert-Schmidt
+    adjoint. Each term's rate is folded into its matrix, so terms that share a
     profile share one piece. ``held_bytes`` goes to the memory guard.
     """
     _check_guard(model, held_bytes)
@@ -264,20 +260,6 @@ def _assemble(pieces: _Pieces, time: float) -> sp.csr_array:
     pattern = pieces.pattern
     return sp.csr_array((_values(pieces, time), pattern.indices, pattern.indptr),
                         shape=pattern.shape)
-
-
-def build_generator(model: GKSLModel, time: float = 0.0) -> sp.csr_array:
-    """CSR matrix of the GKSL generator at the given time (column stacking).
-
-    Action on a vectorized state:  -i(H rho - rho H)
-    + sum_v gamma_v [L rho L^dag - (L^dag L rho + rho L^dag L)/2].
-    """
-    return _assemble(_superop_pieces(model, adjoint=False), time)
-
-
-def build_adjoint_generator(model: GKSLModel, time: float = 0.0) -> sp.csr_array:
-    """Hilbert-Schmidt adjoint of the generator; annihilates the identity."""
-    return _assemble(_superop_pieces(model, adjoint=True), time)
 
 
 # theta_m for m = 1..30, 35, ..., 55: the largest 1-norm of A at which m Taylor
@@ -370,93 +352,6 @@ def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
         yield block
 
 
-def _two_point(model: GKSLModel, mat: np.ndarray, lo: float, hi: float, steps: int,
-               adjoint: bool, check: bool, label: str) -> np.ndarray:
-    """mat carried across [lo, hi] by the sweep on the two-point grid.
-
-    With ``check`` on a time-dependent model the sweep is rerun at
-    ``2*steps`` and a gap above 1e-8 warns.
-    """
-    def endpoint(n):
-        *_, last = _stepped_blocks(model, vec(mat), lo, hi, 2, adjoint, n)
-        return unvec(last, model.hilbert_dim)
-
-    out = endpoint(steps)
-    if check and model.is_time_dependent:
-        defect = svdvals(endpoint(2 * steps) - out)[0]
-        if defect > 1e-8:
-            warnings.warn(
-                f"{label}: results at {steps} and {2 * steps} steps differ by"
-                f" {defect:.3e} > 1e-8; increase steps",
-                EvolutionConvergenceWarning,
-                stacklevel=3,
-            )
-    return out
-
-
-def heisenberg_evolve(model: GKSLModel, observable, r: float, t: float,
-                      steps: int = 64, check_convergence: bool = True):
-    """Backward-evolve an observable: A(r) for A given at time t.
-
-    One ``_expm_action`` of the adjoint generator carries a time-independent
-    model across [r, t]; a time-dependent model takes the backward
-    time-ordered product of ``steps`` midpoint actions, with a step-doubling
-    convergence diagnostic that warns when the results at ``steps`` and
-    ``2*steps`` differ by more than 1e-8. Each action picks its Taylor degree
-    and scaling from the exact 1-norm and works to a 2^-53 backward-error
-    target; no a-posteriori error certificate is computed.
-    """
-    if not 0 <= r <= t:
-        raise ValueError(f"need 0 <= r <= t, got r={r}, t={t}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if isinstance(observable, Operator):
-        mat = observable.matrix
-    else:
-        mat = np.asarray(observable, dtype=complex)
-    if r == t:
-        out = mat.copy()
-    else:
-        out = _two_point(model, mat, r, t, steps, adjoint=True,
-                         check=check_convergence, label="heisenberg_evolve")
-    return replace(observable, matrix=out) if isinstance(observable, Operator) else out
-
-
-STATE_TOL = 1e-10
-
-
-def schrodinger_evolve(model: GKSLModel, rho, s: float, t: float,
-                       steps: int = 64, check_convergence: bool = True) -> np.ndarray:
-    """Forward-evolve a density matrix from time s to time t.
-
-    The input must be Hermitian, unit trace and positive semidefinite to
-    1e-10; the output is checked for trace and Hermiticity preservation and
-    for eigenvalues above -1e-8.
-    """
-    if s > t:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    rho = np.asarray(rho.matrix if isinstance(rho, Operator) else rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > STATE_TOL:
-        raise ValueError("input state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > STATE_TOL:
-        raise ValueError("input state does not have unit trace")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -STATE_TOL:
-        raise ValueError("input state is not positive semidefinite")
-    if s == t:
-        return rho.copy()
-    out = _two_point(model, rho, s, t, steps, adjoint=False,
-                     check=check_convergence, label="schrodinger_evolve")
-    if abs(np.trace(out) - 1.0) > 1e-10:
-        raise RuntimeError("propagation failed to preserve the trace")
-    if np.abs(out - out.conj().T).max() > 1e-10:
-        raise RuntimeError("propagation failed to preserve Hermiticity")
-    if np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() < -1e-8:
-        raise RuntimeError("propagation produced a significantly negative eigenvalue")
-    return out
-
-
 def _as_embedded(op: Operator, model: GKSLModel) -> Operator:
     if op.embedded:
         return op
@@ -470,8 +365,8 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     ``pairs`` is a sequence of (O_X, O_Y) Operators with disjoint supports.
     All pairs share one backward sweep over the grid linspace(0, t, points);
     on time-dependent models each grid interval is subdivided into
-    ``substeps`` midpoint actions. Returns one list of (r, value) per
-    pair, in ascending r.
+    ``substeps`` midpoint actions. Returns a (pairs, points) float array:
+    row i is pair i's curve on the grid, in ascending r.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -496,5 +391,4 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
         for i, ((ox, _), key) in enumerate(zip(pairs, keys)):
             m = unvec(block[:, index[key]], d)
             norms[i, column] = svdvals(m @ ox.matrix - ox.matrix @ m)[0]
-    rs = np.linspace(0.0, t, points).tolist()
-    return [list(zip(rs, row.tolist())) for row in norms]
+    return norms

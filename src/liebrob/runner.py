@@ -121,8 +121,8 @@ def _lightcone_from_curves(r_grid, t, pairs, curves, epsilon):
     """Per-distance max LHS over the dt grid, then threshold arrivals."""
     dt_grid = [t - r for r in reversed(r_grid)]
     field: dict[float, np.ndarray] = {}
-    for (_, _, _, _, d_xy), curve in zip(pairs, curves):
-        values = np.array([v for _, v in reversed(curve)])
+    for (_, _, _, _, d_xy), row in zip(pairs, curves):
+        values = row[::-1]
         key = float(d_xy)
         field[key] = np.maximum(field[key], values) if key in field else values
     return bnd.lightcone_arrivals(dt_grid, field, epsilon)
@@ -165,7 +165,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     counts = dict.fromkeys(_THEOREMS, 0)
     slacks = {name: [] for name in _THEOREMS}
     rhs_overflow = 0
-    for (_, _, ox, oy, d_xy), curve in zip(pairs, curves):
+    for (_, _, ox, oy, d_xy), lhs in zip(pairs, curves):
         ox_norm = operator_norm(ox.matrix)
         oy_norm = operator_norm(oy.matrix)
         sizes = len(ox.support), len(oy.support)
@@ -178,8 +178,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         if jm is not None and sizes == (1, 1):
             rhs["thm3"] = bnd.theorem3_bound(jm, 2.0 * ox_norm, oy_norm, dts,
                                              ox.support[0], oy.support[0])
-        rs, lhs = np.array(curve).T
-        blank = [""] * len(rs)  # an inapplicable theorem's column
+        blank = [""] * len(r_grid)  # an inapplicable theorem's column
         rhs_text, slack_text, hits = [], [], []
         for name in _THEOREMS:
             if name not in rhs:
@@ -197,7 +196,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         rows.extend(zip(
             repeat(";".join(map(str, ox.support))),
             repeat(";".join(map(str, oy.support))),
-            repeat(repr(d_xy)), repeat(repr(t)), _repr_list(rs), _repr_list(lhs),
+            repeat(repr(d_xy)), repeat(repr(t)), _repr_list(r_grid), _repr_list(lhs),
             *rhs_text, *slack_text, flags,
         ))
     ranges = {name: _finite_range(v) for name, v in slacks.items()}

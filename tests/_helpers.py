@@ -2,7 +2,8 @@
 
 The oracles (Schatten norms, the two-sided super-operator norm estimates and
 the dense GKSL engine) check the certified quantities and the sparse engine
-of the package; the package itself never calls them.
+of the package; the package itself never calls them. ``evolve`` and
+``generator`` reach the package's own sweep and generator directly.
 """
 
 import math
@@ -21,6 +22,7 @@ from liebrob import (
     build_lattice,
     stepped_products,
 )
+from liebrob.lindblad import _assemble, _stepped_blocks, _superop_pieces
 from liebrob.operators import _matrix, embed, unvec, vec
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -202,6 +204,17 @@ def commutator_norms(kernel, t, points):
     return [(dt, np.abs(product)) for dt, product in stepped_products(kernel, t, points)]
 
 
+def evolve(model, mat, lo, hi, adjoint, steps=64):
+    """mat carried across [lo, hi] by the package's sweep: backward if ``adjoint``."""
+    *_, last = _stepped_blocks(model, vec(mat), lo, hi, 2, adjoint, steps)
+    return unvec(last, model.hilbert_dim)
+
+
+def generator(model, time=0.0, adjoint=False):
+    """The package's CSR generator, or its Hilbert-Schmidt adjoint, at ``time``."""
+    return _assemble(_superop_pieces(model, adjoint), time)
+
+
 def dense_superop_pieces(model, adjoint: bool):
     """Dense superoperator matrices summed per time profile: (matrix, profile).
 
@@ -367,7 +380,7 @@ def spin_report_oracle(config, rhs1_scale=1.0):
         k_norm = 2.0 * operator_norm(ox.matrix)
         o_norm = operator_norm(oy.matrix)
         sizes = len(ox.support) * len(oy.support)
-        for r, lhs in curve:
+        for r, lhs in zip(config.time.grid().tolist(), curve.tolist()):
             dt = t - r
             rhs = {
                 "thm1": rhs1_scale * vacuous_on_overflow(

@@ -17,15 +17,11 @@ from liebrob import (
     JMatrix,
     LindbladTerm,
     TimeProfile,
-    build_adjoint_generator,
-    build_generator,
     build_kernel,
     build_lattice,
-    heisenberg_evolve,
     matrix_exp,
     n_lambda,
     p0_constant,
-    schrodinger_evolve,
     symplectic_form,
     theorem3_bound,
 )
@@ -45,6 +41,8 @@ from _helpers import (
     c2_path_sum,
     c3_path_sum,
     commutator_norms,
+    evolve,
+    generator,
     random_density_matrix,
     random_hermitian,
     random_matrix,
@@ -95,10 +93,8 @@ def test_03_duality_identity_time_dependent():
         for _ in range(20):
             rho = random_density_matrix(rng, 8)
             a = random_matrix(rng, 8)
-            rho_t = schrodinger_evolve(model, rho, s, t, steps=steps,
-                                       check_convergence=False)
-            a_s = heisenberg_evolve(model, a, s, t, steps=steps,
-                                    check_convergence=False)
+            rho_t = evolve(model, rho, s, t, adjoint=False, steps=steps)
+            a_s = evolve(model, a, s, t, adjoint=True, steps=steps)
             worst = max(worst, abs(np.trace(rho_t @ a) - np.trace(rho @ a_s)))
     assert worst <= 1e-8, worst
     report(3, "Schrodinger/Heisenberg duality", f"100 pairs, worst {worst:.2e}")
@@ -110,20 +106,17 @@ def test_04_structural_generator_checks():
     for k in range(50):
         model = random_model(rng, n_sites=2, time_dependent=bool(k % 2))
         when = float(rng.uniform(0.0, 2.0))
-        gen = build_generator(model, when)
-        adj = build_adjoint_generator(model, when)
+        gen = generator(model, when)
+        adj = generator(model, when, adjoint=True)
         dim = model.hilbert_dim
         rho = random_density_matrix(rng, dim)
         worst_trace = max(worst_trace, abs(np.trace(unvec(gen @ vec(rho), dim))))
         worst_unital = max(
             worst_unital, np.abs(adj @ vec(np.eye(dim, dtype=complex))).max()
         )
-        a = embed(random_hermitian(rng, 2), (0,), model.lattice)
-        evolved = heisenberg_evolve(model, a, 0.1, 0.8, steps=64,
-                                    check_convergence=False)
-        worst_herm = max(
-            worst_herm, np.abs(evolved.matrix - evolved.matrix.conj().T).max()
-        )
+        a = embed(random_hermitian(rng, 2), (0,), model.lattice).matrix
+        evolved = evolve(model, a, 0.1, 0.8, adjoint=True, steps=64)
+        worst_herm = max(worst_herm, np.abs(evolved - evolved.conj().T).max())
     assert worst_trace <= 1e-10
     assert worst_unital <= 1e-10
     assert worst_herm <= 1e-10
@@ -140,9 +133,9 @@ def test_05_closed_form_oracles():
         lattice=lattice,
         lindblad_terms=(LindbladTerm(support=(0,), matrix=PAULI_Z, rate=gamma),),
     )
-    out = heisenberg_evolve(dephasing, embed(PAULI_X, (0,), lattice), r, t)
+    out = evolve(dephasing, PAULI_X, r, t, adjoint=True)
     expected = np.exp(-2.0 * gamma * (t - r))
-    rel = abs(out.matrix[0, 1].real - expected) / expected
+    rel = abs(out[0, 1].real - expected) / expected
     assert rel <= 1e-8
 
     # amplitude-damping population
@@ -150,7 +143,7 @@ def test_05_closed_form_oracles():
         lattice=lattice,
         lindblad_terms=(LindbladTerm(support=(0,), matrix=LOWERING, rate=1.0),),
     )
-    rho = schrodinger_evolve(damping, np.diag([0.0, 1.0]).astype(complex), 0.0, 1.0)
+    rho = evolve(damping, np.diag([0.0, 1.0]).astype(complex), 0.0, 1.0, adjoint=False)
     rel_pop = abs(rho[1, 1].real - np.exp(-1.0)) / np.exp(-1.0)
     assert rel_pop <= 1e-8
 

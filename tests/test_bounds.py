@@ -493,8 +493,8 @@ class TestCertify:
             t, 11,
         )[0]
         params = commutator_theorem1_params(1.0, 1.0, 1, 1, p0, cert.lambda0, eta)
-        rhs = [theorem1_bound(params, t - r, 2.0) for r, _ in curve]
-        slack, violated = certify([v for _, v in curve], rhs)
+        rhs = theorem1_bound(params, t - np.linspace(0.0, t, 11), 2.0)
+        slack, violated = certify(curve, rhs)
         assert not violated.any()
         assert slack.min() > 1.0
 

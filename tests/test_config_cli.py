@@ -472,6 +472,10 @@ class TestCli:
 
     def test_usage_error_exits_one(self, capsys, tmp_path):
         assert main(["verify-spin"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: liebrob verify-spin")
+        assert ("liebrob verify-spin: error: the following arguments are required:"
+                " --config, --out") in err
         path = write_config(tmp_path, minimal_spin_config())
         assert main(["verify-spin", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 1
@@ -479,6 +483,30 @@ class TestCli:
                      "--guard-dim", "8"]) == 1
         assert not (tmp_path / "out").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
+                                      "config-is-a-directory"])
+    def test_path_errors_exit_one_without_traceback(self, tmp_path, case):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        config, out = write_config(tmp_path, minimal_spin_config()), tmp_path / "out"
+        if case == "config-is-a-directory":
+            config = tmp_path
+        else:
+            out.write_text("")
+            out = out / "sub" if case == "out-under-a-file" else out
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "liebrob.cli", "assumptions",
+                               "--config", str(config), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
 
     def test_assumptions_roundtrip(self, tmp_path):
         path = write_config(tmp_path, minimal_spin_config())

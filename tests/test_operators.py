@@ -7,7 +7,6 @@ from liebrob import (
     HamiltonianTerm,
     LindbladTerm,
     TimeProfile,
-    build_adjoint_generator,
     build_lattice,
 )
 from liebrob.bounds import _support_norm_bounds
@@ -26,6 +25,7 @@ from liebrob.operators import (
 from _helpers import (
     SuperoperatorNormBound,
     apply_adjoint_term,
+    generator,
     random_channel_superop,
     random_hermitian,
     random_matrix,
@@ -232,7 +232,7 @@ class TestAdjointTermNormUpper:
             amplitude = float(rng.uniform(0.3, 2.0))
             model = term_model(n_sites, h, lindblads, TimeProfile(amplitude=amplitude))
             bound = _support_norm_bounds(model)[tuple(range(n_sites))]
-            est = superop_norm_inf_estimate(build_adjoint_generator(model).toarray(),
+            est = superop_norm_inf_estimate(generator(model, adjoint=True).toarray(),
                                             restarts=4, seed=trial)
             assert 0.0 < est.lower <= bound * (1.0 + 1e-12)
 
