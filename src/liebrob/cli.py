@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config
 from .runner import run_assumptions, run_lightcone, run_verify_harmonic, run_verify_spin
@@ -54,6 +55,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        out = Path(args.out).absolute()  # refused before the run, not after it
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(f"--out {args.out} is a file or lies under one")
         config = load_config(args.config)
         if args.command == "assumptions":
             summary = run_assumptions(config, args.out)

@@ -2,13 +2,17 @@
 
 Validation is strict: unknown keys are rejected and every error message is
 anchored to the JSON pointer of the offending value. Complex entries are
-written as plain numbers or two-element [re, im] arrays.
+written as plain numbers or two-element [re, im] arrays; every number must be
+finite (Python's json reader accepts NaN and Infinity). Observable pairs are
+resolved here into (O_X, O_Y, d_xy) triples, and an explicit pair whose
+supports overlap is rejected at its pointer.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +20,8 @@ import numpy as np
 from .harmonic import HarmonicModel
 from .lattice import Lattice, build_lattice
 from .lindblad import GKSLModel, HamiltonianTerm, LindbladTerm, TimeProfile
-from .operators import NAMED_OPERATORS, Operator, local_operator, named_operator
+from .operators import (NAMED_OPERATORS, Operator, local_operator, named_operator,
+                        support_distance)
 
 
 class ConfigError(ValueError):
@@ -48,7 +53,12 @@ def _check_keys(obj, pointer, required=(), optional=()):
 def _number(value, pointer, minimum=None, strict_min=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(pointer, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(pointer, f"expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(pointer, f"must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:
@@ -65,12 +75,10 @@ def _integer(value, pointer, minimum=None):
 
 
 def _complex_entry(value, pointer) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(pointer, f"expected a number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ConfigError(pointer, f"expected a number or [re, im] pair, got {value!r}")
+    return complex(*(_number(v, pointer) for v in parts))
 
 
 def _complex_matrix(rows, pointer) -> np.ndarray:
@@ -321,8 +329,8 @@ class RunConfig:
     spin_model: GKSLModel | None = None
     harmonic_model: HarmonicModel | None = None
     time: TimeGrid | None = None
-    observables: dict[str, Operator] = field(default_factory=dict)
-    pairs: list[tuple[str, str]] = field(default_factory=list)
+    # (O_X, O_Y, d(X, Y)) per observable pair, with disjoint supports
+    pairs: list[tuple[Operator, Operator, float]] = field(default_factory=list)
     epsilon: float = 1e-2
 
 
@@ -379,14 +387,15 @@ def parse_config(data) -> RunConfig:
         mat = _parse_operator_matrix(entry["operator"], len(sites), dim, f"{ep}/operator")
         observables[name] = local_operator(mat, sites, dim)
 
-    pairs: list[tuple[str, str]] = []
+    def disjoint(ox: Operator, oy: Operator) -> bool:
+        return not set(ox.support) & set(oy.support)
+
     pairs_spec = data.get("pairs", "all_disjoint" if observables else [])
     if pairs_spec == "all_disjoint":
-        names = list(observables)
-        for nx, ny in itertools.combinations(names, 2):
-            if not (set(observables[nx].support) & set(observables[ny].support)):
-                pairs.append((nx, ny))
+        pairs = [(ox, oy) for ox, oy in itertools.combinations(observables.values(), 2)
+                 if disjoint(ox, oy)]
     elif isinstance(pairs_spec, list):
+        pairs = []
         for i, entry in enumerate(pairs_spec):
             ep = f"/pairs/{i}"
             if (not isinstance(entry, list) or len(entry) != 2
@@ -395,7 +404,11 @@ def parse_config(data) -> RunConfig:
             for name in entry:
                 if name not in observables:
                     raise ConfigError(ep, f"unknown observable {name!r}")
-            pairs.append((entry[0], entry[1]))
+            pair = observables[entry[0]], observables[entry[1]]
+            if not disjoint(*pair):
+                raise ConfigError(ep, f"{entry[0]!r} and {entry[1]!r} have overlapping"
+                                  " supports; the bounds require disjoint supports")
+            pairs.append(pair)
     else:
         raise ConfigError("/pairs", "expected 'all_disjoint' or an array of pairs")
 
@@ -407,7 +420,9 @@ def parse_config(data) -> RunConfig:
 
     return RunConfig(lattice=lattice, eta=eta, spin_model=spin_model,
                      harmonic_model=harmonic_model, time=time_grid,
-                     observables=observables, pairs=pairs, epsilon=epsilon)
+                     pairs=[(ox, oy, support_distance(ox.support, oy.support, lattice))
+                            for ox, oy in pairs],
+                     epsilon=epsilon)
 
 
 def load_config(path) -> RunConfig:

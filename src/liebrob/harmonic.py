@@ -83,24 +83,16 @@ class KernelMatrix:
 def build_kernel(model: HarmonicModel) -> KernelMatrix:
     """Assemble S from the Hamiltonian blocks and the dissipative matrices.
 
-    D, E, F, G are the defining bilinears of M; the upper and lower block
-    rows of each dissipative part are negatives of each other. F = -D and
-    E + G = -Im(M_Q^dag M_P) identically, so S is real; the imaginary part of
-    the sums is rounding and is dropped.
+    With Y = M_Q^dag M_P, S = [[0, -B - Im Y], [A, Im Y]]: the bilinears of M
+    contribute F = -D, so nothing to the Q columns, and E + G = -Im Y, with
+    opposite signs in the upper and lower block rows. S is real.
     """
     n = model.n_sites
-    mq = model.m[:, :n]
-    mp = model.m[:, n:]
-    d = -0.5j * (mq.conj().T @ mq).T
-    e = -0.5j * (mp.conj().T @ mq).T
-    f = 0.5j * (mq.conj().T @ mq).T
-    g = 0.5j * (mq.conj().T @ mp)
+    im_y = (model.m[:, :n].conj().T @ model.m[:, n:]).imag
     s = np.zeros((2 * n, 2 * n))
-    s[:n, n:] = -model.b
+    s[:n, n:] = -model.b - im_y
     s[n:, :n] = model.a
-    upper = np.hstack([d + f, e + g]).real
-    s[:n, :] += upper
-    s[n:, :] -= upper
+    s[n:, n:] = im_y
     return KernelMatrix(s=s, sigma=symplectic_form(n))
 
 

@@ -10,6 +10,10 @@ Al-Mohy & Higham (2011), Algorithm 3.2. The kernel never forms an
 exponential; it picks its degree and scaling from the exact 1-norm of the
 step's generator and works to a double-precision backward-error target,
 with no a-posteriori certificate.
+
+:func:`commutator_norm_curves` is the entry point: it embeds the local
+(O_X, O_Y) pairs it is given and refuses only a sweep that would not fit in
+free memory. Which pairs to run and any dimension cap are the caller's.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import scipy.sparse as sp
 from scipy.linalg import svdvals
 
 from .lattice import Lattice
-from .operators import Operator, embed, unvec, vec
+from .operators import embed, unvec, vec
 
 
 _TWO_PI = 2.0 * math.pi
@@ -124,7 +128,6 @@ class GKSLModel:
     dim_per_site: int = 2
     hamiltonian_terms: tuple[HamiltonianTerm, ...] = ()
     lindblad_terms: tuple[LindbladTerm, ...] = ()
-    guard_dim: int | None = None  # an explicit Hilbert-dimension cap
 
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian_terms", tuple(self.hamiltonian_terms))
@@ -171,7 +174,7 @@ class GKSLModel:
 
 
 def _check_guard(model: GKSLModel, held_bytes: int) -> None:
-    """Refuse a sweep above the explicit dimension cap or the free memory.
+    """Refuse a sweep whose estimated memory exceeds the free memory.
 
     The estimate uses the local term matrices only, before anything large is
     built: an embedded matrix with k nonzeros stores at most D k entries per
@@ -180,9 +183,6 @@ def _check_guard(model: GKSLModel, held_bytes: int) -> None:
     the assembled generators; ``held_bytes`` is the sweep's blocks.
     """
     dim = model.hilbert_dim
-    if model.guard_dim is not None and dim > model.guard_dim:
-        raise ValueError(f"Hilbert dimension {dim} exceeds the guard {model.guard_dim};"
-                         " raise guard_dim to override")
 
     def nnz(local: np.ndarray) -> int:  # of the embedded matrix
         return np.count_nonzero(local) * (dim // len(local))
@@ -224,8 +224,8 @@ def _superop_pieces(model: GKSLModel, adjoint: bool, held_bytes: int = 0) -> _Pi
     sums: dict[TimeProfile, sp.csr_array] = {}
 
     def embedded(term) -> sp.csr_array:
-        return sp.csr_array(
-            embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix)
+        return sp.csr_array(embed(term.matrix, term.support, model.lattice,
+                                  model.dim_per_site))
 
     for term in model.hamiltonian_terms:
         h = embedded(term)
@@ -352,43 +352,32 @@ def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
         yield block
 
 
-def _as_embedded(op: Operator, model: GKSLModel) -> Operator:
-    if op.embedded:
-        return op
-    return embed(op.matrix, op.support, model.lattice, model.dim_per_site)
-
-
 def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
                            substeps: int = 16):
     """Curves r -> ||[tau(r, t) O_Y, O_X]|| for several observable pairs.
 
-    ``pairs`` is a sequence of (O_X, O_Y) Operators with disjoint supports.
-    All pairs share one backward sweep over the grid linspace(0, t, points);
-    on time-dependent models each grid interval is subdivided into
-    ``substeps`` midpoint actions. Returns a (pairs, points) float array:
-    row i is pair i's curve on the grid, in ascending r.
+    ``pairs`` is a sequence of (O_X, O_Y) local Operators, embedded here into
+    the model's D x D Hilbert space. All pairs share one backward sweep over
+    the grid linspace(0, t, points); on time-dependent models each grid
+    interval is subdivided into ``substeps`` midpoint actions. Returns a
+    (pairs, points) float array: row i is pair i's curve on the grid, in
+    ascending r.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     d = model.hilbert_dim
-    pairs = [(_as_embedded(ox, model), _as_embedded(oy, model)) for ox, oy in pairs]
-    for ox, oy in pairs:
-        if set(ox.support) & set(oy.support):
-            raise ValueError(
-                f"supports {ox.support} and {oy.support} overlap; the bounds"
-                " require disjoint supports"
-            )
-
+    full = [[embed(op.matrix, op.support, model.lattice, model.dim_per_site) for op in pair]
+            for pair in pairs]
     # Distinct O_Y columns evolve together through a single sweep.
-    keys = [(oy.support, oy.matrix.tobytes()) for _, oy in pairs]
-    columns = {key: vec(oy.matrix) for key, (_, oy) in zip(keys, pairs)}
+    columns = {y.tobytes(): vec(y) for _, y in full}
     index = {key: i for i, key in enumerate(columns)}
+    targets = [(x, index[y.tobytes()]) for x, y in full]
     norms = np.empty((len(pairs), points))
     blocks = _stepped_blocks(model, np.stack(list(columns.values()), axis=1), 0.0, t,
                              points, adjoint=True, substeps=substeps)
     for k, block in enumerate(blocks):
         column = points - 1 - k  # the sweep runs backward from r = t
-        for i, ((ox, _), key) in enumerate(zip(pairs, keys)):
-            m = unvec(block[:, index[key]], d)
-            norms[i, column] = svdvals(m @ ox.matrix - ox.matrix @ m)[0]
+        for i, (x, j) in enumerate(targets):
+            m = unvec(block[:, j], d)
+            norms[i, column] = svdvals(m @ x - x @ m)[0]
     return norms

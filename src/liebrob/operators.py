@@ -1,9 +1,10 @@
 """Operator algebra on spin lattices.
 
-Named single-site operators, tensor embedding by support, the operator norm
-(dense SVD: the pipeline only takes norms of local term and observable
-matrices) and support distances. The vectorization convention used
-throughout the package is column stacking,
+Named single-site operators, local operators with their supports, tensor
+embedding of a local matrix into the full D x D matrix (a plain ndarray),
+the operator norm of an array (dense SVD: the pipeline only takes norms of
+local term and observable matrices) and support distances. The
+vectorization convention used throughout the package is column stacking,
 
     vec(X Y Z) = (Z^T kron X) vec(Y),
 
@@ -65,16 +66,10 @@ def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A matrix together with its lattice support.
-
-    ``matrix`` has dimension dim_per_site^|support| while local, and
-    dim_per_site^N once embedded into the full lattice Hilbert space.
-    """
+    """A local matrix of dimension dim_per_site^|support| and its lattice support."""
 
     matrix: np.ndarray
     support: tuple[int, ...]
-    dim_per_site: int = 2
-    embedded: bool = False
 
 
 def local_operator(matrix, support, dim_per_site: int = 2) -> Operator:
@@ -89,30 +84,17 @@ def local_operator(matrix, support, dim_per_site: int = 2) -> Operator:
             f"matrix shape {matrix.shape} does not match dim_per_site^{len(support)}"
             f" = {expected}"
         )
-    return Operator(matrix=matrix, support=support, dim_per_site=dim_per_site)
+    return Operator(matrix=matrix, support=support)
 
 
-def _matrix(a) -> np.ndarray:
-    return np.asarray(a.matrix if isinstance(a, Operator) else a, dtype=complex)
+def embed(matrix, support, lattice: Lattice, dim_per_site: int = 2) -> np.ndarray:
+    """The D x D matrix of a local operator, extended by identity off its support.
 
-
-def embed(local, support, lattice: Lattice, dim_per_site: int | None = None) -> Operator:
-    """Extend a local operator by identity off its support.
-
-    Tensor factors of ``local`` correspond to the support sites in the order
-    listed; the embedded operator's factors follow ascending global site
-    index, the single ordering convention shared by all modules.
+    Tensor factors of ``matrix`` correspond to the support sites in the order
+    listed; the embedded matrix's factors follow ascending global site index,
+    the single ordering convention shared by all modules.
     """
-    if isinstance(local, Operator):
-        if local.embedded:
-            raise ValueError("operator is already embedded")
-        if dim_per_site is None:
-            dim_per_site = local.dim_per_site
-        if support is None:
-            support = local.support
-    if dim_per_site is None:
-        dim_per_site = 2
-    mat = _matrix(local)
+    mat = np.asarray(matrix, dtype=complex)
     support = tuple(int(s) for s in support)
     n = lattice.n_sites
     d = dim_per_site
@@ -132,15 +114,12 @@ def embed(local, support, lattice: Lattice, dim_per_site: int | None = None) -> 
     axis_sites = list(support) + rest
     order = np.argsort(axis_sites)  # order[j] = current axis of site j
     perm = list(order) + [n + a for a in order]
-    full = full.reshape([d] * (2 * n)).transpose(perm).reshape(d**n, d**n)
-    return Operator(
-        matrix=full, support=tuple(sorted(support)), dim_per_site=d, embedded=True
-    )
+    return full.reshape([d] * (2 * n)).transpose(perm).reshape(d**n, d**n)
 
 
-def operator_norm(a) -> float:
+def operator_norm(matrix) -> float:
     """Largest singular value, by dense SVD."""
-    s = svdvals(_matrix(a))
+    s = svdvals(np.asarray(matrix, dtype=complex))
     return float(s[0]) if s.size else 0.0
 
 

@@ -8,7 +8,6 @@ byte-for-byte for a fixed config.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import sys
 from itertools import repeat
@@ -20,8 +19,8 @@ from . import bounds as bnd
 from . import harmonic as harm
 from .config import ConfigError, RunConfig
 from .lattice import assumption_constants
-from .lindblad import GKSLModel, commutator_norm_curves
-from .operators import operator_norm, support_distance
+from .lindblad import commutator_norm_curves
+from .operators import operator_norm
 
 # Absorbs summation rounding in the fitted constants before certification.
 SAFETY = 1.0 + 1e-12
@@ -88,44 +87,32 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
     return payload
 
 
-def _spin_pairs(config: RunConfig):
-    """Embedded observable pairs with their support distances."""
-    if not config.pairs:
-        raise ConfigError("/pairs", "no observable pairs configured")
-    pairs = []
-    for x_name, y_name in config.pairs:
-        ox = config.observables[x_name]
-        oy = config.observables[y_name]
-        if set(ox.support) & set(oy.support):
-            raise ConfigError(
-                "/pairs", f"observables {x_name!r} and {y_name!r} have overlapping"
-                " supports; the bounds require disjoint supports"
-            )
-        d_xy = support_distance(ox.support, oy.support, config.lattice)
-        pairs.append((x_name, y_name, ox, oy, d_xy))
-    return pairs
+def _spin_lhs(config: RunConfig, guard_dim: int | None):
+    """Exact commutator-norm curves for every configured pair.
 
-
-def _spin_lhs(config: RunConfig, model: GKSLModel):
-    """Exact commutator-norm curves for every configured pair."""
+    ``guard_dim`` caps the Hilbert dimension before anything large is built.
+    """
     if config.time is None or config.time.kind != "r":
         raise ConfigError("/time", "spin runs need a time section with r_points")
-    pairs = _spin_pairs(config)
-    curves = commutator_norm_curves(
-        model, [(ox, oy) for _, _, ox, oy, _ in pairs], config.time.t, config.time.points
-    )
-    return config.time.grid(), pairs, curves
+    if not config.pairs:
+        raise ConfigError("/pairs", "no observable pairs configured")
+    model = config.spin_model
+    if guard_dim is not None and model.hilbert_dim > guard_dim:
+        raise ValueError(f"Hilbert dimension {model.hilbert_dim} exceeds the guard"
+                         f" {guard_dim}; raise guard_dim to override")
+    return commutator_norm_curves(model, [(ox, oy) for ox, oy, _ in config.pairs],
+                                  config.time.t, config.time.points)
 
 
-def _lightcone_from_curves(r_grid, t, pairs, curves, epsilon):
+def _lightcone_from_curves(config: RunConfig, curves):
     """Per-distance max LHS over the dt grid, then threshold arrivals."""
-    dt_grid = [t - r for r in reversed(r_grid)]
+    dt_grid = [config.time.t - r for r in reversed(config.time.grid())]
     field: dict[float, np.ndarray] = {}
-    for (_, _, _, _, d_xy), row in zip(pairs, curves):
+    for (_, _, d_xy), row in zip(config.pairs, curves):
         values = row[::-1]
         key = float(d_xy)
         field[key] = np.maximum(field[key], values) if key in field else values
-    return bnd.lightcone_arrivals(dt_grid, field, epsilon)
+    return bnd.lightcone_arrivals(dt_grid, field, config.epsilon)
 
 
 _SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
@@ -141,19 +128,18 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     """Certify Theorems 1-3 against exact spin dynamics; write report files."""
     if config.spin_model is None:
         raise ConfigError("/model", "verify-spin requires a spin model")
-    model = dataclasses.replace(config.spin_model, guard_dim=guard_dim)
-    lattice = config.lattice
+    model = config.spin_model
     eta = config.eta
-    t = config.time.t if config.time else None
 
-    consts = assumption_constants(lattice, eta)
+    consts = assumption_constants(config.lattice, eta)
     cert = bnd.lambda0_fit(model, eta)
     p0 = consts.p0 * SAFETY
     lambda0 = cert.lambda0 * SAFETY
     n_lam = consts.n_lambda * SAFETY if consts.n_lambda is not None else None
     p1 = consts.p1 * SAFETY if consts.p1 is not None else None
 
-    r_grid, pairs, curves = _spin_lhs(config, model)
+    curves = _spin_lhs(config, guard_dim)
+    t, r_grid = config.time.t, config.time.grid()
 
     try:
         jm = bnd.build_j_matrix(model, 0.0, t)
@@ -165,7 +151,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     counts = dict.fromkeys(_THEOREMS, 0)
     slacks = {name: [] for name in _THEOREMS}
     rhs_overflow = 0
-    for (_, _, ox, oy, d_xy), lhs in zip(pairs, curves):
+    for (ox, oy, d_xy), lhs in zip(config.pairs, curves):
         ox_norm = operator_norm(ox.matrix)
         oy_norm = operator_norm(oy.matrix)
         sizes = len(ox.support), len(oy.support)
@@ -201,7 +187,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         ))
     ranges = {name: _finite_range(v) for name, v in slacks.items()}
 
-    arrivals = _lightcone_from_curves(r_grid, t, pairs, curves, config.epsilon)
+    arrivals = _lightcone_from_curves(config, curves)
 
     summary = {
         "mode": "verify-spin",
@@ -369,10 +355,7 @@ def run_lightcone(config: RunConfig, out_dir, guard_dim: int | None = None) -> d
     """Emit threshold-arrival times for the configured model's exact dynamics."""
     out_dir = Path(out_dir)
     if config.spin_model is not None:
-        model = dataclasses.replace(config.spin_model, guard_dim=guard_dim)
-        r_grid, pairs, curves = _spin_lhs(config, model)
-        arrivals = _lightcone_from_curves(r_grid, config.time.t, pairs, curves,
-                                          config.epsilon)
+        arrivals = _lightcone_from_curves(config, _spin_lhs(config, guard_dim))
     elif config.harmonic_model is not None:
         kernel = harm.build_kernel(config.harmonic_model)
         pairs, starts, distances = _pair_segments(config.lattice.dist)

@@ -23,7 +23,7 @@ from liebrob import (
     stepped_products,
 )
 from liebrob.lindblad import _assemble, _stepped_blocks, _superop_pieces
-from liebrob.operators import _matrix, embed, unvec, vec
+from liebrob.operators import embed, unvec, vec
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -108,7 +108,7 @@ def apply_adjoint_term(h, lindblads, a):
 
 def schatten_norm(a, p) -> float:
     """Schatten p-norm [Tr (A^dag A)^{p/2}]^{1/p}; p = inf is the operator norm."""
-    m = _matrix(a)
+    m = np.asarray(a, dtype=complex)
     if not (p == np.inf or math.isinf(p)):
         p = float(p)
         if p < 1:
@@ -232,11 +232,11 @@ def dense_superop_pieces(model, adjoint: bool):
             sums[profile] = matrix
 
     for term in model.hamiltonian_terms:
-        h = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
+        h = embed(term.matrix, term.support, model.lattice, model.dim_per_site)
         comm = np.kron(eye, h) - np.kron(h.T, eye)  # vec(H rho - rho H)
         add(term.profile, (1.0j if adjoint else -1.0j) * comm)
     for term in model.lindblad_terms:
-        l = embed(term.matrix, term.support, model.lattice, model.dim_per_site).matrix
+        l = embed(term.matrix, term.support, model.lattice, model.dim_per_site)
         ldl = l.conj().T @ l
         anti = 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
         jump = np.kron(l.T, l.conj().T) if adjoint else np.kron(l.conj(), l)
@@ -287,8 +287,8 @@ def dense_stepped_blocks(model, block: np.ndarray, lo: float, hi: float,
 def dense_commutator_norms(model, o_x, o_y, t: float, points: int, substeps: int):
     """||[tau(r, t) O_Y, O_X]|| on linspace(0, t, points) by the dense oracle sweep."""
     d = model.hilbert_dim
-    x = embed(o_x.matrix, o_x.support, model.lattice, model.dim_per_site).matrix
-    y = embed(o_y.matrix, o_y.support, model.lattice, model.dim_per_site).matrix
+    x = embed(o_x.matrix, o_x.support, model.lattice, model.dim_per_site)
+    y = embed(o_y.matrix, o_y.support, model.lattice, model.dim_per_site)
     blocks = dense_stepped_blocks(model, vec(y), 0.0, t, points, adjoint=True,
                                   substeps=substeps)
     values = [svdvals(unvec(b, d) @ x - x @ unvec(b, d))[0] for b in blocks]
@@ -367,7 +367,7 @@ def spin_report_oracle(config, rhs1_scale=1.0):
     n_lam = consts.n_lambda * SAFETY
     lambda0 = lambda0_fit(model, eta).lambda0 * SAFETY
     jm = build_j_matrix(model, 0.0, t)
-    ops = [(config.observables[x], config.observables[y]) for x, y in config.pairs]
+    ops = [(ox, oy) for ox, oy, _ in config.pairs]
     curves = commutator_norm_curves(model, ops, t, config.time.points)
 
     names = ("thm1", "thm2", "thm3")

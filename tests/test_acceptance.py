@@ -114,7 +114,7 @@ def test_04_structural_generator_checks():
         worst_unital = max(
             worst_unital, np.abs(adj @ vec(np.eye(dim, dtype=complex))).max()
         )
-        a = embed(random_hermitian(rng, 2), (0,), model.lattice).matrix
+        a = embed(random_hermitian(rng, 2), (0,), model.lattice)
         evolved = evolve(model, a, 0.1, 0.8, adjoint=True, steps=64)
         worst_herm = max(worst_herm, np.abs(evolved - evolved.conj().T).max())
     assert worst_trace <= 1e-10

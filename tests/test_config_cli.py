@@ -101,6 +101,25 @@ class TestConfigParsing:
         term = config.spin_model.hamiltonian_terms[0]
         np.testing.assert_allclose(term.matrix, PAULI_Y)
 
+    def test_non_finite_complex_entry_rejected(self):
+        data = minimal_spin_config()
+        data["model"]["hamiltonian"][0]["sites"] = [0]
+        data["model"]["hamiltonian"][0]["operator"] = {
+            "matrix": [[0, [0, float("inf")]], [[0, 1], 0]]
+        }
+        with pytest.raises(ConfigError, match="^/model/hamiltonian/0/operator/matrix/0/1:"
+                                              " expected a finite number"):
+            parse_config(data)
+
+    def test_all_disjoint_pairs_resolve_to_triples(self):
+        data = minimal_spin_config(n_sites=3)
+        data["observables"].append(
+            {"name": "ZZ12", "sites": [1, 2], "operator": {"kron": ["pauli_z", "pauli_z"]}})
+        data["pairs"] = "all_disjoint"
+        config = parse_config(data)
+        assert [(ox.support, oy.support, d) for ox, oy, d in config.pairs] == [
+            ((0,), (2,), 2.0), ((0,), (1, 2), 1.0)]
+
     def test_named_kron_factors(self):
         data = minimal_spin_config()
         config = parse_config(data)
@@ -382,7 +401,7 @@ class TestRunners:
         from liebrob.config import RunConfig, TimeGrid
         from liebrob.lattice import build_lattice
         from liebrob.lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
-        from liebrob.operators import PAULI_Z, local_operator
+        from liebrob.operators import PAULI_Z, local_operator, support_distance
 
         from _helpers import random_hermitian, spin_report_oracle
 
@@ -396,16 +415,15 @@ class TestRunners:
         l_terms = [LindbladTerm(support=(x,), matrix=PAULI_Z, rate=0.3) for x in range(4)]
         model = GKSLModel(lattice=lattice, hamiltonian_terms=tuple(h_terms),
                           lindblad_terms=tuple(l_terms))
-        observables = {
-            "A01": local_operator(random_hermitian(rng, 4), (0, 1)),
-            "X0": local_operator(random_hermitian(rng, 2), (0,)),
-            "Z2": local_operator(PAULI_Z, (2,)),
-            "Z3": local_operator(PAULI_Z, (3,)),
-        }
+        a01 = local_operator(random_hermitian(rng, 4), (0, 1))
+        x0 = local_operator(random_hermitian(rng, 2), (0,))
+        z2, z3 = local_operator(PAULI_Z, (2,)), local_operator(PAULI_Z, (3,))
+        pairs = [(a01, z3), (x0, z2), (x0, z3), (z3, x0)]
         config = RunConfig(lattice=lattice, eta=2.0, spin_model=model,
                            time=TimeGrid(t=t, points=13, kind="r"),
-                           observables=observables,
-                           pairs=[("A01", "Z3"), ("X0", "Z2"), ("X0", "Z3"), ("Z3", "X0")])
+                           pairs=[(ox, oy, support_distance(ox.support, oy.support,
+                                                            lattice))
+                                  for ox, oy in pairs])
         bound = bounds.theorem1_bound
         monkeypatch.setattr(bounds, "theorem1_bound",
                             lambda *args: rhs1_scale * bound(*args))
@@ -507,6 +525,75 @@ class TestCli:
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("under_a_file", [False, True])
+    def test_out_is_checked_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                           under_a_file):
+        import liebrob.runner
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(liebrob.runner, "commutator_norm_curves", no_sweep)
+        out = tmp_path / "out"
+        out.write_text("")
+        out = out / "sub" if under_a_file else out
+        assert main(["verify-spin", "--config", str(CONFIG_DIR / "spin_chain_xy.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case, pointer", [
+        ("time-t", "/time/t"),
+        ("lindblad-rate", "/model/lindblad/0/rate"),
+        ("local-damping-rate", "/model/m/local_damping/rate"),
+        ("epsilon", "/thresholds/epsilon"),
+        ("integer-beyond-float", "/time/t"),
+    ])
+    def test_non_finite_number_exits_one_at_its_pointer(self, tmp_path, capsys, case,
+                                                        pointer):
+        # Python's json reads NaN and Infinity, json.dumps writes them back;
+        # an integer literal beyond the float range is infinite too
+        command, data = "verify-spin", minimal_spin_config(rate=0.5)
+        if case == "time-t":
+            data["time"]["t"] = float("inf")
+        elif case == "lindblad-rate":
+            data["model"]["lindblad"][0]["rate"] = float("inf")
+        elif case == "epsilon":
+            data["thresholds"]["epsilon"] = float("nan")
+        elif case == "integer-beyond-float":
+            data["time"]["t"] = 10**400
+        else:
+            command, data = "verify-harmonic", {
+                "lattice": {"geometry": {"kind": "chain", "sides": [4]},
+                            "metric": "graph"},
+                "eta": 3.0,
+                "model": {"type": "harmonic", "a": {"identity": {}},
+                          "b": {"identity": {}},
+                          "m": {"local_damping": {"rate": float("nan")}}},
+                "time": {"t": 1.0, "dt_points": 3},
+            }
+        path = write_config(tmp_path, data)
+        assert any(text in path.read_text() for text in ("Infinity", "NaN", "0" * 400))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{pointer}: expected a finite number" in err
+        assert "Traceback" not in err
+
+    def test_overlapping_pair_exits_one_at_its_pointer(self, tmp_path, capsys):
+        data = minimal_spin_config(n_sites=3)
+        data["observables"].append(
+            {"name": "ZZ12", "sites": [1, 2], "operator": {"kron": ["pauli_z", "pauli_z"]}})
+        data["pairs"] = [["Z0", "Z1"], ["Z0", "ZZ12"], ["ZZ12", "Z1"]]
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-spin", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "/pairs/2: 'ZZ12' and 'Z1' have overlapping supports" in err
+        assert "Traceback" not in err
 
     def test_assumptions_roundtrip(self, tmp_path):
         path = write_config(tmp_path, minimal_spin_config())

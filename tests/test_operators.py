@@ -46,26 +46,26 @@ class TestEmbed:
     def test_identity_embeds_to_identity(self):
         lat = build_lattice(2)
         out = embed(np.eye(2, dtype=complex), (0,), lat)
-        np.testing.assert_allclose(out.matrix, np.eye(4))
-        assert out.embedded
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_allclose(out, np.eye(4))
 
     def test_pauli_x_on_first_site(self):
         lat = build_lattice(2)
         out = embed(PAULI_X, (0,), lat)
-        np.testing.assert_allclose(out.matrix, np.kron(PAULI_X, np.eye(2)))
+        np.testing.assert_allclose(out, np.kron(PAULI_X, np.eye(2)))
 
     def test_pauli_x_on_second_site(self):
         lat = build_lattice(2)
         out = embed(PAULI_X, (1,), lat)
-        np.testing.assert_allclose(out.matrix, np.kron(np.eye(2), PAULI_X))
+        np.testing.assert_allclose(out, np.kron(np.eye(2), PAULI_X))
 
     def test_product_of_embeddings_matches_kron(self):
         rng = np.random.default_rng(5)
         lat = build_lattice(2)
         a = random_matrix(rng, 2)
         b = random_matrix(rng, 2)
-        product = embed(a, (0,), lat).matrix @ embed(b, (1,), lat).matrix
-        joint = embed(np.kron(a, b), (0, 1), lat).matrix
+        product = embed(a, (0,), lat) @ embed(b, (1,), lat)
+        joint = embed(np.kron(a, b), (0, 1), lat)
         np.testing.assert_allclose(product, joint, atol=1e-12)
 
     def test_non_adjacent_pair_against_manual_kron(self):
@@ -73,7 +73,7 @@ class TestEmbed:
         lat = build_lattice(3)
         a = random_matrix(rng, 2)
         b = random_matrix(rng, 2)
-        joint = embed(np.kron(a, b), (0, 2), lat).matrix
+        joint = embed(np.kron(a, b), (0, 2), lat)
         manual = np.kron(np.kron(a, np.eye(2)), b)
         np.testing.assert_allclose(joint, manual, atol=1e-12)
 
@@ -82,7 +82,7 @@ class TestEmbed:
         lat = build_lattice(2)
         a = random_matrix(rng, 2)
         b = random_matrix(rng, 2)
-        swapped = embed(np.kron(a, b), (1, 0), lat).matrix
+        swapped = embed(np.kron(a, b), (1, 0), lat)
         np.testing.assert_allclose(swapped, np.kron(b, a), atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -100,8 +100,8 @@ class TestEmbed:
         lat = build_lattice(2)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         out = embed(a, (1,), lat, dim_per_site=3)
-        np.testing.assert_allclose(out.matrix, np.kron(np.eye(3), a), atol=1e-12)
-        assert out.matrix.shape == (9, 9)
+        np.testing.assert_allclose(out, np.kron(np.eye(3), a), atol=1e-12)
+        assert out.shape == (9, 9)
 
 
 class TestSchattenNorm:
@@ -297,4 +297,4 @@ def test_local_operator_validation():
         local_operator(np.eye(3), (0,))
     op = local_operator(np.kron(PAULI_X, PAULI_X), (0, 1))
     assert op.support == (0, 1)
-    assert not op.embedded
+    assert op.matrix.shape == (4, 4)
