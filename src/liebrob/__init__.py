@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .harmonic import (
     HarmonicModel,
-    KernelMatrix,
     build_kernel,
     c0_fit,
     stepped_products,

@@ -167,8 +167,8 @@ class JMatrix:
     onsite_excluded: bool
 
 
-def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
-    """J matrix of a pairwise model over the window [r, t].
+def build_j_matrix(model: GKSLModel, t: float) -> JMatrix:
+    """J matrix of a pairwise model over the window [0, t].
 
     Single-site terms are permitted in the model but excluded from J (the
     matrix-exponential bound covers pairwise generators only); their presence
@@ -187,7 +187,7 @@ def build_j_matrix(model: GKSLModel, r: float = 0.0, t: float = 0.0) -> JMatrix:
             raise ValueError(
                 f"J matrix requires pairwise terms; got support {support}"
             )
-        bound = _term_norm_bound(term, term.profile.sup_abs_on(r, t))
+        bound = _term_norm_bound(term, term.profile.sup_abs_on(0.0, t))
         j[support[0], support[1]] += bound
         j[support[1], support[0]] += bound
     off = j - np.eye(n)

@@ -68,20 +68,8 @@ class HarmonicModel:
         return self.lattice.n_sites
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """The real 2n x 2n generator S of the coordinate equations of motion."""
-
-    s: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return self.s.shape[0] // 2
-
-
-def build_kernel(model: HarmonicModel) -> KernelMatrix:
-    """Assemble S from the Hamiltonian blocks and the dissipative matrices.
+def build_kernel(model: HarmonicModel) -> np.ndarray:
+    """The real 2n x 2n generator S of the coordinate equations of motion.
 
     With Y = M_Q^dag M_P, S = [[0, -B - Im Y], [A, Im Y]]: the bilinears of M
     contribute F = -D, so nothing to the Q columns, and E + G = -Im Y, with
@@ -93,13 +81,15 @@ def build_kernel(model: HarmonicModel) -> KernelMatrix:
     s[:n, n:] = -model.b - im_y
     s[n:, :n] = model.a
     s[n:, n:] = im_y
-    return KernelMatrix(s=s, sigma=symplectic_form(n))
+    return s
 
 
-def stepped_products(kernel: KernelMatrix, t: float, points: int):
+def stepped_products(s: np.ndarray, t: float, points: int):
     """Yield (dt_k, e^{S dt_k} sigma) on the grid linspace(0, t, points).
 
-    One exponential E = e^{S h}, h = t / (points - 1), then P_{k+1} = E P_k.
+    ``s`` is the 2n x 2n kernel S of :func:`build_kernel`; the products start
+    from sigma = symplectic_form(n). One exponential E = e^{S h},
+    h = t / (points - 1), then P_{k+1} = E P_k.
     The step comes from t and points, never from differences of grid values.
     |P_k| is the matrix of coordinate commutator norms at dt_k: [R_k(s), R_l]
     = sum_m [e^{S dt}]_{k,m} i sigma_{m,l} 1 is a scalar multiple of the
@@ -109,8 +99,8 @@ def stepped_products(kernel: KernelMatrix, t: float, points: int):
         raise ValueError(f"t must be nonnegative, got {t}")
     if points < 2:
         raise ValueError(f"the grid needs at least 2 points, got {points}")
-    step = matrix_exp(kernel.s * (t / (points - 1)))
-    product = kernel.sigma
+    step = matrix_exp(s * (t / (points - 1)))
+    product = symplectic_form(len(s) // 2)
     for dt in np.linspace(0.0, t, points).tolist():
         if dt > 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -120,17 +110,17 @@ def stepped_products(kernel: KernelMatrix, t: float, points: int):
         yield dt, product
 
 
-def symplectic_defect(kernel: KernelMatrix, product: np.ndarray) -> float:
+def symplectic_defect(product: np.ndarray) -> float:
     """max |e^{S dt} sigma e^{S dt}^T - sigma| for P = e^{S dt} sigma; 0 if closed.
 
     Hamiltonian kernels generate symplectic flows, so this is a consistency
-    check for M = 0 models. The product is P sigma P^T, and
-    P sigma = [-P[:, n:] | P[:, :n]].
+    check for M = 0 models. n is half the order of the 2n x 2n product; the
+    check is P sigma P^T - sigma, with P sigma = [-P[:, n:] | P[:, :n]].
     """
-    n = kernel.n_sites
+    n = len(product) // 2
     p_sigma = np.hstack([-product[:, n:], product[:, :n]])
     with np.errstate(over="ignore", invalid="ignore"):  # beyond the float range: inf
-        return float(np.abs(p_sigma @ product.T - kernel.sigma).max())
+        return float(np.abs(p_sigma @ product.T - symplectic_form(n)).max())
 
 
 def c0_fit(model: HarmonicModel, eta: float) -> float:

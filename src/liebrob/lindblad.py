@@ -1,9 +1,10 @@
-"""GKSL generators as sparse superoperators, and their propagation.
+"""GKSL adjoint generators as sparse superoperators, and their propagation.
 
-States evolve forward under the generator (Schrodinger picture); observables
-evolve backward under its Hilbert-Schmidt adjoint (Heisenberg picture). The
-generator is a CSR matrix whose per-profile pieces share one sparsity pattern.
-All propagation is one stepped sweep over a uniform grid: one action of the
+Every bound the certifier checks is a statement about an evolved observable,
+so the package builds only the Hilbert-Schmidt adjoint of the generator and
+propagates observables backward under it (Heisenberg picture). The generator
+is a CSR matrix whose per-profile pieces share one sparsity pattern. All
+propagation is one stepped sweep over a uniform grid: one action of the
 exponential per grid interval of a time-independent model, one per midpoint
 substep of a time-dependent one, each by the in-package Taylor kernel of
 Al-Mohy & Higham (2011), Algorithm 3.2. The kernel never forms an
@@ -210,13 +211,14 @@ class _Pieces:
         return len(self.profiles)
 
 
-def _superop_pieces(model: GKSLModel, adjoint: bool, held_bytes: int = 0) -> _Pieces:
-    """Sparse superoperators summed per time profile, on one shared CSR pattern.
+def _superop_pieces(model: GKSLModel, held_bytes: int = 0) -> _Pieces:
+    """Sparse adjoint generators summed per time profile, on one shared CSR pattern.
 
-    On column-stacked rho the generator is -i[H, rho] + sum_v gamma_v
-    (L rho L^dag - {L^dag L, rho} / 2); ``adjoint`` gives its Hilbert-Schmidt
-    adjoint. Each term's rate is folded into its matrix, so terms that share a
-    profile share one piece. ``held_bytes`` goes to the memory guard.
+    On a column-stacked observable O the generator is i[H, O] + sum_v gamma_v
+    (L^dag O L - {L^dag L, O} / 2), the Hilbert-Schmidt adjoint of the
+    Schrodinger-picture generator. Each term's rate is folded into its matrix,
+    so terms that share a profile share one piece. ``held_bytes`` goes to the
+    memory guard.
     """
     _check_guard(model, held_bytes)
     d = model.hilbert_dim
@@ -229,13 +231,13 @@ def _superop_pieces(model: GKSLModel, adjoint: bool, held_bytes: int = 0) -> _Pi
 
     for term in model.hamiltonian_terms:
         h = embedded(term)
-        comm = sp.kron(eye, h) - sp.kron(h.T, eye)  # vec(H rho - rho H)
-        sums[term.profile] = sums.get(term.profile, 0) + (1.0j if adjoint else -1.0j) * comm
+        comm = sp.kron(eye, h) - sp.kron(h.T, eye)  # vec(H O - O H)
+        sums[term.profile] = sums.get(term.profile, 0) + 1.0j * comm
     for term in model.lindblad_terms:
         l = embedded(term)
         ldl = l.conj().T @ l
         anti = 0.5 * (sp.kron(eye, ldl) + sp.kron(ldl.T, eye))
-        jump = sp.kron(l.T, l.conj().T) if adjoint else sp.kron(l.conj(), l)
+        jump = sp.kron(l.T, l.conj().T)  # vec(L^dag O L)
         sums[term.profile] = sums.get(term.profile, 0) + term.rate * (jump - anti)
     # The union pattern, from int64 keys row * D^2 + col in row-major order.
     n = d * d
@@ -279,24 +281,21 @@ def _inf_norm(block: np.ndarray) -> float:
     return np.abs(block).reshape(len(block), -1).sum(axis=1).max()
 
 
-def _expm_action(a: sp.csr_array, diag: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _expm_action(a: sp.csr_array, block: np.ndarray) -> np.ndarray:
     """e^a applied to a 1-D or 2-D block: Al-Mohy & Higham (2011), Algorithm 3.2.
 
-    ``diag`` holds the positions in ``a.data`` of the diagonal entries the
-    pattern stores; the others are zero. The trace shift mu acts as
-    ``a @ b - mu * b``, so the missing diagonals shift too, and the 1-norm of
-    a - mu I is exact: the column sums of its stored entries, plus |mu| on
-    each column without a stored diagonal. The degree m and the scaling s
-    minimise m * ceil(norm / theta_m); each of the s Taylor sums stops early
-    once two consecutive terms fall below the target relative to the sum.
+    The trace shift mu = tr(a) / n acts as ``a @ b - mu * b``, so the diagonal
+    entries the pattern does not store shift too. The 1-norm of a - mu I is
+    exact: the column sums of |a| with each |a_jj| replaced by |a_jj - mu|.
+    The degree m and the scaling s minimise m * ceil(norm / theta_m); each of
+    the s Taylor sums stops early once two consecutive terms fall below the
+    target relative to the sum.
     """
     n = a.shape[0]
-    mu = a.data[diag].sum() / n
-    weights = np.abs(a.data)
-    weights[diag] = np.abs(a.data[diag] - mu)
-    missing = np.full(n, abs(mu))
-    missing[a.indices[diag]] = 0.0
-    norm = (np.bincount(a.indices, weights, minlength=n) + missing).max()
+    diagonal = a.diagonal()
+    mu = diagonal.sum() / n
+    column_sums = np.bincount(a.indices, np.abs(a.data), minlength=n)
+    norm = (column_sums - np.abs(diagonal) + np.abs(diagonal - mu)).max()
     scalings = np.ceil(norm / _THETA)
     best = np.argmin(_TAYLOR_DEGREES * scalings)
     m, s = _TAYLOR_DEGREES[best], max(1, int(scalings[best]))
@@ -318,37 +317,33 @@ def _expm_action(a: sp.csr_array, diag: np.ndarray, block: np.ndarray) -> np.nda
 
 
 def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
-                    points: int, adjoint: bool, substeps: int):
-    """Yield the vectorized block at each point of linspace(lo, hi, points).
+                    points: int, substeps: int):
+    """Yield the vectorized observables at the points of linspace(lo, hi, points).
 
-    ``adjoint=True`` propagates observables backward from hi (points in
-    descending order); ``adjoint=False`` propagates states forward from lo.
-    Each step is one ``_expm_action`` (the Algorithm 3.2 Taylor kernel, its
-    degree and scaling from the exact 1-norm, to a 2^-53 backward-error
-    target and with no a-posteriori certificate) on a single matrix whose
-    values are overwritten in place: one step per grid interval of width
-    h = (hi - lo) / (points - 1) on a time-independent model, ``substeps``
-    midpoint steps per interval on a time-dependent one, earliest midpoint
-    applied last when going backward.
+    The sweep runs backward under the adjoint generator, so the points come
+    in descending order, the input block at hi first. Each step is one
+    ``_expm_action`` (the Algorithm 3.2 Taylor kernel, its degree and scaling
+    from the exact 1-norm, to a 2^-53 backward-error target and with no
+    a-posteriori certificate) on a single matrix whose values are overwritten
+    in place: one step per grid interval of width h = (hi - lo) / (points - 1)
+    on a time-independent model, ``substeps`` midpoint steps per interval on a
+    time-dependent one, latest midpoint first.
     """
     if points < 2:
         raise ValueError(f"the grid needs at least 2 points, got {points}")
     time_dependent = model.is_time_dependent
     steps = substeps if time_dependent else 1
     # the kernel's blocks: the step's input and sum, a term and its temporaries
-    pieces = _superop_pieces(model, adjoint=adjoint, held_bytes=8 * block.nbytes)
+    pieces = _superop_pieces(model, held_bytes=8 * block.nbytes)
     sub = (hi - lo) / (points - 1) / steps
     a = _assemble(pieces, lo)
     a.data *= sub
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    diag = np.flatnonzero(a.indices == rows)
     yield block
-    for j in range(points - 1):
-        k = points - 2 - j if adjoint else j  # the interval [lo + k h, lo + (k+1) h]
-        for m in range(steps - 1, -1, -1) if adjoint else range(steps):
+    for k in range(points - 2, -1, -1):  # the interval [lo + k h, lo + (k+1) h]
+        for m in range(steps - 1, -1, -1):
             if time_dependent:
                 a.data[:] = sub * _values(pieces, lo + (k * steps + m + 0.5) * sub)
-            block = _expm_action(a, diag, block)
+            block = _expm_action(a, block)
         yield block
 
 
@@ -374,7 +369,7 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     targets = [(x, index[y.tobytes()]) for x, y in full]
     norms = np.empty((len(pairs), points))
     blocks = _stepped_blocks(model, np.stack(list(columns.values()), axis=1), 0.0, t,
-                             points, adjoint=True, substeps=substeps)
+                             points, substeps)
     for k, block in enumerate(blocks):
         column = points - 1 - k  # the sweep runs backward from r = t
         for i, (x, j) in enumerate(targets):

@@ -99,7 +99,7 @@ def _spin_lhs(config: RunConfig, guard_dim: int | None):
     model = config.spin_model
     if guard_dim is not None and model.hilbert_dim > guard_dim:
         raise ValueError(f"Hilbert dimension {model.hilbert_dim} exceeds the guard"
-                         f" {guard_dim}; raise guard_dim to override")
+                         f" {guard_dim}; raise --guard-dim to override")
     return commutator_norm_curves(model, [(ox, oy) for ox, oy, _ in config.pairs],
                                   config.time.t, config.time.points)
 
@@ -142,7 +142,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     t, r_grid = config.time.t, config.time.grid()
 
     try:
-        jm = bnd.build_j_matrix(model, 0.0, t)
+        jm = bnd.build_j_matrix(model, t)
     except ValueError:
         jm = None  # terms on three or more sites: matrix-exponential bound inapplicable
     dts = t - r_grid
@@ -233,7 +233,7 @@ def _pair_segments(dist: np.ndarray):
     return pairs, starts, pair_dist[starts]
 
 
-def _harmonic_sweep(config: RunConfig, kernel: harm.KernelMatrix, pairs, starts):
+def _harmonic_sweep(config: RunConfig, kernel: np.ndarray, pairs, starts):
     """Per grid point (dt, product, lhs, lhs_max), in one stepping pass.
 
     product is e^{S dt} sigma from harm.stepped_products; lhs gathers every
@@ -245,7 +245,7 @@ def _harmonic_sweep(config: RunConfig, kernel: harm.KernelMatrix, pairs, starts)
     if config.time is None or config.time.kind != "dt":
         raise ConfigError("/time", "harmonic runs need a time section with dt_points")
     t = config.time.t
-    n = kernel.n_sites
+    n = len(kernel) // 2
     try:
         for dt, product in harm.stepped_products(kernel, t, config.time.points):
             values = np.abs(product)
@@ -303,7 +303,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     defect = 0.0
     for dt, product, lhs, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
         if closed:
-            defect = max(defect, harm.symplectic_defect(kernel, product))
+            defect = max(defect, harm.symplectic_defect(product))
         rhs = harm.theorem4_bound(c0, p0, eta, dt, distances)
         slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
         cell_viol = np.zeros(lhs_max.shape, dtype=int)

@@ -2,8 +2,11 @@
 
 The oracles (Schatten norms, the two-sided super-operator norm estimates and
 the dense GKSL engine) check the certified quantities and the sparse engine
-of the package; the package itself never calls them. ``evolve`` and
-``generator`` reach the package's own sweep and generator directly.
+of the package; the package itself never calls them. The package builds and
+runs only the adjoint (Heisenberg-picture) side; ``evolve`` and ``generator``
+reach its sweep and generator directly, and give the forward (Schrodinger)
+side from the dense oracle sweep and from the Hilbert-Schmidt adjoint of the
+package's generator.
 """
 
 import math
@@ -205,14 +208,25 @@ def commutator_norms(kernel, t, points):
 
 
 def evolve(model, mat, lo, hi, adjoint, steps=64):
-    """mat carried across [lo, hi] by the package's sweep: backward if ``adjoint``."""
-    *_, last = _stepped_blocks(model, vec(mat), lo, hi, 2, adjoint, steps)
-    return unvec(last, model.hilbert_dim)
+    """mat carried across [lo, hi]: backward by the package's sweep if ``adjoint``,
+    forward by the dense oracle sweep otherwise. A (k, D, D) stack of matrices
+    shares one sweep."""
+    mats = np.asarray(mat)
+    block = vec(mats) if mats.ndim == 2 else np.stack([vec(m) for m in mats], axis=1)
+    if adjoint:
+        *_, last = _stepped_blocks(model, block, lo, hi, 2, steps)
+    else:
+        *_, last = dense_stepped_blocks(model, block, lo, hi, 2, False, steps)
+    d = model.hilbert_dim
+    return unvec(last, d) if mats.ndim == 2 else np.stack([unvec(c, d) for c in last.T])
 
 
 def generator(model, time=0.0, adjoint=False):
-    """The package's CSR generator, or its Hilbert-Schmidt adjoint, at ``time``."""
-    return _assemble(_superop_pieces(model, adjoint), time)
+    """The package's CSR adjoint generator at ``time``; its Hilbert-Schmidt
+    adjoint, the forward generator, unless ``adjoint``. On column-stacked
+    vectors the Hilbert-Schmidt adjoint is the conjugate transpose."""
+    adj = _assemble(_superop_pieces(model), time)
+    return adj if adjoint else adj.conj().T.tocsr()
 
 
 def dense_superop_pieces(model, adjoint: bool):
@@ -366,7 +380,7 @@ def spin_report_oracle(config, rhs1_scale=1.0):
     p1 = consts.p1 * SAFETY
     n_lam = consts.n_lambda * SAFETY
     lambda0 = lambda0_fit(model, eta).lambda0 * SAFETY
-    jm = build_j_matrix(model, 0.0, t)
+    jm = build_j_matrix(model, t)
     ops = [(ox, oy) for ox, oy, _ in config.pairs]
     curves = commutator_norm_curves(model, ops, t, config.time.points)
 

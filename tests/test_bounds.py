@@ -222,7 +222,7 @@ class TestArrayGrids:
                    for dt in self.DTS])
 
     def test_theorem3_grid_matches_pointwise_calls(self):
-        jm = build_j_matrix(xy_dephasing_model(n_sites=4), 0.0, 1.0)
+        jm = build_j_matrix(xy_dephasing_model(n_sites=4), 1.0)
         stacked = theorem3_matrix(jm, self.DTS)
         assert stacked.shape == (7, 4, 4)
         for dt, e in zip(self.DTS, stacked):
@@ -290,7 +290,7 @@ class TestJMatrix:
             lattice=lattice,
             lindblad_terms=(LindbladTerm(support=(1,), matrix=PAULI_Z, rate=0.5),),
         )
-        jm = build_j_matrix(model, 0.0, 1.0)
+        jm = build_j_matrix(model, 1.0)
         np.testing.assert_array_equal(jm.matrix, np.eye(3))
         assert jm.kappa == 0.0
         assert jm.onsite_excluded
@@ -304,14 +304,14 @@ class TestJMatrix:
                                 matrix=0.35 * np.kron(PAULI_X, PAULI_X)),
             ),
         )
-        jm = build_j_matrix(model, 0.0, 1.0)
+        jm = build_j_matrix(model, 1.0)
         np.testing.assert_allclose(jm.matrix, [[1.0, 0.7], [0.7, 1.0]])
         assert jm.kappa == pytest.approx(0.7)
         assert not jm.onsite_excluded
 
     def test_five_chain_inverse_square_row_sum(self):
         model = xy_dephasing_model()
-        jm = build_j_matrix(model, 0.0, 2.0)
+        jm = build_j_matrix(model, 2.0)
         # certified pair bound is 4/d^2; middle-site row sum 4(1+1+1/4+1/4) = 10
         assert jm.kappa == pytest.approx(10.0, rel=1e-12)
         assert jm.onsite_excluded
@@ -330,7 +330,7 @@ class TestJMatrix:
             ),
         )
         with pytest.raises(ValueError, match="pairwise"):
-            build_j_matrix(model, 0.0, 1.0)
+            build_j_matrix(model, 1.0)
 
 
 class TestTheorem3Bound:

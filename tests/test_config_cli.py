@@ -626,12 +626,14 @@ class TestCli:
         assert summary["violations"]["thm2"] == 0
 
     @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
-    def test_guard_dim_flag(self, tmp_path, command):
+    def test_guard_dim_flag(self, tmp_path, capsys, command):
         data = minimal_spin_config(n_sites=4, coupling=0.5)
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out),
                      "--guard-dim", "8"]) == 1
+        err = capsys.readouterr().err  # the refusal names the CLI flag
+        assert "Hilbert dimension 16 exceeds the guard 8; raise --guard-dim" in err
         assert main([command, "--config", str(path), "--out", str(out),
                      "--guard-dim", "16"]) == 0
 
@@ -740,7 +742,7 @@ class TestCli:
         assert calls == {"matrix_exp": 1, "stepped_products": 1}
         monkeypatch.undo()
         kernel = harmonic.build_kernel(config.harmonic_model)
-        defects = [harmonic.symplectic_defect(kernel, product)
+        defects = [harmonic.symplectic_defect(product)
                    for _, product in harmonic.stepped_products(kernel, 2.0, 9)]
         assert summary["symplectic_defect"] == max(defects) < 1e-12
 

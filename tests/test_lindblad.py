@@ -173,11 +173,12 @@ class TestGenerators:
         np.testing.assert_allclose(out, -2.0 * gamma * PAULI_X, atol=1e-13)
 
     def test_hilbert_schmidt_duality(self):
+        # the package's adjoint generator against the dense oracle's forward one
         rng = np.random.default_rng(33)
         model = random_model(rng, n_sites=2)
-        gen = generator(model)
+        gen = dense_assemble(dense_superop_pieces(model, adjoint=False), 4, 0.0)
         adj = generator(model, adjoint=True)
-        np.testing.assert_allclose(adj.toarray(), gen.conj().T.toarray(), atol=1e-12)
+        np.testing.assert_allclose(adj.toarray(), gen.conj().T, atol=1e-12)
         for _ in range(5):
             rho = random_density_matrix(rng, 4)
             a = random_matrix(rng, 4)
@@ -185,15 +186,14 @@ class TestGenerators:
             rhs = np.trace(rho.conj().T @ unvec(adj @ vec(a), 4))
             assert abs(lhs - rhs) < 1e-10
 
-    @pytest.mark.parametrize("adjoint", [False, True])
-    def test_terms_sharing_a_profile_share_one_piece(self, adjoint):
+    def test_terms_sharing_a_profile_share_one_piece(self):
         # Pieces are summed per time profile; the generator stays the sum of
         # its one-term generators at every time.
         from liebrob.lindblad import _superop_pieces
 
         rng = np.random.default_rng(37)
         static = random_model(rng, n_sites=3)
-        assert len(_superop_pieces(static, adjoint)) == 1
+        assert len(_superop_pieces(static)) == 1
         model = random_model(rng, n_sites=3, time_dependent=True)
         shared = model.hamiltonian_terms[0].profile
         model = GKSLModel(
@@ -206,20 +206,20 @@ class TestGenerators:
         )
         profiles = {term.profile
                     for term in model.hamiltonian_terms + model.lindblad_terms}
-        pieces = _superop_pieces(model, adjoint)
+        pieces = _superop_pieces(model)
         assert len(pieces) == len(profiles) < len(model.hamiltonian_terms
                                                    + model.lindblad_terms)
         for time in (0.0, 0.37, 1.9):
             one_term_sum = sum(
                 generator(GKSLModel(lattice=model.lattice, hamiltonian_terms=(term,)),
-                          time, adjoint).toarray()
+                          time, adjoint=True).toarray()
                 for term in model.hamiltonian_terms
             ) + sum(
                 generator(GKSLModel(lattice=model.lattice, lindblad_terms=(term,)),
-                          time, adjoint).toarray()
+                          time, adjoint=True).toarray()
                 for term in model.lindblad_terms
             )
-            np.testing.assert_allclose(generator(model, time, adjoint).toarray(),
+            np.testing.assert_allclose(generator(model, time, adjoint=True).toarray(),
                                        one_term_sum, rtol=0, atol=1e-13)
 
 
@@ -295,23 +295,32 @@ class TestHeisenbergEvolve:
 
 
 class TestSchrodingerEvolve:
+    """Schrodinger-picture facts, checked on the package's backward sweep.
+
+    The package evolves observables only; Tr(rho_t A) = Tr(rho tau*(A)) turns
+    each statement about the evolved state rho_t into one about tau*.
+    """
+
     def test_amplitude_damping_population(self):
+        # the population of |1> after 1.3 is <1| tau*(|1><1|) |1>
         model = single_qubit_model(
             lindblad_terms=(LindbladTerm(support=(0,), matrix=LOWERING, rate=1.0),)
         )
-        rho = np.diag([0.0, 1.0]).astype(complex)
-        out = evolve(model, rho, 0.0, 1.3, adjoint=False)
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        out = evolve(model, excited, 0.0, 1.3, adjoint=True)
         assert out[1, 1].real == pytest.approx(np.exp(-1.3), rel=1e-10)
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_output_is_a_state(self, time_dependent):
-        # unit trace, Hermitian, and no eigenvalue below -1e-8
+        # unit trace is tau*(I) = I; Hermiticity and positivity of the output
+        # are those of tau*(P) for Hermitian and positive P
         rng = np.random.default_rng(42)
         model = random_model(rng, n_sites=3, time_dependent=time_dependent)
+        eye = np.eye(8, dtype=complex)
+        assert np.abs(evolve(model, eye, 0.15, 1.3, adjoint=True) - eye).max() <= 1e-10
         for _ in range(5):
-            rho = random_density_matrix(rng, 8)
-            out = evolve(model, rho, 0.15, 1.3, adjoint=False)
-            assert abs(np.trace(out) - 1.0) <= 1e-10
+            positive = random_density_matrix(rng, 8)
+            out = evolve(model, positive, 0.15, 1.3, adjoint=True)
             assert np.abs(out - out.conj().T).max() <= 1e-10
             assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-8
 
@@ -472,9 +481,9 @@ class TestCommutatorNormCurve:
         calls = []
         kernel = lindblad._expm_action
 
-        def counting_kernel(a, diag, block):
+        def counting_kernel(a, block):
             calls.append(block.shape)
-            return kernel(a, diag, block)
+            return kernel(a, block)
 
         def no_dense_expm(*args, **kwargs):
             raise AssertionError("scipy.linalg.expm reached on the spin path")
@@ -583,14 +592,16 @@ class TestDenseOracle:
         np.testing.assert_allclose(curve, oracle, rtol=0, atol=1e-12)
 
 
-def kernel_inputs(model, time=0.3, scale=1.0):
-    """The scaled adjoint generator at ``time`` and its stored diagonal positions."""
-    import liebrob.lindblad as lindblad
-
-    a = lindblad._assemble(lindblad._superop_pieces(model, adjoint=True), time)
+def kernel_input(model, time=0.3, scale=1.0):
+    """The scaled adjoint generator at ``time``."""
+    a = generator(model, time, adjoint=True)
     a.data *= scale
+    return a
+
+
+def stored_diagonals(a) -> int:
     coo = a.tocoo()
-    return a, np.flatnonzero(coo.row == coo.col)
+    return np.count_nonzero(coo.row == coo.col)
 
 
 def blocks(rng, rows):
@@ -602,11 +613,11 @@ class TestExpmAction:
     """The Taylor kernel against scipy's expm_multiply, kept here as an oracle."""
 
     @staticmethod
-    def assert_matches_oracle(a, diag, block):
+    def assert_matches_oracle(a, block):
         import liebrob.lindblad as lindblad
 
         before = block.copy()
-        ours = lindblad._expm_action(a, diag, block)
+        ours = lindblad._expm_action(a, block)
         oracle = expm_multiply(a, block)
         np.testing.assert_array_equal(block, before)  # the input is not touched
         assert ours.shape == block.shape
@@ -618,32 +629,32 @@ class TestExpmAction:
         rng = np.random.default_rng(90 + dim_per_site + 10 * time_dependent)
         model = random_qudit_model(rng, dim_per_site, n_sites, time_dependent)
         for time, scale in ((0.0, 0.05), (0.37, 0.4), (1.9, 1.0)):
-            a, diag = kernel_inputs(model, time, scale)
+            a = kernel_input(model, time, scale)
             for block in blocks(rng, a.shape[0]):
-                self.assert_matches_oracle(a, diag, block)
+                self.assert_matches_oracle(a, block)
 
     def test_zero_generator(self):
         rng = np.random.default_rng(91)
-        a, diag = kernel_inputs(single_qubit_model())
-        assert a.nnz == 0 and diag.size == 0
+        a = kernel_input(single_qubit_model())
+        assert a.nnz == 0
         for block in blocks(rng, 4):
-            self.assert_matches_oracle(a, diag, block)
-        a, diag = kernel_inputs(dephasing_model(), scale=0.0)  # stored zeros
-        assert a.nnz > 0 and diag.size > 0
+            self.assert_matches_oracle(a, block)
+        a = kernel_input(dephasing_model(), scale=0.0)  # stored zeros
+        assert a.nnz > 0 and stored_diagonals(a) > 0
         for block in blocks(rng, 4):
-            self.assert_matches_oracle(a, diag, block)
+            self.assert_matches_oracle(a, block)
 
     def test_pattern_without_some_diagonals(self):
         # XY couplings and dephasing leave the diagonal of the populations'
         # block empty, while the trace shift is far from zero: the shift must
         # reach the missing diagonals too
         rng = np.random.default_rng(92)
-        a, diag = kernel_inputs(xy_chain_with_dephasing(n_sites=3), scale=0.5)
+        a = kernel_input(xy_chain_with_dephasing(n_sites=3), scale=0.5)
         n = a.shape[0]
-        assert 0 < diag.size < n
+        assert 0 < stored_diagonals(a) < n
         assert abs(a.diagonal().sum() / n) > 0.1
         for block in blocks(rng, n):
-            self.assert_matches_oracle(a, diag, block)
+            self.assert_matches_oracle(a, block)
 
     def test_large_norm_step(self):
         # condition (3.13), norm <= 2 ell p_max (p_max + 3) theta_55 / (55 n0)
@@ -652,12 +663,12 @@ class TestExpmAction:
         # the exact norm
         rng = np.random.default_rng(93)
         model = random_qudit_model(rng, 2, 3, time_dependent=False)
-        a, diag = kernel_inputs(model, scale=4.0)
+        a = kernel_input(model, scale=4.0)
         n = a.shape[0]
         mu = a.diagonal().sum() / n
         norm = np.abs(a.toarray() - mu * np.eye(n)).sum(axis=0).max()
         assert norm * 3 > 2 * 2 * 8 * 11 * 9.9 / 55
-        self.assert_matches_oracle(a, diag, blocks(rng, n)[1])
+        self.assert_matches_oracle(a, blocks(rng, n)[1])
 
 
 class TestMemoryGuard:
