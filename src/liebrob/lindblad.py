@@ -1,16 +1,17 @@
 """GKSL adjoint generators as sparse superoperators, and their propagation.
 
 Every bound the certifier checks is a statement about an evolved observable,
-so the package builds only the Hilbert-Schmidt adjoint of the generator and
-propagates observables backward under it (Heisenberg picture). The generator
-is a CSR matrix whose per-profile pieces share one sparsity pattern. All
-propagation is one stepped sweep over a uniform grid: one action of the
-exponential per grid interval of a time-independent model, one per midpoint
-substep of a time-dependent one, each by the in-package Taylor kernel of
-Al-Mohy & Higham (2011), Algorithm 3.2. The kernel never forms an
-exponential; it picks its degree and scaling from the exact 1-norm of the
-step's generator and works to a double-precision backward-error target,
-with no a-posteriori certificate.
+so the package builds only the Hilbert-Schmidt adjoint of the generator,
+A O + O A^dag + sum gamma L^dag O L with A = iH - sum gamma L^dag L / 2, and
+propagates observables backward under it (Heisenberg picture). Its CSR
+pieces, one per time profile, share one sparsity pattern; the per-term form
+survives only as the test oracle. All propagation is one stepped sweep over a
+uniform grid: one action of the exponential per grid interval of a
+time-independent model, one per midpoint substep of a time-dependent one,
+each by the in-package Taylor kernel of Al-Mohy & Higham (2011), Algorithm
+3.2. The kernel never forms an exponential; it picks its degree and scaling
+from the exact 1-norm of the step's generator and works to a
+double-precision backward-error target, with no a-posteriori certificate.
 
 :func:`commutator_norm_curves` is the entry point: it embeds the local
 (O_X, O_Y) pairs it is given and refuses only a sweep that would not fit in
@@ -214,42 +215,40 @@ class _Pieces:
 def _superop_pieces(model: GKSLModel, held_bytes: int = 0) -> _Pieces:
     """Sparse adjoint generators summed per time profile, on one shared CSR pattern.
 
-    On a column-stacked observable O the generator is i[H, O] + sum_v gamma_v
-    (L^dag O L - {L^dag L, O} / 2), the Hilbert-Schmidt adjoint of the
-    Schrodinger-picture generator. Each term's rate is folded into its matrix,
-    so terms that share a profile share one piece. ``held_bytes`` goes to the
-    memory guard.
+    On a column-stacked O the generator is A O + O A^dag + sum_v gamma_v L_v^dag O L_v
+    with A = iH - sum_v gamma_v L_v^dag L_v / 2, each rate folded into its term.
+    Profile p's A_p is summed at D x D size, and its piece is G_p = I kron A_p
+    + conj(A_p) kron I + sum_v gamma_v L_v^T kron L_v^dag. The pattern is that
+    of sum_p |G_p|, which no cancellation thins. A non-finite generator is
+    refused; ``held_bytes`` goes to the memory guard.
     """
     _check_guard(model, held_bytes)
     d = model.hilbert_dim
     eye = sp.eye_array(d, dtype=complex, format="csr")
-    sums: dict[TimeProfile, sp.csr_array] = {}
+    effective, jumps = {}, {}  # per profile: A_p, and its sum of gamma L^T kron L^dag
 
     def embedded(term) -> sp.csr_array:
         return sp.csr_array(embed(term.matrix, term.support, model.lattice,
                                   model.dim_per_site))
 
-    for term in model.hamiltonian_terms:
-        h = embedded(term)
-        comm = sp.kron(eye, h) - sp.kron(h.T, eye)  # vec(H O - O H)
-        sums[term.profile] = sums.get(term.profile, 0) + 1.0j * comm
-    for term in model.lindblad_terms:
-        l = embedded(term)
-        ldl = l.conj().T @ l
-        anti = 0.5 * (sp.kron(eye, ldl) + sp.kron(ldl.T, eye))
-        jump = sp.kron(l.T, l.conj().T)  # vec(L^dag O L)
-        sums[term.profile] = sums.get(term.profile, 0) + term.rate * (jump - anti)
-    # The union pattern, from int64 keys row * D^2 + col in row-major order.
-    n = d * d
-    coos = [matrix.tocoo() for matrix in sums.values()]
-    keys = [coo.row.astype(np.int64) * n + coo.col for coo in coos]
-    union = np.unique(np.concatenate([np.empty(0, np.int64)] + keys))
-    data = np.zeros((len(coos), union.size), dtype=complex)
-    for row, coo, key in zip(data, coos, keys):
-        row[np.searchsorted(union, key)] = coo.data
-    pattern = sp.csr_array((np.ones(union.size, np.int8), (union // n, union % n)),
-                           shape=(n, n))
-    return _Pieces(tuple(sums), data, pattern)
+    def add(sums, profile, matrix) -> None:
+        sums[profile] = sums.get(profile, 0) + matrix
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+        for term in model.hamiltonian_terms:
+            add(effective, term.profile, 1.0j * embedded(term))
+        for term in model.lindblad_terms:
+            l = embedded(term)
+            add(effective, term.profile, -0.5 * term.rate * (l.conj().T @ l))
+            add(jumps, term.profile, term.rate * sp.kron(l.T, l.conj().T, "csr"))
+        pieces = [sp.kron(eye, a, "csr") + sp.kron(a.conj(), eye, "csr")
+                  + jumps.get(profile, 0) for profile, a in effective.items()]
+        pattern = sum((abs(piece) for piece in pieces), sp.csr_array((d * d, d * d)))
+        rows, cols = pattern.nonzero()
+        data = np.array([piece[rows, cols] for piece in pieces], dtype=complex)
+    if not np.isfinite(data).all():
+        raise ValueError("the spin generator has non-finite entries")
+    return _Pieces(tuple(effective), data.reshape(len(pieces), rows.size), pattern)
 
 
 def _values(pieces: _Pieces, time: float) -> np.ndarray:

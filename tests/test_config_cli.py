@@ -855,3 +855,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "/time/t" in err and "t = 1000.0" in err
         assert "Traceback" not in err
+
+    def test_non_finite_generator_exits_one_with_one_line(self, tmp_path):
+        # 1e308 + 1e308 on the first bond overflows the effective matrix; the
+        # build refuses it before the sweep, with no warning on stderr
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+        for term in data["model"]["hamiltonian"][:3]:
+            term["strength"] = 1e308
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "liebrob.cli", "verify-spin",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"error: {path}: the spin generator has non-finite entries"]
+        assert not out.exists()

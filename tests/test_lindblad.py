@@ -222,6 +222,29 @@ class TestGenerators:
             np.testing.assert_allclose(generator(model, time, adjoint=True).toarray(),
                                        one_term_sum, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("case", ["xy3", "driven"])
+    def test_pattern_drops_exact_cancellations(self, case):
+        # XX + YY cancels on 00 <-> 11, and dephasing's jump cancels its
+        # anticommutator on the diagonal: the pattern stores exactly the
+        # entries some piece of the dense per-term oracle leaves nonzero
+        from liebrob.lindblad import _superop_pieces
+
+        if case == "xy3":
+            model = xy_chain_with_dephasing(n_sites=3)
+        else:
+            model = random_model(np.random.default_rng(38), n_sites=3,
+                                 time_dependent=True)
+        pieces = _superop_pieces(model)
+        oracle = {profile: matrix != 0
+                  for matrix, profile in dense_superop_pieces(model, adjoint=True)}
+        assert len(pieces) == len(oracle) == (1 if case == "xy3" else 6)
+        coo = pieces.pattern.tocoo()  # keeps stored zeros
+        stored = np.zeros(pieces.pattern.shape, dtype=bool)
+        stored[coo.row, coo.col] = True
+        np.testing.assert_array_equal(stored, np.any(list(oracle.values()), axis=0))
+        for profile, values in zip(pieces.profiles, pieces.data):
+            np.testing.assert_array_equal(values != 0, oracle[profile][coo.row, coo.col])
+
 
 class TestHeisenbergEvolve:
     def test_dephasing_closed_form(self):
