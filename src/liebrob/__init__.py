@@ -11,10 +11,8 @@ certifier runs.
 from .bounds import (
     JMatrix,
     PowerLawCert,
-    Theorem1Params,
     build_j_matrix,
     certify,
-    commutator_theorem1_params,
     lambda0_fit,
     lightcone_arrivals,
     matrix_exp,

@@ -2,7 +2,9 @@
 
 All constants entering a right-hand side are certified upper bounds (triangle
 inequality on term norms), so certified RHS values can only be loose, never
-optimistic. Reported slack quantifies the looseness.
+optimistic. Reported slack quantifies the looseness. The power-law bound
+(Theorem 1) is its rescaled-time variant (Theorem 2) at N = 1, p1 = p0, so
+the two share one formula, one signature and one overflow rule.
 """
 
 from __future__ import annotations
@@ -72,23 +74,6 @@ def lambda0_fit(model: GKSLModel, eta: float) -> PowerLawCert:
     return PowerLawCert(lambda0=float(lam), eta=eta)
 
 
-@dataclass(frozen=True)
-class Theorem1Params:
-    """Prefactor and velocity of the power-law bound."""
-
-    c: float
-    v: float
-    eta: float
-
-
-def commutator_theorem1_params(o_x_norm: float, o_y_norm: float, size_x: int,
-                               size_y: int, p0: float, lambda0: float,
-                               eta: float) -> Theorem1Params:
-    """Parameters for the commutator form: C = 2 ||O_X|| ||O_Y|| |X||Y| / p0."""
-    c = 2.0 * o_x_norm * o_y_norm * size_x * size_y / p0
-    return Theorem1Params(c=c, v=lambda0 * p0, eta=eta)
-
-
 def _check_dt(dt) -> np.ndarray:
     """dt as a float array; ValueError if any entry is negative."""
     dt = np.asarray(dt, dtype=float)
@@ -119,38 +104,34 @@ def _vacuous_on_overflow(value, *parts):
     return np.where(overflow, math.inf, value)[()]
 
 
-_DISJOINT = "the bound requires disjoint supports (d(X,Y) > 0)"
-
-
-def theorem1_bound(params: Theorem1Params, dt, d_xy):
-    """C (e^{v dt} - 1) / [1 + d(X,Y)]^eta, elementwise over broadcast dt, d_xy.
-
-    +inf wherever the exponential or the distance factor leaves the float range.
-    """
-    dt = _check_dt(dt)
-    d_xy = _check_distance(d_xy, _DISJOINT)
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.expm1(params.v * dt)
-        falloff = np.power(1.0 + d_xy, params.eta)
-        return _vacuous_on_overflow(params.c * growth / falloff, growth, falloff)
-
-
 def theorem2_bound(lambda0: float, p1: float, n_lambda: float, k_norm: float,
                    o_norm: float, size_x: int, size_y: int, eta: float, dt, d_xy):
-    """Rescaled-time bound, valid for every eta > 0; elementwise like Theorem 1.
+    """Rescaled-time bound, valid for every eta > 0, elementwise over dt and d_xy.
 
-    C1 (e^{v1 dt / N} - 1) / [1 + d]^eta with C1 = ||K|| ||O|| |X||Y| N / p1
-    and v1 = lambda0 p1; N is the lattice rescaling factor. An exponential or
-    a distance factor beyond the float range gives +inf.
+    C1 (e^{v1 dt / N} - 1) / [1 + d(X,Y)]^eta with C1 = ||K|| ||O|| |X||Y| N / p1
+    and v1 = lambda0 p1; N is the lattice rescaling factor. dt and d_xy
+    broadcast; an exponential or a distance factor beyond the float range
+    gives +inf.
     """
     dt = _check_dt(dt)
-    d_xy = _check_distance(d_xy, _DISJOINT)
+    d_xy = _check_distance(d_xy, "the bound requires disjoint supports (d(X,Y) > 0)")
     c1 = k_norm * o_norm * size_x * size_y * n_lambda / p1
     v1 = lambda0 * p1
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.expm1(v1 * dt / n_lambda)
         falloff = np.power(1.0 + d_xy, eta)
         return _vacuous_on_overflow(c1 * growth / falloff, growth, falloff)
+
+
+def theorem1_bound(lambda0: float, p0: float, k_norm: float, o_norm: float,
+                   size_x: int, size_y: int, eta: float, dt, d_xy):
+    """Power-law bound C (e^{v dt} - 1) / [1 + d(X,Y)]^eta, for eta above the dimension.
+
+    C = ||K|| ||O|| |X||Y| / p0 and v = lambda0 p0: Theorem 2's RHS at N = 1,
+    p1 = p0, so both share one formula and one overflow rule.
+    """
+    return theorem2_bound(lambda0, p0, 1.0, k_norm, o_norm, size_x, size_y, eta, dt,
+                          d_xy)
 
 
 @dataclass(frozen=True, eq=False)

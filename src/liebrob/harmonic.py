@@ -141,16 +141,20 @@ def c0_fit(model: HarmonicModel, eta: float) -> float:
     return float(c0)
 
 
+def growth_rate(c0: float, p0: float) -> float:
+    """The harmonic bound's exponential rate 2 p0 (c0 + p0 c0^2)."""
+    return 2.0 * p0 * (c0 + p0 * c0 * c0)
+
+
 def theorem4_bound(c0: float, p0: float, eta: float, dt, d_xy):
-    """e^{2 p0 (c0 + p0 c0^2) dt} / (2 p0 [1 + d]^eta), for distinct sites.
+    """e^{rate dt} / (2 p0 [1 + d]^eta) with rate = growth_rate(c0, p0), for d > 0.
 
     Elementwise over broadcast dt and d_xy; +inf wherever the exponential or
     the denominator leaves the float range.
     """
     dt = _check_dt(dt)
     d_xy = _check_distance(d_xy, "the harmonic bound requires distinct sites (d > 0)")
-    rate = 2.0 * p0 * (c0 + p0 * c0 * c0)
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.exp(rate * dt)
+        growth = np.exp(growth_rate(c0, p0) * dt)
         denominator = 2.0 * p0 * np.power(1.0 + d_xy, eta)
         return _vacuous_on_overflow(growth / denominator, growth, denominator)

@@ -274,6 +274,10 @@ _THETA = np.array([
     3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
 ])
 _UNIT_ROUNDOFF = 2.0**-53
+# The most Taylor sums one _expm_action takes. Each costs a few milliseconds on
+# a 1024^2 generator, and a finite generator of huge 1-norm would otherwise ask
+# for one sum per 9.9 units of it.
+MAX_SCALING = 2**20
 
 
 def _inf_norm(block: np.ndarray) -> float:
@@ -288,15 +292,20 @@ def _expm_action(a: sp.csr_array, block: np.ndarray) -> np.ndarray:
     exact: the column sums of |a| with each |a_jj| replaced by |a_jj - mu|.
     The degree m and the scaling s minimise m * ceil(norm / theta_m); each of
     the s Taylor sums stops early once two consecutive terms fall below the
-    target relative to the sum.
+    target relative to the sum. A step that needs more than MAX_SCALING sums
+    raises ValueError.
     """
     n = a.shape[0]
     diagonal = a.diagonal()
-    mu = diagonal.sum() / n
-    column_sums = np.bincount(a.indices, np.abs(a.data), minlength=n)
-    norm = (column_sums - np.abs(diagonal) + np.abs(diagonal - mu)).max()
-    scalings = np.ceil(norm / _THETA)
-    best = np.argmin(_TAYLOR_DEGREES * scalings)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge norm is refused below
+        mu = diagonal.sum() / n
+        column_sums = np.bincount(a.indices, np.abs(a.data), minlength=n)
+        norm = (column_sums - np.abs(diagonal) + np.abs(diagonal - mu)).max()
+        scalings = np.ceil(norm / _THETA)
+        best = np.argmin(_TAYLOR_DEGREES * scalings)
+    if not scalings[best] <= MAX_SCALING:
+        raise ValueError(f"a step's generator has 1-norm {norm:.6g}, which needs more"
+                         f" than {MAX_SCALING} Taylor sums; lower the strengths or t")
     m, s = _TAYLOR_DEGREES[best], max(1, int(scalings[best]))
     eta = np.exp(mu / s)
     f = b = block.astype(complex)

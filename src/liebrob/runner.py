@@ -1,13 +1,16 @@
 """Experiment orchestration: assumptions, spin/harmonic verification, light cones.
 
-Each run computes everything first and writes its output files in one pass at
-the end, so a failing run leaves no partial output. Outputs are deterministic
+Each run computes everything first, renders every output file in memory, and
+hands them to one writer, :func:`_write`. It checks every target before the
+first byte is written, so a failing run leaves no partial output (a disk that
+fills during the writes is not covered). Outputs are deterministic
 byte-for-byte for a fixed config.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from itertools import repeat
@@ -31,29 +34,31 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_lightcone_csv(path: Path, arrivals) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("distance", "arrival"))
-        for distance, arrival in arrivals:
-            writer.writerow((repr(distance), repr(arrival)))
+def _csv_text(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _write_outputs(out_dir, header, rows, summary: dict, arrivals) -> None:
-    """report.csv, summary.json and lightcone.csv.
-
-    The summary is serialised before any file is written, so a summary that
-    is not strict JSON leaves no output.
-    """
-    summary_text = _json_text(summary)
+def _write(out_dir, files: dict[str, str]) -> None:
+    """Write the rendered {name: text} files, refusing any non-file target first."""
     out_dir = Path(out_dir)
+    for name in files:
+        target = out_dir / name
+        if target.exists() and not target.is_file():
+            raise FileExistsError(f"{target} exists and is not a regular file")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    (out_dir / "summary.json").write_text(summary_text)
-    _write_lightcone_csv(out_dir / "lightcone.csv", arrivals)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, newline="")
+
+
+def _lightcone(dt_grid, field, epsilon: float):
+    """The summary's light-cone entries and lightcone.csv for per-distance curves."""
+    arrivals = bnd.lightcone_arrivals(dt_grid, field, epsilon)
+    text = _csv_text(("distance", "arrival"), [(repr(d), repr(a)) for d, a in arrivals])
+    return [{"distance": d, "arrival": a} for d, a in arrivals], text
 
 
 def _finite_range(slacks) -> tuple[float | None, float | None]:
@@ -80,10 +85,7 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
     else:
         payload["n_lambda"] = consts.n_lambda
         payload["p1"] = consts.p1
-    text = _json_text(payload)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "constants.json").write_text(text)
+    _write(out_dir, {"constants.json": _json_text(payload)})
     return payload
 
 
@@ -104,15 +106,15 @@ def _spin_lhs(config: RunConfig, guard_dim: int | None):
                                   config.time.t, config.time.points)
 
 
-def _lightcone_from_curves(config: RunConfig, curves):
-    """Per-distance max LHS over the dt grid, then threshold arrivals."""
+def _spin_lightcone(config: RunConfig, curves):
+    """_lightcone of the per-distance max LHS over the dt grid."""
     dt_grid = [config.time.t - r for r in reversed(config.time.grid())]
     field: dict[float, np.ndarray] = {}
     for (_, _, d_xy), row in zip(config.pairs, curves):
         values = row[::-1]
         key = float(d_xy)
         field[key] = np.maximum(field[key], values) if key in field else values
-    return bnd.lightcone_arrivals(dt_grid, field, config.epsilon)
+    return _lightcone(dt_grid, field, config.epsilon)
 
 
 _SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
@@ -155,9 +157,8 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         ox_norm = operator_norm(ox.matrix)
         oy_norm = operator_norm(oy.matrix)
         sizes = len(ox.support), len(oy.support)
-        params1 = bnd.commutator_theorem1_params(ox_norm, oy_norm, *sizes, p0, lambda0,
-                                                 eta)
-        rhs = {"thm1": bnd.theorem1_bound(params1, dts, d_xy)}
+        rhs = {"thm1": bnd.theorem1_bound(lambda0, p0, 2.0 * ox_norm, oy_norm, *sizes,
+                                          eta, dts, d_xy)}
         if n_lam is not None:
             rhs["thm2"] = bnd.theorem2_bound(lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
                                              *sizes, eta, dts, d_xy)
@@ -186,8 +187,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
             *rhs_text, *slack_text, flags,
         ))
     ranges = {name: _finite_range(v) for name, v in slacks.items()}
-
-    arrivals = _lightcone_from_curves(config, curves)
+    lightcone, lightcone_csv = _spin_lightcone(config, curves)
 
     summary = {
         "mode": "verify-spin",
@@ -211,9 +211,11 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         "max_slack": {name: hi for name, (hi, _) in ranges.items()},
         "min_slack": {name: lo for name, (_, lo) in ranges.items()},
         "epsilon": config.epsilon,
-        "lightcone": [{"distance": d, "arrival": a} for d, a in arrivals],
+        "lightcone": lightcone,
     }
-    _write_outputs(out_dir, _SPIN_COLUMNS, rows, summary, arrivals)
+    _write(out_dir, {"report.csv": _csv_text(_SPIN_COLUMNS, rows),
+                     "summary.json": _json_text(summary),
+                     "lightcone.csv": lightcone_csv})
     return summary
 
 
@@ -233,18 +235,20 @@ def _pair_segments(dist: np.ndarray):
     return pairs, starts, pair_dist[starts]
 
 
-def _harmonic_sweep(config: RunConfig, kernel: np.ndarray, pairs, starts):
+def _harmonic_sweep(config: RunConfig, pairs, starts):
     """Per grid point (dt, product, lhs, lhs_max), in one stepping pass.
 
-    product is e^{S dt} sigma from harm.stepped_products; lhs gathers every
-    kind's commutator norms |product| (rows in _HARMONIC_KINDS order) over
-    the distance-sorted pairs of _pair_segments, one n x n block at a time to
-    stay in cache; lhs_max is its per-kind, per-distance maximum. A grid on
-    which e^{S dt} overflows is a configuration error.
+    product is e^{S dt} sigma from harm.stepped_products on the model's
+    kernel S; lhs gathers every kind's commutator norms |product| (rows in
+    _HARMONIC_KINDS order) over the distance-sorted pairs of _pair_segments,
+    one n x n block at a time to stay in cache; lhs_max is its per-kind,
+    per-distance maximum. A grid on which e^{S dt} overflows is a
+    configuration error.
     """
     if config.time is None or config.time.kind != "dt":
         raise ConfigError("/time", "harmonic runs need a time section with dt_points")
     t = config.time.t
+    kernel = harm.build_kernel(config.harmonic_model)
     n = len(kernel) // 2
     try:
         for dt, product in harm.stepped_products(kernel, t, config.time.points):
@@ -259,15 +263,14 @@ def _harmonic_sweep(config: RunConfig, kernel: np.ndarray, pairs, starts):
         ) from exc
 
 
-def _harmonic_arrivals(steps, distances: np.ndarray, epsilon: float):
-    """Threshold arrivals of the per-distance maximum over all kinds.
+def _harmonic_lightcone(config: RunConfig, steps, distances: np.ndarray):
+    """_lightcone of the per-distance maximum over all kinds.
 
     steps holds (dt, lhs_max) per grid point, as _harmonic_sweep yields them.
     """
     dt_grid = [dt for dt, _ in steps]
     field = np.array([lhs_max.max(axis=0) for _, lhs_max in steps])
-    return bnd.lightcone_arrivals(dt_grid, dict(zip(distances.tolist(), field.T)),
-                                  epsilon)
+    return _lightcone(dt_grid, dict(zip(distances.tolist(), field.T)), config.epsilon)
 
 
 def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
@@ -288,8 +291,6 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     consts = assumption_constants(lattice, eta)
     p0 = consts.p0 * SAFETY
     c0 = harm.c0_fit(model, eta) * SAFETY
-    kernel = harm.build_kernel(model)
-    rate = 2.0 * p0 * (c0 + p0 * c0 * c0)
     pairs, starts, distances = _pair_segments(lattice.dist)
     pair_counts = np.diff(starts, append=pairs.size)
     d_text = list(map(repr, distances.tolist()))
@@ -301,7 +302,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     steps = []  # (dt, lhs_max) per grid point
     closed = bool(np.all(model.m == 0))  # the flow must then preserve sigma
     defect = 0.0
-    for dt, product, lhs, lhs_max in _harmonic_sweep(config, kernel, pairs, starts):
+    for dt, product, lhs, lhs_max in _harmonic_sweep(config, pairs, starts):
         if closed:
             defect = max(defect, harm.symplectic_defect(product))
         rhs = harm.theorem4_bound(c0, p0, eta, dt, distances)
@@ -323,7 +324,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         steps.append((dt, lhs_max))
     violation_count = sum(per_kind.values())
     max_slack, min_slack = _finite_range(slacks)
-    arrivals = _harmonic_arrivals(steps, distances, config.epsilon)
+    lightcone, lightcone_csv = _harmonic_lightcone(config, steps, distances)
 
     summary = {
         "mode": "verify-harmonic",
@@ -331,7 +332,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "eta_above_lattice_dimension": not eta_warning,
         "constants": {"p0": consts.p0, "extensivity_sup": consts.extensivity_sup},
         "c0": c0 / SAFETY,
-        "growth_rate": rate,
+        "growth_rate": harm.growth_rate(c0, p0),
         "sites": model.n_sites,
         "dt_points": len(steps),
         "rows": len(rows),
@@ -343,31 +344,25 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "epsilon": config.epsilon,
         "note": "x = y pairs are excluded: the bound is stated for distinct sites",
         "symplectic_defect": defect if closed else None,
-        "lightcone": [{"distance": d, "arrival": a} for d, a in arrivals],
+        "lightcone": lightcone,
     }
-
-    _write_outputs(out_dir, ("distance", "pair_kind", "dt", "lhs_max", "rhs",
-                             "slack_min", "violations"), rows, summary, arrivals)
+    header = ("distance", "pair_kind", "dt", "lhs_max", "rhs", "slack_min", "violations")
+    _write(out_dir, {"report.csv": _csv_text(header, rows),
+                     "summary.json": _json_text(summary),
+                     "lightcone.csv": lightcone_csv})
     return summary
 
 
 def run_lightcone(config: RunConfig, out_dir, guard_dim: int | None = None) -> dict:
     """Emit threshold-arrival times for the configured model's exact dynamics."""
-    out_dir = Path(out_dir)
     if config.spin_model is not None:
-        arrivals = _lightcone_from_curves(config, _spin_lhs(config, guard_dim))
+        lightcone, text = _spin_lightcone(config, _spin_lhs(config, guard_dim))
     elif config.harmonic_model is not None:
-        kernel = harm.build_kernel(config.harmonic_model)
         pairs, starts, distances = _pair_segments(config.lattice.dist)
         steps = [(dt, lhs_max) for dt, _, _, lhs_max
-                 in _harmonic_sweep(config, kernel, pairs, starts)]
-        arrivals = _harmonic_arrivals(steps, distances, config.epsilon)
+                 in _harmonic_sweep(config, pairs, starts)]
+        lightcone, text = _harmonic_lightcone(config, steps, distances)
     else:
         raise ConfigError("/model", "the lightcone command requires a model")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lightcone_csv(out_dir / "lightcone.csv", arrivals)
-    return {
-        "mode": "lightcone",
-        "epsilon": config.epsilon,
-        "lightcone": [{"distance": d, "arrival": a} for d, a in arrivals],
-    }
+    _write(out_dir, {"lightcone.csv": text})
+    return {"mode": "lightcone", "epsilon": config.epsilon, "lightcone": lightcone}

@@ -12,7 +12,6 @@ from liebrob import (
     build_j_matrix,
     build_lattice,
     certify,
-    commutator_theorem1_params,
     lambda0_fit,
     lightcone_arrivals,
     matrix_exp,
@@ -103,47 +102,57 @@ class TestLambda0Fit:
 
 
 class TestTheorem1Bound:
+    # theorem1_bound(lambda0, p0, k_norm, o_norm, size_x, size_y, eta, dt, d_xy):
+    # C = k_norm o_norm |X||Y| / p0 and v = lambda0 p0
+
     def test_zero_at_dt_zero(self):
-        params = commutator_theorem1_params(1.0, 1.0, 1, 1, 2.0, 4.0, 1.0)
-        assert theorem1_bound(params, 0.0, 3.0) == 0.0
+        assert theorem1_bound(4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, 0.0, 3.0) == 0.0
 
     def test_frozen_arithmetic(self):
-        from liebrob.bounds import Theorem1Params
-
-        params = Theorem1Params(c=1.0, v=1.0, eta=1.0)
-        assert theorem1_bound(params, 1.0, 1.0) == pytest.approx(
+        # C = v = eta = 1: (e - 1) / 2
+        assert theorem1_bound(1.0, 1.0, 1.0, 1.0, 1, 1, 1.0, 1.0, 1.0) == pytest.approx(
             0.8591409142295226, rel=1e-15
         )
 
     def test_distance_scaling_quarters(self):
-        from liebrob.bounds import Theorem1Params
-
-        params = Theorem1Params(c=2.0, v=1.3, eta=2.0)
-        near = theorem1_bound(params, 0.7, 1.0)
-        far = theorem1_bound(params, 0.7, 3.0)  # doubles 1 + d
+        args = (1.3, 1.0, 2.0, 1.0, 1, 1, 2.0, 0.7)  # C = 2, v = 1.3, eta = 2
+        near = theorem1_bound(*args, 1.0)
+        far = theorem1_bound(*args, 3.0)  # doubles 1 + d
         assert far == pytest.approx(near / 4.0, rel=1e-12)
 
     def test_monotonicity(self):
-        from liebrob.bounds import Theorem1Params
-
-        params = Theorem1Params(c=1.0, v=2.0, eta=1.5)
-        dts = [theorem1_bound(params, dt, 1.0) for dt in (0.1, 0.5, 1.0, 2.0)]
+        args = (2.0, 1.0, 1.0, 1.0, 1, 1, 1.5)  # C = 1, v = 2, eta = 1.5
+        dts = [theorem1_bound(*args, dt, 1.0) for dt in (0.1, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(dts, dts[1:]))
-        ds = [theorem1_bound(params, 1.0, d) for d in (0.5, 1.0, 2.0, 4.0)]
+        ds = [theorem1_bound(*args, 1.0, d) for d in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(ds, ds[1:]))
 
     def test_touching_supports_rejected(self):
-        params = commutator_theorem1_params(1.0, 1.0, 1, 1, 2.0, 4.0, 1.0)
         with pytest.raises(ValueError):
-            theorem1_bound(params, 1.0, 0.0)
+            theorem1_bound(4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, 1.0, 0.0)
 
     def test_commutator_params_formula(self):
-        params = commutator_theorem1_params(
-            o_x_norm=3.0, o_y_norm=2.0, size_x=2, size_y=1, p0=4.0, lambda0=5.0,
-            eta=2.0,
-        )
-        assert params.c == pytest.approx(2.0 * 3.0 * 2.0 * 2 * 1 / 4.0)
-        assert params.v == pytest.approx(20.0)
+        # ||O_X|| = 3 gives k_norm = 6; C = 6 * 2 * 2 * 1 / 4 = 6, v = 5 * 4 = 20
+        value = theorem1_bound(lambda0=5.0, p0=4.0, k_norm=6.0, o_norm=2.0, size_x=2,
+                               size_y=1, eta=2.0, dt=0.1, d_xy=2.0)
+        assert value == pytest.approx(6.0 * math.expm1(2.0) / 9.0, rel=1e-15)
+
+    def test_equals_theorem2_at_unit_rescaling(self):
+        # Theorem 1 is Theorem 2 at N = 1, p1 = p0, bit for bit, also where
+        # e^{v dt} or [1 + d]^eta overflows
+        rng = np.random.default_rng(13)
+        dts = np.concatenate([rng.uniform(0.0, 5.0, 40), [0.0, 1e6]])
+        distances = np.concatenate([rng.uniform(0.1, 10.0, 30), [1e300]])
+        for _ in range(25):
+            lambda0, p0, k_norm, o_norm = rng.uniform(0.1, 5.0, 4)
+            size_x, size_y = rng.integers(1, 4, 2)
+            eta = float(rng.uniform(1.1, 40.0))
+            args = (k_norm, o_norm, int(size_x), int(size_y), eta, dts[:, None],
+                    distances)
+            one = theorem1_bound(lambda0, p0, *args)
+            two = theorem2_bound(lambda0, p0, 1.0, *args)
+            assert np.array_equal(one, two)
+            assert np.isinf(one[-1]).all() and np.isinf(one[:, -1]).all()
 
 
 class TestTheorem2Bound:
@@ -205,13 +214,11 @@ class TestArrayGrids:
     DISTANCES = np.array([0.5, 1.0, 2.0, math.sqrt(5.0)])
 
     def test_theorem1_grid_matches_pointwise_calls(self):
-        from liebrob.bounds import Theorem1Params
-
-        params = Theorem1Params(c=1.7, v=2.3, eta=1.37)
-        grid = theorem1_bound(params, self.DTS[:, None], self.DISTANCES)
+        args = (2.3, 1.0, 1.7, 1.0, 1, 1, 1.37)  # C = 1.7, v = 2.3, eta = 1.37
+        grid = theorem1_bound(*args, self.DTS[:, None], self.DISTANCES)
         assert grid.shape == (7, 4)
         np.testing.assert_array_equal(
-            grid, [[theorem1_bound(params, dt, d) for d in self.DISTANCES]
+            grid, [[theorem1_bound(*args, dt, d) for d in self.DISTANCES]
                    for dt in self.DTS])
 
     def test_theorem2_grid_matches_pointwise_calls(self):
@@ -232,20 +239,15 @@ class TestArrayGrids:
                                       2.0 * stacked[:, 0, 3])
 
     def test_scalar_arguments_give_scalars(self):
-        from liebrob.bounds import Theorem1Params
-
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
-        for value in (theorem1_bound(Theorem1Params(c=1.0, v=1.0, eta=1.0), 0.5, 1.0),
+        for value in (theorem1_bound(1.0, 1.0, 1.0, 1.0, 1, 1, 1.0, 0.5, 1.0),
                       theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, 0.5, 1.0),
                       theorem3_bound(jm, 1.0, 1.0, 0.5, 0, 1)):
             assert isinstance(value, float) and np.ndim(value) == 0
 
     def test_overflow_is_infinite_even_under_a_zero_prefactor(self):
-        from liebrob.bounds import Theorem1Params
-
         for c in (0.0, 1.0):
-            values = theorem1_bound(Theorem1Params(c=c, v=1.0, eta=1.0),
-                                    [1.0, 800.0], 1.0)
+            values = theorem1_bound(1.0, 1.0, c, 1.0, 1, 1, 1.0, [1.0, 800.0], 1.0)
             assert values[0] == pytest.approx(c * math.expm1(1.0) / 2.0, rel=1e-15)
             assert values[1] == math.inf
             values = theorem2_bound(1.0, 1.0, 1.0, c, 1.0, 1, 1, 1.0, [1.0, 800.0], 1.0)
@@ -260,23 +262,18 @@ class TestArrayGrids:
     def test_overflowing_distance_factor_is_vacuous(self):
         # [1 + d]^eta beyond the float range would round the bound down to 0,
         # a false violation for any positive LHS
-        from liebrob.bounds import Theorem1Params
-
-        params = Theorem1Params(c=1.0, v=1.0, eta=40.0)
-        values = theorem1_bound(params, 1.0, [1.0, 1e10])
+        values = theorem1_bound(1.0, 1.0, 1.0, 1.0, 1, 1, 40.0, 1.0, [1.0, 1e10])
         assert 0.0 < values[0] < math.inf and values[1] == math.inf
         values = theorem2_bound(1.0, 1.0, 1.0, 1.0, 1.0, 1, 1, 40.0, 1.0, [1.0, 1e10])
         assert 0.0 < values[0] < math.inf and values[1] == math.inf
 
     def test_negative_dt_anywhere_rejected(self):
-        from liebrob.bounds import Theorem1Params
-
-        params = Theorem1Params(c=1.0, v=1.0, eta=1.0)
+        args = (1.0, 1.0, 1.0, 1.0, 1, 1, 1.0)
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
         with pytest.raises(ValueError, match="nonnegative"):
-            theorem1_bound(params, [0.0, -1e-3], 1.0)
+            theorem1_bound(*args, [0.0, -1e-3], 1.0)
         with pytest.raises(ValueError, match="disjoint"):
-            theorem1_bound(params, 1.0, [1.0, 0.0])
+            theorem1_bound(*args, 1.0, [1.0, 0.0])
         with pytest.raises(ValueError, match="nonnegative"):
             theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, [0.5, -0.5], 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -492,8 +489,8 @@ class TestCertify:
             model, [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))],
             t, 11,
         )[0]
-        params = commutator_theorem1_params(1.0, 1.0, 1, 1, p0, cert.lambda0, eta)
-        rhs = theorem1_bound(params, t - np.linspace(0.0, t, 11), 2.0)
+        rhs = theorem1_bound(cert.lambda0, p0, 2.0, 1.0, 1, 1, eta,
+                             t - np.linspace(0.0, t, 11), 2.0)
         slack, violated = certify(curve, rhs)
         assert not violated.any()
         assert slack.min() > 1.0

@@ -46,6 +46,16 @@ def minimal_spin_config(n_sites=2, coupling=1.0, rate=0.0, t=1.0, points=5):
     }
 
 
+SMALL_HARMONIC = {
+    "lattice": {"geometry": {"kind": "chain", "sides": [4]}, "metric": "graph"},
+    "eta": 3.0,
+    "model": {"type": "harmonic", "a": {"identity": {}}, "b": {"identity": {}},
+              "m": {"local_damping": {"rate": 0.2}}},
+    "time": {"t": 1.0, "dt_points": 3},
+    "thresholds": {"epsilon": 0.01},
+}
+
+
 class TestConfigParsing:
     def test_reference_configs_parse(self):
         spin = load_config(CONFIG_DIR / "spin_chain_xy.json")
@@ -295,6 +305,7 @@ class TestRunners:
         import csv
 
         from liebrob import c0_fit, p0_constant, theorem4_bound
+        from liebrob.harmonic import growth_rate
         from liebrob.runner import SAFETY, run_lightcone
 
         data = {
@@ -310,9 +321,10 @@ class TestRunners:
             "time": {"t": 1.0, "dt_points": 3},
         }
         config = parse_config(data)
-        run_verify_harmonic(config, tmp_path)
+        summary = run_verify_harmonic(config, tmp_path)
         p0 = p0_constant(config.lattice, 2.5) * SAFETY
         c0 = c0_fit(config.harmonic_model, 2.5) * SAFETY
+        assert summary["growth_rate"] == growth_rate(c0, p0)  # the bound's own rate
         with open(tmp_path / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -594,6 +606,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert "/pairs/2: 'ZZ12' and 'Z1' have overlapping supports" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, model, name", [
+        ("assumptions", "spin", "constants.json"),
+        ("verify-spin", "spin", "summary.json"),
+        ("verify-spin", "spin", "lightcone.csv"),
+        ("verify-harmonic", "harmonic", "report.csv"),
+        ("verify-harmonic", "harmonic", "lightcone.csv"),
+        ("lightcone", "spin", "lightcone.csv"),
+        ("lightcone", "harmonic", "lightcone.csv"),
+    ])
+    def test_directory_in_place_of_an_output_leaves_no_partial_output(
+            self, tmp_path, capsys, command, model, name):
+        # every target is checked before the first file is written
+        data = minimal_spin_config(rate=0.3) if model == "spin" else SMALL_HARMONIC
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())
+
+    @pytest.mark.parametrize("strength", [1e308, 1e12])
+    def test_huge_step_norm_exits_one_with_one_line(self, tmp_path, strength):
+        # one huge but finite coupling: the Taylor kernel would need about
+        # norm / 9.9 sums per step, so the step is refused instead
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+        data["model"]["hamiltonian"][0]["strength"] = strength
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "liebrob.cli", "verify-spin",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        assert f"1-norm {0.2 * strength:.6g}" in lines[0]  # 2 strength x the 0.1 step
+        assert not out.exists()
 
     def test_assumptions_roundtrip(self, tmp_path):
         path = write_config(tmp_path, minimal_spin_config())

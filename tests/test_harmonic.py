@@ -275,8 +275,11 @@ class TestTheorem4Bound:
         assert values[0] == pytest.approx(1.0 / (2.0 * 2.0 * 3.0**1.5))
 
     def test_log_derivative_growth_rate(self):
+        from liebrob.harmonic import growth_rate
+
         c0, p0 = 0.8, 1.9
-        rate = 2.0 * p0 * (c0 + p0 * c0 * c0)
+        rate = growth_rate(c0, p0)
+        assert rate == 2.0 * p0 * (c0 + p0 * c0 * c0)
         b1 = theorem4_bound(c0, p0, 2.0, 1.0, 1.0)
         b2 = theorem4_bound(c0, p0, 2.0, 1.5, 1.0)
         assert (np.log(b2) - np.log(b1)) / 0.5 == pytest.approx(rate, rel=1e-12)
