@@ -10,7 +10,6 @@ certifier runs.
 
 from .bounds import (
     JMatrix,
-    PowerLawCert,
     build_j_matrix,
     certify,
     lambda0_fit,
@@ -35,9 +34,6 @@ from .lattice import (
     Lattice,
     assumption_constants,
     build_lattice,
-    extensivity_sup,
-    n_lambda,
-    p0_constant,
 )
 from .lindblad import (
     GKSLModel,

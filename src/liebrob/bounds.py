@@ -4,7 +4,9 @@ All constants entering a right-hand side are certified upper bounds (triangle
 inequality on term norms), so certified RHS values can only be loose, never
 optimistic. Reported slack quantifies the looseness. The power-law bound
 (Theorem 1) is its rescaled-time variant (Theorem 2) at N = 1, p1 = p0, so
-the two share one formula, one signature and one overflow rule.
+the two share one formula, one signature and one overflow rule. The
+matrix-exponential bound (Theorem 3) reads every pair from one
+:func:`theorem3_matrix` stack over the run's dt grid.
 """
 
 from __future__ import annotations
@@ -22,20 +24,6 @@ from .lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
 from .operators import operator_norm
 
 VIOLATION_TOLERANCE = 1e-9  # multiplicative; separates violations from float noise
-
-
-@dataclass(frozen=True)
-class PowerLawCert:
-    """Fitted power-law envelope of the interaction strengths.
-
-    ``lambda0`` is minimal such that the summed certified term-norm upper
-    bounds between any two distinct sites x, y stay below
-    lambda0 / [1 + d(x,y)]^eta.
-    """
-
-    lambda0: float
-    eta: float
-    basis: str = "certified_upper"
 
 
 def _term_norm_bound(term: HamiltonianTerm | LindbladTerm, sup: float) -> float:
@@ -58,8 +46,12 @@ def _support_norm_bounds(model: GKSLModel) -> dict[tuple[int, ...], float]:
     return dict(bounds)
 
 
-def lambda0_fit(model: GKSLModel, eta: float) -> PowerLawCert:
-    """Minimal lambda0 over all distinct site pairs, by direct summation."""
+def lambda0_fit(model: GKSLModel, eta: float) -> float:
+    """Minimal lambda0 of the power-law envelope, by direct summation over pairs.
+
+    The summed certified term-norm bounds between distinct sites x, y stay
+    below lambda0 / [1 + d(x,y)]^eta.
+    """
     eta = _check_eta(eta)
     totals: dict[tuple[int, int], float] = defaultdict(float)
     for support, bound in _support_norm_bounds(model).items():
@@ -68,10 +60,10 @@ def lambda0_fit(model: GKSLModel, eta: float) -> PowerLawCert:
         for x, y in itertools.combinations(support, 2):
             totals[(x, y)] += bound
     if not totals:
-        return PowerLawCert(lambda0=0.0, eta=eta)
+        return 0.0
     dist = model.lattice.dist
     lam = max((1.0 + dist[x, y]) ** eta * total for (x, y), total in totals.items())
-    return PowerLawCert(lambda0=float(lam), eta=eta)
+    return float(lam)
 
 
 def _check_dt(dt) -> np.ndarray:
@@ -189,11 +181,14 @@ def theorem3_matrix(jm: JMatrix, dt) -> np.ndarray:
     return np.where(overflow[..., None, None], math.inf, e)  # vacuous, never violated
 
 
-def theorem3_bound(jm: JMatrix, k_norm: float, o_norm: float, dt, i: int, j: int):
-    """||K|| ||O|| [exp(kappa J dt)]_{i,j} for single sites i != j, per dt."""
+def theorem3_bound(stacked: np.ndarray, k_norm: float, o_norm: float, i: int, j: int):
+    """||K|| ||O|| [exp(kappa J dt)]_{i,j} for single sites i != j, per dt.
+
+    ``stacked`` is :func:`theorem3_matrix` over the dt grid.
+    """
     if i == j:
         raise ValueError("the matrix-exponential bound requires i != j")
-    e = theorem3_matrix(jm, dt)[..., i, j]
+    e = stacked[..., i, j]
     with np.errstate(invalid="ignore"):
         return _vacuous_on_overflow(k_norm * o_norm * e, e)
 

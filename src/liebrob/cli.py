@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 for a clean run, 1 for configuration or usage errors, 2 when a
-certified bound was violated at any grid point.
+Exit codes: 0 for a clean run, 1 for configuration or usage errors and for an
+allocation that does not fit in memory, 2 when a certified bound was violated
+at any grid point.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except (ConfigError, ValueError) as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # numpy's message names the allocation's size
+        print(f"error: {args.config}: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if summary.get("violation_count", 0) > 0:
         print(

@@ -310,6 +310,22 @@ def parse_harmonic_model(section, lattice: Lattice, pointer="/model") -> Harmoni
         raise ConfigError(pointer, str(exc)) from exc
 
 
+def _check_phases(model: GKSLModel, t: float) -> None:
+    """Refuse a sinusoidal profile whose phase omega * t + phase is not finite.
+
+    Every time of the run lies in [0, t], so its phase then stays finite too.
+    """
+    for section, terms in (("hamiltonian", model.hamiltonian_terms),
+                           ("lindblad", model.lindblad_terms)):
+        for i, term in enumerate(terms):
+            profile = term.profile
+            if not math.isfinite(profile.omega * t + profile.phase):
+                raise ConfigError(
+                    f"/model/{section}/{i}/profile/omega",
+                    f"the phase omega * t + phase leaves the float range at t = {t!r};"
+                    " lower omega or t")
+
+
 @dataclass
 class TimeGrid:
     t: float
@@ -372,6 +388,9 @@ def parse_config(data) -> RunConfig:
             time_grid = TimeGrid(t=t, points=_integer(section["dt_points"],
                                                       "/time/dt_points", minimum=2),
                                  kind="dt")
+
+    if spin_model is not None and time_grid is not None:
+        _check_phases(spin_model, time_grid.t)
 
     observables: dict[str, Operator] = {}
     for i, entry in enumerate(data.get("observables", [])):

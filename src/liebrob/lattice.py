@@ -1,7 +1,9 @@
 """Finite lattices with a metric, and the kernel-decay constants entering the bounds.
 
-All constants are minimal over the finite lattice and computed by direct
-summation over the dense distance matrix; they are reported at full double
+:func:`assumption_constants` is the one source of the constants of the kernel
+1 / [1 + d]^eta (p0, the extensivity sup, n_lambda and p1): it builds the
+dense kernel once and reads all four from it. They are minimal over the
+finite lattice, computed by direct summation, and reported at full double
 precision. Callers that certify inequalities against them should apply a tiny
 multiplicative safety factor to absorb summation rounding.
 """
@@ -64,44 +66,6 @@ def _check_eta(eta: float) -> float:
     return eta
 
 
-def decay_kernel(lattice: Lattice, eta: float) -> np.ndarray:
-    """Entrywise power-law kernel 1 / [1 + d(x, y)]^eta."""
-    eta = _check_eta(eta)
-    return (1.0 + lattice.dist) ** (-eta)
-
-
-def p0_constant(lattice: Lattice, eta: float) -> float:
-    """Minimal p0 with  sum_z k(x,z) k(z,y) <= p0 * k(x,y)  for all x, y.
-
-    Here k is the power-law kernel; the maximisation runs over all pairs
-    including x = y (the safest reading, which only tightens the constant).
-    """
-    k = decay_kernel(lattice, eta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where k underflows
-        return float(((k @ k) / k).max())
-
-
-def extensivity_sup(lattice: Lattice, eta: float) -> float:
-    """sup_x sum_y 1/[1+d(x,y)]^eta; the y = x term contributes 1."""
-    k = decay_kernel(lattice, eta)
-    return float(k.sum(axis=1).max())
-
-
-def n_lambda(lattice: Lattice, eta: float) -> float:
-    """Rescaling factor 1 / sup_x sum_{y != x} 1/[1+d(x,y)]^eta.
-
-    Undefined on a single-site lattice (the off-site sum is empty).
-    """
-    eta = _check_eta(eta)
-    if lattice.n_sites < 2:
-        raise ValueError("n_lambda requires at least two sites")
-    k = decay_kernel(lattice, eta)
-    # summed off the diagonal: 1 + sum - 1 would round a tiny sum to 0
-    np.fill_diagonal(k, 0.0)
-    with np.errstate(divide="ignore"):  # a sum that underflows to 0 gives inf
-        return float(1.0 / k.sum(axis=1).max())
-
-
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Decay-assumption constants of a lattice at a fixed exponent.
@@ -118,21 +82,28 @@ class AssumptionConstants:
 
 
 def assumption_constants(lattice: Lattice, eta: float) -> AssumptionConstants:
-    """Compute all assumption constants for a lattice in one pass.
+    """The decay constants of the kernel k(x, y) = 1 / [1 + d(x, y)]^eta, from one k.
 
-    ``p1`` is the minimal constant of the rescaled kernel inequality,
-    n_lambda * p0. A p0 or n_lambda outside the float range raises
-    ValueError naming the constant and eta.
+    ``p0`` is minimal with sum_z k(x,z) k(z,y) <= p0 k(x,y) over all pairs,
+    x = y included (the safest reading, which only tightens the constant).
+    ``extensivity_sup`` is sup_x sum_y k(x, y), whose y = x term is 1.
+    ``n_lambda`` is 1 / sup_x sum_{y != x} k(x, y), and ``p1``, the minimal
+    constant of the rescaled kernel inequality, is n_lambda * p0. A p0 or
+    n_lambda outside the float range raises ValueError naming the constant
+    and eta.
     """
     eta = _check_eta(eta)
-    p0 = p0_constant(lattice, eta)
-    ext = extensivity_sup(lattice, eta)
+    k = (1.0 + lattice.dist) ** (-eta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where k underflows
+        p0 = float(((k @ k) / k).max())
+    ext = float(k.sum(axis=1).max())
+    nl = p1 = None
     if lattice.n_sites >= 2:
-        nl = n_lambda(lattice, eta)
+        # summed off the diagonal: 1 + sum - 1 would round a tiny sum to 0
+        np.fill_diagonal(k, 0.0)
+        with np.errstate(divide="ignore"):  # a sum that underflows to 0 gives inf
+            nl = float(1.0 / k.sum(axis=1).max())
         p1 = nl * p0
-    else:
-        nl = None
-        p1 = None
     for name, value in (("p0", p0), ("n_lambda", nl)):
         if value is not None and not math.isfinite(value):
             raise ValueError(

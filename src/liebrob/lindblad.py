@@ -81,24 +81,19 @@ class TimeProfile:
             return abs(self.amplitude)
         if self.omega == 0.0:
             return abs(self.value(lo))
-        smin, smax = _sin_range(self.omega * lo + self.phase, self.omega * hi + self.phase)
-        return 0.5 * max(abs(self.amplitude * (1.0 + smax)),
-                         abs(self.amplitude * (1.0 + smin)))
+        smax = _sin_max(self.omega * lo + self.phase, self.omega * hi + self.phase)
+        # 1 + sin >= 0, so the crest, not the trough, sets the sup of |value|
+        return 0.5 * abs(self.amplitude * (1.0 + smax))
 
 
-def _sin_range(a: float, b: float) -> tuple[float, float]:
-    """Range of sin over the phase interval [min(a,b), max(a,b)]."""
+def _sin_max(a: float, b: float) -> float:
+    """Maximum of sin over the phase interval [min(a,b), max(a,b)]."""
     lo, hi = (a, b) if a <= b else (b, a)
-    if hi - lo >= _TWO_PI:
-        return -1.0, 1.0
-    smin = min(math.sin(lo), math.sin(hi))
-    smax = max(math.sin(lo), math.sin(hi))
-    # crest at pi/2 + 2*pi*k, trough at -pi/2 + 2*pi*k inside the interval
-    if math.ceil((lo - math.pi / 2) / _TWO_PI) <= (hi - math.pi / 2) / _TWO_PI:
-        smax = 1.0
-    if math.ceil((lo + math.pi / 2) / _TWO_PI) <= (hi + math.pi / 2) / _TWO_PI:
-        smin = -1.0
-    return smin, smax
+    # a full period, or a crest at pi/2 + 2*pi*k inside the interval
+    if (hi - lo >= _TWO_PI
+            or math.ceil((lo - math.pi / 2) / _TWO_PI) <= (hi - math.pi / 2) / _TWO_PI):
+        return 1.0
+    return max(math.sin(lo), math.sin(hi))
 
 
 CONSTANT_ONE = TimeProfile()

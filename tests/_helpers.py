@@ -379,7 +379,7 @@ def spin_report_oracle(config, rhs1_scale=1.0):
     p0 = consts.p0 * SAFETY
     p1 = consts.p1 * SAFETY
     n_lam = consts.n_lambda * SAFETY
-    lambda0 = lambda0_fit(model, eta).lambda0 * SAFETY
+    lambda0 = lambda0_fit(model, eta) * SAFETY
     jm = build_j_matrix(model, t)
     ops = [(ox, oy) for ox, oy, _ in config.pairs]
     curves = commutator_norm_curves(model, ops, t, config.time.points)

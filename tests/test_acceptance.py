@@ -19,11 +19,11 @@ from liebrob import (
     TimeProfile,
     build_kernel,
     build_lattice,
+    assumption_constants,
     matrix_exp,
-    n_lambda,
-    p0_constant,
     symplectic_form,
     theorem3_bound,
+    theorem3_matrix,
 )
 from liebrob.config import load_config
 from liebrob.operators import (
@@ -162,7 +162,7 @@ def test_05_closed_form_oracles():
     a, dt = 0.8, 1.1
     jm = JMatrix(matrix=np.array([[1.0, a], [a, 1.0]]), kappa=a,
                  onsite_excluded=False)
-    value = theorem3_bound(jm, 1.0, 1.0, dt, 0, 1)
+    value = theorem3_bound(theorem3_matrix(jm, dt), 1.0, 1.0, 0, 1)
     closed = np.exp(a * dt) * np.sinh(a * a * dt)
     rel3 = abs(value - closed) / closed
     assert rel3 <= 1e-10
@@ -173,9 +173,10 @@ def test_05_closed_form_oracles():
 
 def test_06_lattice_constants():
     chain2 = build_lattice(2)
-    assert p0_constant(chain2, 1.0) == 2.0
+    assert assumption_constants(chain2, 1.0).p0 == 2.0
     for eta in (0.5, 1.0, 2.0):
-        assert n_lambda(chain2, eta) == pytest.approx(2.0**eta, rel=1e-12)
+        value = assumption_constants(chain2, eta).n_lambda
+        assert value == pytest.approx(2.0**eta, rel=1e-12)
     rng = np.random.default_rng(1006)
     for _ in range(50):
         if rng.random() < 0.5:
@@ -185,7 +186,7 @@ def test_06_lattice_constants():
         metric = str(rng.choice(["graph", "manhattan", "euclidean"]))
         eta = float(rng.uniform(0.3, 4.0))
         lattice = build_lattice(sides, metric=metric)
-        assert n_lambda(lattice, eta) <= 2.0**eta * (1.0 + 1e-12)
+        assert assumption_constants(lattice, eta).n_lambda <= 2.0**eta * (1.0 + 1e-12)
     report(6, "lattice constants", "p0 and rescaling factor identities hold")
 
 

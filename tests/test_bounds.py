@@ -9,6 +9,7 @@ from liebrob import (
     HamiltonianTerm,
     JMatrix,
     LindbladTerm,
+    assumption_constants,
     build_j_matrix,
     build_lattice,
     certify,
@@ -49,9 +50,8 @@ class TestLambda0Fit:
             lattice=lattice,
             lindblad_terms=(LindbladTerm(support=(0,), matrix=PAULI_Z, rate=1.0),),
         )
-        cert = lambda0_fit(model, 1.0)
-        assert cert.lambda0 == 0.0
-        assert cert.basis == "certified_upper"
+        lambda0 = lambda0_fit(model, 1.0)
+        assert lambda0 == 0.0 and isinstance(lambda0, float)
 
     def test_two_site_single_pair_term(self):
         # ||sx sx|| = 1, so the certified term bound is 2; at distance 1 and
@@ -63,13 +63,13 @@ class TestLambda0Fit:
                 HamiltonianTerm(support=(0, 1), matrix=np.kron(PAULI_X, PAULI_X)),
             ),
         )
-        assert lambda0_fit(model, 1.0).lambda0 == pytest.approx(4.0)
+        assert lambda0_fit(model, 1.0) == pytest.approx(4.0)
 
     def test_five_chain_brute_force_oracle(self):
         model = xy_dephasing_model()
         lattice = model.lattice
         eta = 2.0
-        cert = lambda0_fit(model, eta)
+        lambda0 = lambda0_fit(model, eta)
         # independent double loop over pairs, summing certified term bounds
         best = 0.0
         for x in range(5):
@@ -81,13 +81,13 @@ class TestLambda0Fit:
                     if x in term.support and y in term.support:
                         total += 2.0 * np.linalg.svd(term.matrix, compute_uv=False)[0]
                 best = max(best, total * (1.0 + lattice.dist[x, y]) ** eta)
-        assert cert.lambda0 == pytest.approx(best, rel=1e-12)
-        assert cert.lambda0 == pytest.approx(16.0, rel=1e-12)
+        assert lambda0 == pytest.approx(best, rel=1e-12)
+        assert lambda0 == pytest.approx(16.0, rel=1e-12)
 
     def test_fit_satisfies_power_law_inequality(self):
         model = xy_dephasing_model(n_sites=4, gamma=0.2)
         eta = 1.5
-        cert = lambda0_fit(model, eta)
+        lambda0 = lambda0_fit(model, eta)
         lattice = model.lattice
         attained = 0.0
         for x, y in itertools.permutations(range(4), 2):
@@ -95,7 +95,7 @@ class TestLambda0Fit:
             for term in model.hamiltonian_terms:
                 if x in term.support and y in term.support:
                     total += 2.0 * np.linalg.svd(term.matrix, compute_uv=False)[0]
-            envelope = cert.lambda0 / (1.0 + lattice.dist[x, y]) ** eta
+            envelope = lambda0 / (1.0 + lattice.dist[x, y]) ** eta
             assert total <= envelope * (1.0 + 1e-12)
             attained = max(attained, total / envelope)
         assert attained == pytest.approx(1.0, rel=1e-12)
@@ -162,25 +162,16 @@ class TestTheorem2Bound:
     def test_two_site_lattice_matches_size_independent_variant(self):
         # on a 2-site chain the rescaling factor equals 2^eta exactly, so the
         # stated bound and the size-independent variant coincide
-        from liebrob import n_lambda, p0_constant
-
-        lattice = build_lattice(2)
-        eta = 1.0
-        nl = n_lambda(lattice, eta)
-        p0 = p0_constant(lattice, eta)
-        p1 = nl * p0
+        consts = assumption_constants(build_lattice(2), 1.0)
+        eta, nl, p1 = consts.eta, consts.n_lambda, consts.p1
         stated = theorem2_bound(4.0, p1, nl, 2.0, 1.0, 1, 1, eta, 0.8, 1.0)
         substituted = theorem2_bound(4.0, p1, 2.0**eta, 2.0, 1.0, 1, 1, eta, 0.8, 1.0)
         assert stated == pytest.approx(substituted, rel=1e-13)
 
     def test_finite_below_lattice_dimension(self):
-        from liebrob import n_lambda, p0_constant
-
-        lattice = build_lattice(16)
-        eta = 0.5
-        p0 = p0_constant(lattice, eta)
-        nl = n_lambda(lattice, eta)
-        value = theorem2_bound(3.0, nl * p0, nl, 2.0, 1.0, 1, 1, eta, 1.0, 2.0)
+        consts = assumption_constants(build_lattice(16), 0.5)
+        eta, nl = consts.eta, consts.n_lambda
+        value = theorem2_bound(3.0, consts.p1, nl, 2.0, 1.0, 1, 1, eta, 1.0, 2.0)
         assert np.isfinite(value) and value > 0
 
     def test_monotone_in_dt_and_distance(self):
@@ -235,14 +226,14 @@ class TestArrayGrids:
         for dt, e in zip(self.DTS, stacked):
             np.testing.assert_array_equal(e, theorem3_matrix(jm, dt))
             np.testing.assert_array_equal(e, matrix_exp(jm.kappa * jm.matrix * dt))
-        np.testing.assert_array_equal(theorem3_bound(jm, 2.0, 1.0, self.DTS, 0, 3),
+        np.testing.assert_array_equal(theorem3_bound(stacked, 2.0, 1.0, 0, 3),
                                       2.0 * stacked[:, 0, 3])
 
     def test_scalar_arguments_give_scalars(self):
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
         for value in (theorem1_bound(1.0, 1.0, 1.0, 1.0, 1, 1, 1.0, 0.5, 1.0),
                       theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, 0.5, 1.0),
-                      theorem3_bound(jm, 1.0, 1.0, 0.5, 0, 1)):
+                      theorem3_bound(theorem3_matrix(jm, 0.5), 1.0, 1.0, 0, 1)):
             assert isinstance(value, float) and np.ndim(value) == 0
 
     def test_overflow_is_infinite_even_under_a_zero_prefactor(self):
@@ -256,7 +247,7 @@ class TestArrayGrids:
                      onsite_excluded=False)
         stacked = theorem3_matrix(jm, [1.0, 400.0])
         assert np.all(np.isfinite(stacked[0])) and np.all(stacked[1] == math.inf)
-        np.testing.assert_array_equal(theorem3_bound(jm, 0.0, 1.0, [1.0, 400.0], 0, 1),
+        np.testing.assert_array_equal(theorem3_bound(stacked, 0.0, 1.0, 0, 1),
                                       [0.0, math.inf])
 
     def test_overflowing_distance_factor_is_vacuous(self):
@@ -334,14 +325,14 @@ class TestTheorem3Bound:
     def test_zero_at_dt_zero(self):
         jm = JMatrix(matrix=np.array([[1.0, 0.4], [0.4, 1.0]]), kappa=0.4,
                      onsite_excluded=False)
-        assert theorem3_bound(jm, 2.0, 1.0, 0.0, 0, 1) == 0.0
+        assert theorem3_bound(theorem3_matrix(jm, 0.0), 2.0, 1.0, 0, 1) == 0.0
 
     def test_two_site_closed_form(self):
         # exp(kappa J dt) with kappa = a has off-diagonal e^{a dt} sinh(a^2 dt)
         a, dt = 0.9, 1.3
         jm = JMatrix(matrix=np.array([[1.0, a], [a, 1.0]]), kappa=a,
                      onsite_excluded=False)
-        value = theorem3_bound(jm, 1.0, 1.0, dt, 0, 1)
+        value = theorem3_bound(theorem3_matrix(jm, dt), 1.0, 1.0, 0, 1)
         assert value == pytest.approx(np.exp(a * dt) * np.sinh(a * a * dt),
                                       rel=1e-10)
 
@@ -363,7 +354,7 @@ class TestTheorem3Bound:
     def test_same_site_rejected(self):
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
         with pytest.raises(ValueError):
-            theorem3_bound(jm, 1.0, 1.0, 0.5, 1, 1)
+            theorem3_bound(theorem3_matrix(jm, 0.5), 1.0, 1.0, 1, 1)
 
 
 class TestMatrixExp:
@@ -476,20 +467,20 @@ class TestPathSums:
 
 class TestCertify:
     def test_three_qubit_end_to_end_has_no_violations(self):
-        from liebrob import commutator_norm_curves, n_lambda, p0_constant
+        from liebrob import commutator_norm_curves
         from liebrob.operators import local_operator
 
         model = xy_dephasing_model(n_sites=3, gamma=0.5)
         lattice = model.lattice
         eta = 2.0
         t = 1.5
-        cert = lambda0_fit(model, eta)
-        p0 = p0_constant(lattice, eta)
+        lambda0 = lambda0_fit(model, eta)
+        p0 = assumption_constants(lattice, eta).p0
         curve = commutator_norm_curves(
             model, [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))],
             t, 11,
         )[0]
-        rhs = theorem1_bound(cert.lambda0, p0, 2.0, 1.0, 1, 1, eta,
+        rhs = theorem1_bound(lambda0, p0, 2.0, 1.0, 1, 1, eta,
                              t - np.linspace(0.0, t, 11), 2.0)
         slack, violated = certify(curve, rhs)
         assert not violated.any()

@@ -304,7 +304,7 @@ class TestRunners:
     def test_verify_harmonic_rhs_matches_bound_formula(self, tmp_path):
         import csv
 
-        from liebrob import c0_fit, p0_constant, theorem4_bound
+        from liebrob import assumption_constants, c0_fit, theorem4_bound
         from liebrob.harmonic import growth_rate
         from liebrob.runner import SAFETY, run_lightcone
 
@@ -322,7 +322,7 @@ class TestRunners:
         }
         config = parse_config(data)
         summary = run_verify_harmonic(config, tmp_path)
-        p0 = p0_constant(config.lattice, 2.5) * SAFETY
+        p0 = assumption_constants(config.lattice, 2.5).p0 * SAFETY
         c0 = c0_fit(config.harmonic_model, 2.5) * SAFETY
         assert summary["growth_rate"] == growth_rate(c0, p0)  # the bound's own rate
         with open(tmp_path / "report.csv", newline="") as fh:
@@ -342,7 +342,7 @@ class TestRunners:
         import csv
         import math
 
-        from liebrob import harmonic, lightcone_arrivals, p0_constant
+        from liebrob import assumption_constants, harmonic, lightcone_arrivals
         from liebrob.bounds import VIOLATION_TOLERANCE
         from liebrob.config import RunConfig, TimeGrid
         from liebrob.harmonic import HarmonicModel
@@ -365,7 +365,7 @@ class TestRunners:
                             lambda *args: rhs_scale * bound(*args))
         summary = run_verify_harmonic(config, tmp_path)
 
-        p0 = p0_constant(lattice, 3.0) * SAFETY
+        p0 = assumption_constants(lattice, 3.0).p0 * SAFETY
         c0 = harmonic.c0_fit(model, 3.0) * SAFETY
         dist = lattice.dist
         off = ~np.eye(n, dtype=bool)
@@ -936,3 +936,86 @@ class TestCli:
         assert done.stderr.splitlines() == [
             f"error: {path}: the spin generator has non-finite entries"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["spin-r-points", "harmonic-dt-points",
+                                      "harmonic-sides"])
+    def test_out_of_memory_exits_one_with_one_line(self, tmp_path, case):
+        # each config asks numpy for 6.7 GiB or more: 74.5 GiB of LHS curves,
+        # a 7.45 GiB dt grid, a 6.7 GiB distance build while the config loads
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        if case == "spin-r-points":
+            command = "verify-spin"
+            data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+            data["time"]["r_points"] = 10**9
+        else:
+            command = "verify-harmonic"
+            data = json.loads((CONFIG_DIR / "harmonic_chain.json").read_text())
+            if case == "harmonic-dt-points":
+                data["time"]["dt_points"] = 10**9
+            else:
+                data["lattice"]["geometry"]["sides"] = [30000]
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        # one BLAS thread: per-thread buffers must not eat the address space
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-m", "liebrob.cli", command,
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limit_address_space)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        assert "Unable to allocate" in lines[0] and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-spin", "lightcone", "assumptions"])
+    def test_overflowing_profile_phase_exits_one_before_the_build(
+            self, tmp_path, capsys, monkeypatch, command):
+        # omega t = 2e308 is beyond the float range, so sin(omega t + phase)
+        # has no value; the config is refused before any generator is built
+        from liebrob import lindblad
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the generator was built")
+
+        monkeypatch.setattr(lindblad, "_superop_pieces", no_build)
+        data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+        data["model"]["hamiltonian"][0]["profile"] = {
+            "kind": "sinusoidal", "amplitude": 1.0, "omega": 1e308}
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: {path}: /model/hamiltonian/0/profile/omega: ")
+        assert f"t = {data['time']['t']!r}" in err[0]
+        assert not out.exists()
+
+    def test_verify_spin_takes_one_theorem3_stack(self, tmp_path, monkeypatch):
+        # every single-site pair reads its Theorem-3 RHS from one e^{kappa J dt}
+        # stack over the run's dt grid
+        from liebrob import bounds
+
+        calls = []
+        stack = bounds.theorem3_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return stack(*args)
+
+        monkeypatch.setattr(bounds, "theorem3_matrix", counted)
+        out = tmp_path / "out"
+        assert main(["verify-spin", "--config", str(CONFIG_DIR / "spin_chain_xy.json"),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["theorem3_applicable"] and summary["rows"] == 10 * 21

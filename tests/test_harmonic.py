@@ -3,11 +3,11 @@ import pytest
 
 from liebrob import (
     HarmonicModel,
+    assumption_constants,
     build_kernel,
     build_lattice,
     c0_fit,
     matrix_exp,
-    p0_constant,
     stepped_products,
     symplectic_defect,
     symplectic_form,
@@ -319,7 +319,7 @@ class TestSoundnessSweep:
         n, eta, gamma = 12, 3.0, 0.15
         model = damped_chain(n, eta, gamma)
         kernel = build_kernel(model)
-        p0 = p0_constant(model.lattice, eta)
+        p0 = assumption_constants(model.lattice, eta).p0
         c0 = c0_fit(model, eta)
         off = ~np.eye(n, dtype=bool)
         dist = model.lattice.dist

@@ -69,13 +69,21 @@ class TestTimeProfile:
         assert profile.min_value == 0.0
 
     def test_interval_sup_matches_dense_sampling(self):
-        profile = TimeProfile(kind="sinusoidal", amplitude=1.3, omega=2.1, phase=0.9)
-        for lo, hi in ((0.0, 0.3), (0.5, 0.9), (0.0, 5.0), (1.2, 1.2001)):
-            ts = np.linspace(lo, hi, 20001)
-            sampled = max(abs(profile.value(t)) for t in ts)
-            closed = profile.sup_abs_on(lo, hi)
-            assert sampled <= closed + 1e-9
-            assert closed <= sampled + 1e-4
+        windows = ((0.0, 0.3), (0.5, 0.9), (0.0, 5.0), (1.2, 1.2001))
+        for amplitude, omega, phase, spans in (
+            (1.3, 2.1, 0.9, windows),
+            (-1.3, 2.1, 0.9, windows),
+            # phases 4.0 to 5.6 hold the trough 3 pi / 2 but no crest
+            (0.8, 1.0, 4.0, ((0.0, 1.6), (0.5, 0.6))),
+        ):
+            profile = TimeProfile(kind="sinusoidal", amplitude=amplitude, omega=omega,
+                                  phase=phase)
+            for lo, hi in spans:
+                ts = np.linspace(lo, hi, 20001)
+                sampled = max(abs(profile.value(t)) for t in ts)
+                closed = profile.sup_abs_on(lo, hi)
+                assert sampled <= closed + 1e-9
+                assert closed <= sampled + 1e-4
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
