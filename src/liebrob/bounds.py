@@ -30,11 +30,13 @@ def _term_norm_bound(term: HamiltonianTerm | LindbladTerm, sup: float) -> float:
     """Certified inf->inf norm bound of one generator term whose |profile| <= sup.
 
     Triangle inequality: 2 ||H|| sup for i[H, .], and 2 gamma sup ||L||^2
-    for gamma (L^dag . L - {L^dag L, .}/2).
+    for gamma (L^dag . L - {L^dag L, .}/2). A norm beyond the float range
+    gives +inf, not an OverflowError.
     """
+    norm = operator_norm(term.matrix)
     if isinstance(term, LindbladTerm):
-        return 2.0 * term.rate * sup * operator_norm(term.matrix) ** 2
-    return 2.0 * operator_norm(term.matrix) * sup
+        return 2.0 * term.rate * sup * (norm * norm)
+    return 2.0 * norm * sup
 
 
 def _support_norm_bounds(model: GKSLModel) -> dict[tuple[int, ...], float]:
@@ -140,13 +142,13 @@ class JMatrix:
     onsite_excluded: bool
 
 
-def build_j_matrix(model: GKSLModel, t: float) -> JMatrix:
+def build_j_matrix(model: GKSLModel, t: float) -> JMatrix | None:
     """J matrix of a pairwise model over the window [0, t].
 
     Single-site terms are permitted in the model but excluded from J (the
     matrix-exponential bound covers pairwise generators only); their presence
-    is recorded in ``onsite_excluded``. Models with terms on three or more
-    sites are rejected.
+    is recorded in ``onsite_excluded``. A model with a term on three or more
+    sites has no J matrix: None.
     """
     n = model.lattice.n_sites
     j = np.eye(n)
@@ -157,9 +159,7 @@ def build_j_matrix(model: GKSLModel, t: float) -> JMatrix:
             onsite = True
             continue
         if len(support) > 2:
-            raise ValueError(
-                f"J matrix requires pairwise terms; got support {support}"
-            )
+            return None
         bound = _term_norm_bound(term, term.profile.sup_abs_on(0.0, t))
         j[support[0], support[1]] += bound
         j[support[1], support[0]] += bound

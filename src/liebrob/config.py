@@ -3,9 +3,12 @@
 Validation is strict: unknown keys are rejected and every error message is
 anchored to the JSON pointer of the offending value. Complex entries are
 written as plain numbers or two-element [re, im] arrays; every number must be
-finite (Python's json reader accepts NaN and Infinity). Observable pairs are
-resolved here into (O_X, O_Y, d_xy) triples, and an explicit pair whose
-supports overlap is rejected at its pointer.
+finite (Python's json reader accepts NaN and Infinity). A spec with variants
+(an operator, a real matrix, Lindblad coefficients) names exactly one of them.
+One reader takes Hamiltonian and Lindblad terms alike and refuses a term whose
+generator, or whose profile's phase over the run's [0, t], leaves the float
+range. Observable pairs are resolved here into (O_X, O_Y, d_xy) triples, and an
+explicit pair whose supports overlap is rejected at its pointer.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonic import HarmonicModel
-from .lattice import Lattice, build_lattice
+from .lattice import METRICS, Lattice, build_lattice
 from .lindblad import GKSLModel, HamiltonianTerm, LindbladTerm, TimeProfile
 from .operators import (NAMED_OPERATORS, Operator, local_operator, named_operator,
                         support_distance)
@@ -97,28 +100,39 @@ def _complex_matrix(rows, pointer) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
-def parse_lattice(section, pointer="/lattice") -> Lattice:
-    _check_keys(section, pointer, required=("geometry", "metric"))
-    geometry = _check_keys(section["geometry"], f"{pointer}/geometry",
+def _variant(spec, pointer, names) -> str:
+    """The first key of ``names`` in the object ``spec``; any other key is unknown."""
+    _require_mapping(spec, pointer)
+    for name in names:
+        if name in spec:
+            _check_keys(spec, pointer, required=(name,))
+            return name
+    raise ConfigError(pointer, "expected one of " + ", ".join(map(repr, names)))
+
+
+def parse_lattice(section) -> Lattice:
+    _check_keys(section, "/lattice", required=("geometry", "metric"))
+    geometry = _check_keys(section["geometry"], "/lattice/geometry",
                            required=("kind", "sides"))
     kind = geometry["kind"]
     if kind not in ("chain", "grid"):
-        raise ConfigError(f"{pointer}/geometry/kind",
+        raise ConfigError("/lattice/geometry/kind",
                           f"expected 'chain' or 'grid', got {kind!r}")
     sides = geometry["sides"]
     if not isinstance(sides, list) or not sides:
-        raise ConfigError(f"{pointer}/geometry/sides", "expected a nonempty array")
-    sides = [_integer(s, f"{pointer}/geometry/sides/{i}", minimum=1)
+        raise ConfigError("/lattice/geometry/sides", "expected a nonempty array")
+    sides = [_integer(s, f"/lattice/geometry/sides/{i}", minimum=1)
              for i, s in enumerate(sides)]
     if kind == "chain" and len(sides) != 1:
-        raise ConfigError(f"{pointer}/geometry/sides", "a chain has exactly one side")
+        raise ConfigError("/lattice/geometry/sides", "a chain has exactly one side")
     metric = section["metric"]
-    if metric not in ("graph", "manhattan", "euclidean"):
-        raise ConfigError(f"{pointer}/metric", f"unknown metric {metric!r}")
+    if metric not in METRICS:
+        raise ConfigError("/lattice/metric", f"unknown metric {metric!r}")
     return build_lattice(sides, metric)
 
 
-def _parse_profile(spec, pointer) -> TimeProfile:
+def _parse_profile(spec, t: float, pointer) -> TimeProfile:
+    """A time profile whose phase omega * t + phase, so at every run time, is finite."""
     if spec is None:
         return TimeProfile()
     _require_mapping(spec, pointer)
@@ -127,58 +141,59 @@ def _parse_profile(spec, pointer) -> TimeProfile:
         _check_keys(spec, pointer, required=("kind",), optional=("value",))
         return TimeProfile(kind="constant",
                            amplitude=_number(spec.get("value", 1.0), f"{pointer}/value"))
-    if kind == "sinusoidal":
-        _check_keys(spec, pointer, required=("kind", "amplitude", "omega"),
-                    optional=("phase",))
-        return TimeProfile(
-            kind="sinusoidal",
-            amplitude=_number(spec["amplitude"], f"{pointer}/amplitude"),
-            omega=_number(spec["omega"], f"{pointer}/omega"),
-            phase=_number(spec.get("phase", 0.0), f"{pointer}/phase"),
-        )
-    raise ConfigError(f"{pointer}/kind", "expected 'constant' or 'sinusoidal'")
+    if kind != "sinusoidal":
+        raise ConfigError(f"{pointer}/kind", "expected 'constant' or 'sinusoidal'")
+    _check_keys(spec, pointer, required=("kind", "amplitude", "omega"), optional=("phase",))
+    profile = TimeProfile(
+        kind="sinusoidal",
+        amplitude=_number(spec["amplitude"], f"{pointer}/amplitude"),
+        omega=_number(spec["omega"], f"{pointer}/omega"),
+        phase=_number(spec.get("phase", 0.0), f"{pointer}/phase"),
+    )
+    if not math.isfinite(profile.omega * t + profile.phase):
+        raise ConfigError(f"{pointer}/omega", "the phase omega * t + phase leaves the float"
+                                              f" range at t = {t!r}; lower omega or t")
+    return profile
+
+
+def _named_factor(name, qubit: bool, rule: str, pointer, name_pointer) -> np.ndarray:
+    """The named qubit operator ``name``; ``rule`` is the error where ``qubit`` fails."""
+    if not qubit:
+        raise ConfigError(pointer, rule)
+    if not isinstance(name, str) or name not in NAMED_OPERATORS:
+        raise ConfigError(name_pointer, f"unknown operator {name!r}")
+    return named_operator(name)
 
 
 def _parse_operator_matrix(spec, n_sites: int, dim_per_site: int, pointer) -> np.ndarray:
-    _require_mapping(spec, pointer)
-    expected = dim_per_site**n_sites
-    if "name" in spec:
-        _check_keys(spec, pointer, required=("name",))
-        if n_sites != 1 or dim_per_site != 2:
-            raise ConfigError(pointer, "named operators are single-site qubit operators")
-        if spec["name"] not in NAMED_OPERATORS:
-            raise ConfigError(f"{pointer}/name",
-                              f"unknown operator {spec['name']!r}")
-        return named_operator(spec["name"])
-    if "kron" in spec:
-        _check_keys(spec, pointer, required=("kron",))
-        factors = spec["kron"]
-        if not isinstance(factors, list) or len(factors) != n_sites:
-            raise ConfigError(f"{pointer}/kron",
-                              f"expected {n_sites} tensor factors")
-        out = np.eye(1, dtype=complex)
-        for i, factor in enumerate(factors):
-            fp = f"{pointer}/kron/{i}"
-            if isinstance(factor, str):
-                if dim_per_site != 2:
-                    raise ConfigError(fp, "named factors are qubit operators")
-                if factor not in NAMED_OPERATORS:
-                    raise ConfigError(fp, f"unknown operator {factor!r}")
-                mat = named_operator(factor)
-            else:
-                mat = _complex_matrix(factor, fp)
-                if mat.shape != (dim_per_site, dim_per_site):
-                    raise ConfigError(fp, f"factor must be {dim_per_site}x{dim_per_site}")
-            out = np.kron(out, mat)
-        return out
-    if "matrix" in spec:
-        _check_keys(spec, pointer, required=("matrix",))
+    """A name (a one-factor qubit kron), a kron of factors, or a full matrix."""
+    key = _variant(spec, pointer, ("name", "kron", "matrix"))
+    if key == "name":
+        return _named_factor(spec["name"], n_sites == 1 and dim_per_site == 2,
+                             "named operators are single-site qubit operators",
+                             pointer, f"{pointer}/name")
+    if key == "matrix":
+        expected = dim_per_site**n_sites
         mat = _complex_matrix(spec["matrix"], f"{pointer}/matrix")
         if mat.shape != (expected, expected):
             raise ConfigError(f"{pointer}/matrix",
                               f"expected a {expected}x{expected} matrix, got {mat.shape}")
         return mat
-    raise ConfigError(pointer, "expected one of 'name', 'kron', 'matrix'")
+    factors = spec["kron"]
+    if not isinstance(factors, list) or len(factors) != n_sites:
+        raise ConfigError(f"{pointer}/kron", f"expected {n_sites} tensor factors")
+    out = np.eye(1, dtype=complex)
+    for i, factor in enumerate(factors):
+        fp = f"{pointer}/kron/{i}"
+        if isinstance(factor, str):
+            mat = _named_factor(factor, dim_per_site == 2,
+                                "named factors are qubit operators", fp, fp)
+        else:
+            mat = _complex_matrix(factor, fp)
+            if mat.shape != (dim_per_site, dim_per_site):
+                raise ConfigError(fp, f"factor must be {dim_per_site}x{dim_per_site}")
+        out = np.kron(out, mat)
+    return out
 
 
 def _parse_sites(value, lattice: Lattice, pointer) -> tuple[int, ...]:
@@ -194,54 +209,66 @@ def _parse_sites(value, lattice: Lattice, pointer) -> tuple[int, ...]:
     return sites
 
 
-def parse_spin_model(section, lattice: Lattice, pointer="/model") -> GKSLModel:
-    _check_keys(section, pointer, required=("type",),
-                optional=("dim_per_site", "hamiltonian", "lindblad"))
-    dim = _integer(section.get("dim_per_site", 2), f"{pointer}/dim_per_site", minimum=2)
-    h_terms = []
-    for i, entry in enumerate(section.get("hamiltonian", [])):
-        ep = f"{pointer}/hamiltonian/{i}"
-        _check_keys(entry, ep, required=("sites", "operator"),
-                    optional=("strength", "profile"))
-        sites = _parse_sites(entry["sites"], lattice, f"{ep}/sites")
-        mat = _parse_operator_matrix(entry["operator"], len(sites), dim, f"{ep}/operator")
-        strength = _number(entry.get("strength", 1.0), f"{ep}/strength")
-        profile = _parse_profile(entry.get("profile"), f"{ep}/profile")
-        h_terms.append(HamiltonianTerm(support=sites, matrix=strength * mat,
-                                       profile=profile))
-    l_terms = []
-    for i, entry in enumerate(section.get("lindblad", [])):
-        ep = f"{pointer}/lindblad/{i}"
-        _check_keys(entry, ep, required=("sites", "operator", "rate"),
+def _parse_term(entry, lindblad: bool, lattice: Lattice, dim: int, t: float,
+                pointer) -> HamiltonianTerm | LindbladTerm:
+    """One Hamiltonian term (optional ``strength``) or Lindblad term (``rate``).
+
+    A term whose generator, strength * H or rate * L^dag L, leaves the float
+    range is refused at ``pointer``.
+    """
+    if lindblad:
+        scale = "rate"
+        _check_keys(entry, pointer, required=("sites", "operator", "rate"),
                     optional=("profile",))
-        sites = _parse_sites(entry["sites"], lattice, f"{ep}/sites")
-        mat = _parse_operator_matrix(entry["operator"], len(sites), dim, f"{ep}/operator")
-        rate = _number(entry["rate"], f"{ep}/rate", minimum=0.0)
-        profile = _parse_profile(entry.get("profile"), f"{ep}/profile")
-        l_terms.append(LindbladTerm(support=sites, matrix=mat, rate=rate,
-                                    profile=profile))
+    else:
+        scale = "strength"
+        _check_keys(entry, pointer, required=("sites", "operator"),
+                    optional=("strength", "profile"))
+    sites = _parse_sites(entry["sites"], lattice, f"{pointer}/sites")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is refused below
+        mat = _parse_operator_matrix(entry["operator"], len(sites), dim,
+                                     f"{pointer}/operator")
+        value = _number(entry.get(scale, 1.0), f"{pointer}/{scale}",
+                        minimum=0.0 if lindblad else None)
+        generator = value * (mat.conj().T @ mat if lindblad else mat)
+    profile = _parse_profile(entry.get("profile"), t, f"{pointer}/profile")
+    if not np.isfinite(generator).all():
+        raise ConfigError(pointer, "the term's generator leaves the float range;"
+                                   f" lower its {scale} or its operator's entries")
+    if lindblad:
+        return LindbladTerm(support=sites, matrix=mat, rate=value, profile=profile)
+    return HamiltonianTerm(support=sites, matrix=generator, profile=profile)
+
+
+def parse_spin_model(section, lattice: Lattice, t: float) -> GKSLModel:
+    """The spin model; ``t`` is the run's last time, for the profiles' phases."""
+    _check_keys(section, "/model", required=("type",),
+                optional=("dim_per_site", "hamiltonian", "lindblad"))
+    dim = _integer(section.get("dim_per_site", 2), "/model/dim_per_site", minimum=2)
+    terms = {name: tuple(_parse_term(entry, name == "lindblad", lattice, dim, t,
+                                     f"/model/{name}/{i}")
+                         for i, entry in enumerate(section.get(name, [])))
+             for name in ("hamiltonian", "lindblad")}
     try:
         return GKSLModel(lattice=lattice, dim_per_site=dim,
-                         hamiltonian_terms=tuple(h_terms),
-                         lindblad_terms=tuple(l_terms))
+                         hamiltonian_terms=terms["hamiltonian"],
+                         lindblad_terms=terms["lindblad"])
     except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+        raise ConfigError("/model", str(exc)) from exc
 
 
 def _parse_real_matrix_spec(spec, lattice: Lattice, pointer) -> np.ndarray:
     """Dense, banded, power-law or scaled-identity n x n real matrix."""
-    _require_mapping(spec, pointer)
+    key = _variant(spec, pointer, ("dense", "banded", "power_law", "identity"))
     n = lattice.n_sites
-    if "dense" in spec:
-        _check_keys(spec, pointer, required=("dense",))
+    if key == "dense":
         mat = _complex_matrix(spec["dense"], f"{pointer}/dense")
         if mat.shape != (n, n):
             raise ConfigError(f"{pointer}/dense", f"expected {n}x{n}")
         if np.abs(mat.imag).max() > 0:
             raise ConfigError(f"{pointer}/dense", "entries must be real")
         return mat.real
-    if "banded" in spec:
-        _check_keys(spec, pointer, required=("banded",))
+    if key == "banded":
         band = _check_keys(spec["banded"], f"{pointer}/banded",
                            required=("offsets", "values"))
         offsets = band["offsets"]
@@ -257,73 +284,46 @@ def _parse_real_matrix_spec(spec, lattice: Lattice, pointer) -> np.ndarray:
             val = _number(val, f"{pointer}/banded/values/{i}")
             mat[gap == off] = val
         return mat
-    if "power_law" in spec:
-        _check_keys(spec, pointer, required=("power_law",))
+    if key == "power_law":
         pl = _check_keys(spec["power_law"], f"{pointer}/power_law",
                          required=("amplitude", "eta"))
         amp = _number(pl["amplitude"], f"{pointer}/power_law/amplitude")
         eta = _number(pl["eta"], f"{pointer}/power_law/eta", strict_min=0.0)
         return amp * (1.0 + lattice.dist) ** (-eta)
-    if "identity" in spec:
-        _check_keys(spec, pointer, required=("identity",))
-        ident = _check_keys(spec["identity"], f"{pointer}/identity",
-                            optional=("scale",))
-        return _number(ident.get("scale", 1.0), f"{pointer}/identity/scale") * np.eye(n)
-    raise ConfigError(pointer, "expected one of 'dense', 'banded', 'power_law', 'identity'")
+    ident = _check_keys(spec["identity"], f"{pointer}/identity", optional=("scale",))
+    return _number(ident.get("scale", 1.0), f"{pointer}/identity/scale") * np.eye(n)
 
 
 def _parse_lindblad_coefficients(spec, lattice: Lattice, pointer) -> np.ndarray:
     """n x 2n complex Lindblad coefficient matrix (dense, local damping, or zero)."""
-    _require_mapping(spec, pointer)
+    key = _variant(spec, pointer, ("dense", "local_damping", "zero"))
     n = lattice.n_sites
-    if "dense" in spec:
-        _check_keys(spec, pointer, required=("dense",))
+    if key == "dense":
         mat = _complex_matrix(spec["dense"], f"{pointer}/dense")
         if mat.shape != (n, 2 * n):
             raise ConfigError(f"{pointer}/dense", f"expected {n}x{2 * n}")
         return mat
-    if "local_damping" in spec:
-        _check_keys(spec, pointer, required=("local_damping",))
+    mat = np.zeros((n, 2 * n), dtype=complex)
+    if key == "local_damping":
         damp = _check_keys(spec["local_damping"], f"{pointer}/local_damping",
                            required=("rate",))
         rate = _number(damp["rate"], f"{pointer}/local_damping/rate", minimum=0.0)
         # L_v = sqrt(rate) a_v with a_v = (Q_v + i P_v) / sqrt(2)
         amp = np.sqrt(rate / 2.0)
-        mat = np.zeros((n, 2 * n), dtype=complex)
         mat[:, :n] = amp * np.eye(n)
         mat[:, n:] = 1.0j * amp * np.eye(n)
-        return mat
-    if "zero" in spec:
-        _check_keys(spec, pointer, required=("zero",))
-        return np.zeros((n, 2 * n), dtype=complex)
-    raise ConfigError(pointer, "expected one of 'dense', 'local_damping', 'zero'")
+    return mat
 
 
-def parse_harmonic_model(section, lattice: Lattice, pointer="/model") -> HarmonicModel:
-    _check_keys(section, pointer, required=("type", "a", "b", "m"))
-    a = _parse_real_matrix_spec(section["a"], lattice, f"{pointer}/a")
-    b = _parse_real_matrix_spec(section["b"], lattice, f"{pointer}/b")
-    m = _parse_lindblad_coefficients(section["m"], lattice, f"{pointer}/m")
+def parse_harmonic_model(section, lattice: Lattice) -> HarmonicModel:
+    _check_keys(section, "/model", required=("type", "a", "b", "m"))
+    a = _parse_real_matrix_spec(section["a"], lattice, "/model/a")
+    b = _parse_real_matrix_spec(section["b"], lattice, "/model/b")
+    m = _parse_lindblad_coefficients(section["m"], lattice, "/model/m")
     try:
         return HarmonicModel(lattice=lattice, a=a, b=b, m=m)
     except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
-
-
-def _check_phases(model: GKSLModel, t: float) -> None:
-    """Refuse a sinusoidal profile whose phase omega * t + phase is not finite.
-
-    Every time of the run lies in [0, t], so its phase then stays finite too.
-    """
-    for section, terms in (("hamiltonian", model.hamiltonian_terms),
-                           ("lindblad", model.lindblad_terms)):
-        for i, term in enumerate(terms):
-            profile = term.profile
-            if not math.isfinite(profile.omega * t + profile.phase):
-                raise ConfigError(
-                    f"/model/{section}/{i}/profile/omega",
-                    f"the phase omega * t + phase leaves the float range at t = {t!r};"
-                    " lower omega or t")
+        raise ConfigError("/model", str(exc)) from exc
 
 
 @dataclass
@@ -350,28 +350,12 @@ class RunConfig:
     epsilon: float = 1e-2
 
 
-_TOP_KEYS = ("lattice", "eta", "model", "time", "observables", "pairs",
-             "thresholds")
-
-
 def parse_config(data) -> RunConfig:
-    """Validate a decoded JSON document into a RunConfig."""
+    """Validate a decoded JSON document into a RunConfig; /time is read before /model."""
     _check_keys(data, "", required=("lattice", "eta"),
-                optional=tuple(k for k in _TOP_KEYS if k not in ("lattice", "eta")))
+                optional=("model", "time", "observables", "pairs", "thresholds"))
     lattice = parse_lattice(data["lattice"])
     eta = _number(data["eta"], "/eta", strict_min=0.0)
-
-    spin_model = None
-    harmonic_model = None
-    if "model" in data:
-        model_section = _require_mapping(data["model"], "/model")
-        model_type = model_section.get("type")
-        if model_type == "spin":
-            spin_model = parse_spin_model(model_section, lattice)
-        elif model_type == "harmonic":
-            harmonic_model = parse_harmonic_model(model_section, lattice)
-        else:
-            raise ConfigError("/model/type", "expected 'spin' or 'harmonic'")
 
     time_grid = None
     if "time" in data:
@@ -380,17 +364,23 @@ def parse_config(data) -> RunConfig:
         t = _number(section["t"], "/time/t", strict_min=0.0)
         if ("r_points" in section) == ("dt_points" in section):
             raise ConfigError("/time", "specify exactly one of r_points, dt_points")
-        if "r_points" in section:
-            time_grid = TimeGrid(t=t, points=_integer(section["r_points"],
-                                                      "/time/r_points", minimum=2),
-                                 kind="r")
-        else:
-            time_grid = TimeGrid(t=t, points=_integer(section["dt_points"],
-                                                      "/time/dt_points", minimum=2),
-                                 kind="dt")
+        kind = "r" if "r_points" in section else "dt"
+        points = _integer(section[f"{kind}_points"], f"/time/{kind}_points", minimum=2)
+        time_grid = TimeGrid(t=t, points=points, kind=kind)
 
-    if spin_model is not None and time_grid is not None:
-        _check_phases(spin_model, time_grid.t)
+    spin_model = None
+    harmonic_model = None
+    if "model" in data:
+        model_section = _require_mapping(data["model"], "/model")
+        model_type = model_section.get("type")
+        if model_type == "spin":
+            # without a time grid the only time is 0, where every phase is finite
+            t = time_grid.t if time_grid else 0.0
+            spin_model = parse_spin_model(model_section, lattice, t)
+        elif model_type == "harmonic":
+            harmonic_model = parse_harmonic_model(model_section, lattice)
+        else:
+            raise ConfigError("/model/type", "expected 'spin' or 'harmonic'")
 
     observables: dict[str, Operator] = {}
     for i, entry in enumerate(data.get("observables", [])):

@@ -58,9 +58,11 @@ class HarmonicModel:
             raise ValueError(f"A and B must be {n}x{n}")
         if self.m.shape != (n, 2 * n):
             raise ValueError(f"M must be {n}x{2 * n}")
-        if np.abs(self.a - self.a.T).max() > SYMMETRY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN defect is refused
+            defect_a, defect_b = (np.abs(x - x.T).max() for x in (self.a, self.b))
+        if not defect_a <= SYMMETRY_TOL:
             raise ValueError("A must be symmetric")
-        if np.abs(self.b - self.b.T).max() > SYMMETRY_TOL:
+        if not defect_b <= SYMMETRY_TOL:
             raise ValueError("B must be symmetric")
 
     @property

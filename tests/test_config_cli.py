@@ -175,11 +175,165 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="qubit"):
             parse_config(data)
 
+    def test_non_string_operator_name_is_unknown(self):
+        # a list is no dictionary key; it is an unknown name, not a TypeError
+        data = minimal_spin_config(rate=0.5)
+        data["model"]["lindblad"][0]["operator"] = {"name": ["pauli_z"]}
+        with pytest.raises(ConfigError, match=r"^/model/lindblad/0/operator/name: unknown"
+                                              r" operator \['pauli_z'\]$"):
+            parse_config(data)
+
     def test_json_syntax_error_is_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "lattice": {,}\n}\n')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+
+_DELETE = object()
+
+_H0 = "/model/hamiltonian/0"
+_OPERATOR = f"{_H0}/operator"
+_KRON = {"kron": ["pauli_x", "pauli_x"]}
+_IDENTITY_4 = [[float(i == j) for j in range(4)] for i in range(4)]
+
+# (base config, {JSON pointer: new value or _DELETE}, the one error line)
+_ERROR_LINES = [
+    # the operator spec names exactly one of name, kron, matrix
+    ("spin", {_OPERATOR: "pauli_x"}, f"{_OPERATOR}: expected an object, got str"),
+    ("spin", {_OPERATOR: {}}, f"{_OPERATOR}: expected one of 'name', 'kron', 'matrix'"),
+    ("spin", {_OPERATOR: {"matrix": _IDENTITY_4, **_KRON}},
+     f"{_OPERATOR}/matrix: unknown key"),
+    ("spin", {_OPERATOR: {"kron": ["pauli_x"], "name": "pauli_x"}},
+     f"{_OPERATOR}/kron: unknown key"),
+    ("spin", {_OPERATOR: {**_KRON, "label": "xx"}}, f"{_OPERATOR}/label: unknown key"),
+    ("spin", {_OPERATOR: {"matrix": [[1, 0], [0, 1]]}},
+     f"{_OPERATOR}/matrix: expected a 4x4 matrix, got (2, 2)"),
+    ("spin", {_OPERATOR: {"matrix": [[1, 0], [0]]}},
+     f"{_OPERATOR}/matrix/1: ragged matrix rows"),
+    ("spin", {_OPERATOR: {"name": "pauli_x"}},
+     f"{_OPERATOR}: named operators are single-site qubit operators"),
+    ("spin", {f"{_H0}/sites": [0], "/model/dim_per_site": 3,
+              _OPERATOR: {"name": "pauli_x"}},
+     f"{_OPERATOR}: named operators are single-site qubit operators"),
+    ("spin", {f"{_H0}/sites": [0], _OPERATOR: {"name": "pauli_w"}},
+     f"{_OPERATOR}/name: unknown operator 'pauli_w'"),
+    ("spin", {_OPERATOR: {"kron": ["pauli_x"]}},
+     f"{_OPERATOR}/kron: expected 2 tensor factors"),
+    ("spin", {_OPERATOR: {"kron": "pauli_x"}},
+     f"{_OPERATOR}/kron: expected 2 tensor factors"),
+    ("spin", {_OPERATOR: {"kron": ["pauli_x", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}},
+     f"{_OPERATOR}/kron/1: factor must be 2x2"),
+    ("spin", {_OPERATOR: {"kron": ["pauli_x", "pauli_w"]}},
+     f"{_OPERATOR}/kron/1: unknown operator 'pauli_w'"),
+    ("spin", {"/model/dim_per_site": 3},
+     f"{_OPERATOR}/kron/0: named factors are qubit operators"),
+    # the real-matrix spec names exactly one of dense, banded, power_law, identity
+    ("harmonic", {"/model/a": [1.0]}, "/model/a: expected an object, got list"),
+    ("harmonic", {"/model/a": {}},
+     "/model/a: expected one of 'dense', 'banded', 'power_law', 'identity'"),
+    ("harmonic", {"/model/a": {"identity": {}, "dense": _IDENTITY_4}},
+     "/model/a/identity: unknown key"),
+    ("harmonic", {"/model/b": {"identity": {}, "scale": 2.0}},
+     "/model/b/scale: unknown key"),
+    ("harmonic", {"/model/a": {"dense": [[1.0, 0.0], [0.0, 1.0]]}},
+     "/model/a/dense: expected 4x4"),
+    ("harmonic", {"/model/a": {"dense": [[[0, 1]] + [0] * 3] + _IDENTITY_4[1:]}},
+     "/model/a/dense: entries must be real"),
+    ("harmonic", {"/model/a": {"banded": {"offsets": [0, 1], "values": [1.0]}}},
+     "/model/a/banded: offsets and values must match"),
+    ("harmonic", {"/model/a": {"banded": {"offsets": [0]}}},
+     "/model/a/banded: missing required key 'values'"),
+    ("harmonic", {"/model/a": {"banded": {"offsets": [-1], "values": [1.0]}}},
+     "/model/a/banded/offsets/0: must be >= 0, got -1"),
+    ("harmonic", {"/model/a": {"power_law": {"amplitude": 1.0, "eta": 0}}},
+     "/model/a/power_law/eta: must be > 0.0, got 0.0"),
+    ("harmonic", {"/model/a": {"power_law": {"eta": 2.0}}},
+     "/model/a/power_law: missing required key 'amplitude'"),
+    ("harmonic", {"/model/b": {"identity": {"factor": 2.0}}},
+     "/model/b/identity/factor: unknown key"),
+    ("harmonic", {"/model/b": {"identity": {"scale": "2"}}},
+     "/model/b/identity/scale: expected a number, got '2'"),
+    # the Lindblad-coefficient spec names exactly one of dense, local_damping, zero
+    ("harmonic", {"/model/m": "zero"}, "/model/m: expected an object, got str"),
+    ("harmonic", {"/model/m": {}},
+     "/model/m: expected one of 'dense', 'local_damping', 'zero'"),
+    ("harmonic", {"/model/m": {"zero": {}, "local_damping": {"rate": 0.1}}},
+     "/model/m/zero: unknown key"),
+    ("harmonic", {"/model/m": {"zero": {}, "rate": 0.1}}, "/model/m/rate: unknown key"),
+    ("harmonic", {"/model/m": {"dense": _IDENTITY_4}}, "/model/m/dense: expected 4x8"),
+    ("harmonic", {"/model/m": {"local_damping": {"rate": -0.1}}},
+     "/model/m/local_damping/rate: must be >= 0.0, got -0.1"),
+    ("harmonic", {"/model/m": {"local_damping": {}}},
+     "/model/m/local_damping: missing required key 'rate'"),
+    # Hamiltonian and Lindblad terms
+    ("spin", {_H0: "term"}, f"{_H0}: expected an object, got str"),
+    ("spin", {f"{_H0}/operator": _DELETE}, f"{_H0}: missing required key 'operator'"),
+    ("spin", {f"{_H0}/rate": 1.0}, f"{_H0}/rate: unknown key"),
+    ("spin", {f"{_H0}/strength": "1"}, f"{_H0}/strength: expected a number, got '1'"),
+    ("spin", {f"{_H0}/sites": [0, 0]}, f"{_H0}/sites: sites must be distinct"),
+    ("spin", {f"{_H0}/sites": [0, 2]},
+     f"{_H0}/sites/1: site 2 does not exist (lattice has 2)"),
+    ("spin", {"/model/lindblad/0/rate": _DELETE},
+     "/model/lindblad/0: missing required key 'rate'"),
+    ("spin", {"/model/lindblad/0/strength": 1.0},
+     "/model/lindblad/0/strength: unknown key"),
+    ("spin", {"/model/lindblad/0/rate": -0.5},
+     "/model/lindblad/0/rate: must be >= 0.0, got -0.5"),
+    ("spin", {"/model/lindblad/1/profile": {"kind": "linear"}},
+     "/model/lindblad/1/profile/kind: expected 'constant' or 'sinusoidal'"),
+    ("spin", {f"{_H0}/profile": {"kind": "sinusoidal", "amplitude": 1.0}},
+     f"{_H0}/profile: missing required key 'omega'"),
+    ("spin", {f"{_H0}/profile": {"kind": "constant", "omega": 1.0}},
+     f"{_H0}/profile/omega: unknown key"),
+    ("spin", {f"{_H0}/profile": {"kind": "sinusoidal", "amplitude": 1.0, "omega": 1e308,
+                                 "phase": 1e308}},
+     f"{_H0}/profile/omega: the phase omega * t + phase leaves the float range at t = 1.0;"
+     " lower omega or t"),
+    ("spin", {f"{_H0}/operator": {"matrix": [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4]}},
+     "/model: Hamiltonian term on (0, 1) is not Hermitian (defect 1.000e+00)"),
+    # the time grid takes exactly one of r_points, dt_points
+    ("spin", {"/time/dt_points": 5}, "/time: specify exactly one of r_points, dt_points"),
+    ("spin", {"/time/r_points": _DELETE},
+     "/time: specify exactly one of r_points, dt_points"),
+    ("spin", {"/time/r_points": 1}, "/time/r_points: must be >= 2, got 1"),
+    ("harmonic", {"/time/dt_points": 2.5}, "/time/dt_points: expected an integer, got 2.5"),
+    ("spin", {"/time/t": 0}, "/time/t: must be > 0.0, got 0.0"),
+    # the lattice and the top level
+    ("spin", {"/lattice/metric": "chebyshev"},
+     "/lattice/metric: unknown metric 'chebyshev'"),
+    ("spin", {"/lattice/metric": ["graph"]}, "/lattice/metric: unknown metric ['graph']"),
+    ("spin", {"/lattice/geometry/kind": "ring"},
+     "/lattice/geometry/kind: expected 'chain' or 'grid', got 'ring'"),
+    ("spin", {"/model/type": "bosonic"}, "/model/type: expected 'spin' or 'harmonic'"),
+    ("spin", {"/plot": True}, "/plot: unknown key"),
+    ("spin", {"/eta": _DELETE}, "/: missing required key 'eta'"),
+]
+
+
+def _edited(base, edits):
+    data = json.loads(json.dumps(
+        minimal_spin_config(rate=0.5) if base == "spin" else SMALL_HARMONIC))
+    for pointer, value in edits.items():
+        *path, last = pointer[1:].split("/")
+        node = data
+        for key in path:
+            node = node[int(key) if isinstance(node, list) else key]
+        last = int(last) if isinstance(node, list) else last
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return data
+
+
+@pytest.mark.parametrize("base, edits, line", _ERROR_LINES,
+                         ids=[line.split(": ")[0] for *_, line in _ERROR_LINES])
+def test_config_error_line(base, edits, line):
+    # one exact "pointer: message" line per reader rule
+    with pytest.raises(ConfigError) as err:
+        parse_config(_edited(base, edits))
+    assert str(err.value) == line
 
 
 class TestHarmonicMatrixSpecs:
@@ -936,6 +1090,40 @@ class TestCli:
         assert done.stderr.splitlines() == [
             f"error: {path}: the spin generator has non-finite entries"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, term", [
+        ("lindblad", {"sites": [0], "operator": {"matrix": [[1e155, 0], [0, 0]]},
+                      "rate": 0.5}),
+        ("hamiltonian", {"sites": [0], "operator": {"matrix": [[1e308, 0], [0, -1e308]]},
+                         "strength": 10}),
+        ("hamiltonian", {"sites": [0, 1], "strength": 1.0,
+                         "operator": {"kron": [[[1e200, 0], [0, 1e200]]] * 2}}),
+    ])
+    def test_overflowing_term_exits_one_at_its_pointer(self, tmp_path, section, term):
+        # L^dag L beyond the float range, strength * H, and a kron of huge factors:
+        # each is refused while the config is read, with no warning on stderr
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+        data["model"][section][0] = term
+        path = write_config(tmp_path, data)
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        scale = "rate" if section == "lindblad" else "strength"
+        for command in ("verify-spin", "lightcone", "assumptions"):
+            out = tmp_path / command
+            done = subprocess.run([sys.executable, "-m", "liebrob.cli", command,
+                                   "--config", str(path), "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert done.returncode == 1
+            assert done.stderr.splitlines() == [
+                f"error: {path}: /model/{section}/0: the term's generator leaves the float"
+                f" range; lower its {scale} or its operator's entries"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("case", ["spin-r-points", "harmonic-dt-points",
                                       "harmonic-sides"])

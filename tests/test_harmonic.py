@@ -45,6 +45,13 @@ class TestModelValidation:
             HarmonicModel(lattice=lattice, a=np.array([[0.0, 1.0], [0.0, 0.0]]),
                           b=np.eye(2), m=np.zeros((2, 4)))
 
+    def test_infinite_entry_of_a_rejected(self):
+        # inf - inf is a NaN defect, which no tolerance comparison lets through
+        lattice = build_lattice(2)
+        with pytest.raises(ValueError, match="symmetric"):
+            HarmonicModel(lattice=lattice, a=np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                          b=np.eye(2), m=np.zeros((2, 4)))
+
     def test_wrong_m_shape_rejected(self):
         lattice = build_lattice(2)
         with pytest.raises(ValueError, match="M"):

@@ -97,6 +97,14 @@ class TestModelValidation:
                 hamiltonian_terms=(HamiltonianTerm(support=(0,), matrix=LOWERING),)
             )
 
+    def test_infinite_hamiltonian_entry_rejected(self):
+        # inf - inf is a NaN defect, which no tolerance comparison lets through
+        matrix = np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            single_qubit_model(
+                hamiltonian_terms=(HamiltonianTerm(support=(0,), matrix=matrix),)
+            )
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             single_qubit_model(
