@@ -2,32 +2,32 @@
 
 Small spin lattices evolve through sparse CSR GKSL generators, one Taylor
 action of the exponential per step; large harmonic lattices evolve exactly
-through a 2n x 2n kernel matrix. Each takes one stepping pass per run. The
-bounds modules fit the decay constants, evaluate every theorem's right-hand
-side, and certify LHS <= RHS pointwise. The package exports only what the
-certifier runs.
+through a 2n x 2n kernel matrix. Each takes one stepping pass per run.
+``lattice`` gives the kernel constants; ``bounds`` fits lambda0, J and c0,
+evaluates every theorem's right-hand side, and certifies LHS <= RHS
+pointwise. The package exports only what the certifier runs.
 """
 
 from .bounds import (
     JMatrix,
     build_j_matrix,
+    c0_fit,
     certify,
     lambda0_fit,
     lightcone_arrivals,
-    matrix_exp,
     theorem1_bound,
     theorem2_bound,
     theorem3_bound,
     theorem3_matrix,
+    theorem4_bound,
 )
 from .harmonic import (
     HarmonicModel,
     build_kernel,
-    c0_fit,
+    matrix_exp,
     stepped_products,
     symplectic_defect,
     symplectic_form,
-    theorem4_bound,
 )
 from .lattice import (
     AssumptionConstants,

@@ -1,25 +1,24 @@
-"""Bound constants, right-hand sides and certification for the spin theorems.
+"""The fitted constants, every theorem's right-hand side, and certification.
 
-All constants entering a right-hand side are certified upper bounds (triangle
-inequality on term norms), so certified RHS values can only be loose, never
-optimistic. Reported slack quantifies the looseness. The power-law bound
-(Theorem 1) is its rescaled-time variant (Theorem 2) at N = 1, p1 = p0, so
-the two share one formula, one signature and one overflow rule. The
-matrix-exponential bound (Theorem 3) reads every pair from one
-:func:`theorem3_matrix` stack over the run's dt grid.
+Constants are certified upper bounds, so an RHS can only be loose. lambda0
+is the power-law envelope of one pair-norm matrix T (term-norm bounds at
+their sup over the run's [0, t]), J is I + T, and c0 is the envelope of the
+harmonic couplings. Theorem 1 is Theorem 2 at N = 1, p1 = p0, one formula and
+one overflow rule; Theorem 3 reads every pair from one :func:`theorem3_matrix`
+stack over the run's dt grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .lattice import _check_eta
+from .harmonic import HarmonicModel
+from .lattice import _check_constant, _check_eta
 from .lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
 from .operators import operator_norm
 
@@ -39,33 +38,46 @@ def _term_norm_bound(term: HamiltonianTerm | LindbladTerm, sup: float) -> float:
     return 2.0 * norm * sup
 
 
-def _support_norm_bounds(model: GKSLModel) -> dict[tuple[int, ...], float]:
-    """Certified sup-over-time norm upper bound per distinct support set."""
-    bounds: dict[tuple[int, ...], float] = defaultdict(float)
+def _pair_norms(model: GKSLModel, t: float) -> np.ndarray:
+    """T[x, y], x != y: summed norm bounds over [0, t] of the terms on both x and y."""
+    pair = np.zeros((model.lattice.n_sites,) * 2)
     for term in model.hamiltonian_terms + model.lindblad_terms:
-        key = tuple(sorted(term.support))
-        bounds[key] += _term_norm_bound(term, term.profile.sup_abs)
-    return dict(bounds)
+        bound = _term_norm_bound(term, term.profile.sup_abs_on(0.0, t))
+        for x, y in itertools.permutations(term.support, 2):
+            pair[x, y] += bound
+    return pair
 
 
-def lambda0_fit(model: GKSLModel, eta: float) -> float:
-    """Minimal lambda0 of the power-law envelope, by direct summation over pairs.
+def _envelope(name: str, matrix: np.ndarray, dist: np.ndarray, eta: float) -> float:
+    """Minimal c with |X_xy| <= c / [1 + d_xy]^eta: max |X_xy| (1 + d_xy)^eta.
 
-    The summed certified term-norm bounds between distinct sites x, y stay
-    below lambda0 / [1 + d(x,y)]^eta.
+    Only the nonzero entries count, so 0 if there are none. A c outside the
+    float range raises ValueError naming ``name`` and eta.
+    """
+    nonzero = matrix != 0
+    with np.errstate(over="ignore"):  # beyond the float range: refused below
+        weighted = np.abs(matrix[nonzero]) * (1.0 + dist[nonzero]) ** eta
+    c = float(weighted.max(initial=0.0))
+    _check_constant(name, c, eta)
+    return c
+
+
+def lambda0_fit(model: GKSLModel, eta: float, t: float) -> float:
+    """Minimal lambda0 with T_xy <= lambda0 / [1 + d(x,y)]^eta on the window [0, t]."""
+    return _envelope("lambda0", _pair_norms(model, t), model.lattice.dist,
+                     _check_eta(eta))
+
+
+def c0_fit(model: HarmonicModel, eta: float) -> float:
+    """Minimal c0 with every |A|, |B|, |M| entry below c0 / [1 + d]^eta.
+
+    Both halves of M are measured against the distance between the Lindblad
+    site (its row) and the coordinate site (its column mod n).
     """
     eta = _check_eta(eta)
-    totals: dict[tuple[int, int], float] = defaultdict(float)
-    for support, bound in _support_norm_bounds(model).items():
-        if len(support) < 2 or bound == 0.0:
-            continue
-        for x, y in itertools.combinations(support, 2):
-            totals[(x, y)] += bound
-    if not totals:
-        return 0.0
-    dist = model.lattice.dist
-    lam = max((1.0 + dist[x, y]) ** eta * total for (x, y), total in totals.items())
-    return float(lam)
+    n = model.n_sites
+    return max(_envelope("c0", block, model.lattice.dist, eta)
+               for block in (model.a, model.b, model.m[:, :n], model.m[:, n:]))
 
 
 def _check_dt(dt) -> np.ndarray:
@@ -143,29 +155,19 @@ class JMatrix:
 
 
 def build_j_matrix(model: GKSLModel, t: float) -> JMatrix | None:
-    """J matrix of a pairwise model over the window [0, t].
+    """J = I + T, with T the pair-norm matrix over the window [0, t].
 
     Single-site terms are permitted in the model but excluded from J (the
     matrix-exponential bound covers pairwise generators only); their presence
     is recorded in ``onsite_excluded``. A model with a term on three or more
     sites has no J matrix: None.
     """
-    n = model.lattice.n_sites
-    j = np.eye(n)
-    onsite = False
-    for term in model.hamiltonian_terms + model.lindblad_terms:
-        support = tuple(sorted(term.support))
-        if len(support) == 1:
-            onsite = True
-            continue
-        if len(support) > 2:
-            return None
-        bound = _term_norm_bound(term, term.profile.sup_abs_on(0.0, t))
-        j[support[0], support[1]] += bound
-        j[support[1], support[0]] += bound
-    off = j - np.eye(n)
-    kappa = float(off.sum(axis=1).max()) if n > 1 else 0.0
-    return JMatrix(matrix=j, kappa=kappa, onsite_excluded=onsite)
+    sizes = {len(term.support) for term in model.hamiltonian_terms + model.lindblad_terms}
+    if max(sizes, default=0) > 2:
+        return None
+    pair = _pair_norms(model, t)
+    return JMatrix(matrix=np.eye(len(pair)) + pair, kappa=float(pair.sum(axis=1).max()),
+                   onsite_excluded=1 in sizes)
 
 
 def theorem3_matrix(jm: JMatrix, dt) -> np.ndarray:
@@ -193,20 +195,23 @@ def theorem3_bound(stacked: np.ndarray, k_norm: float, o_norm: float, i: int, j:
         return _vacuous_on_overflow(k_norm * o_norm * e, e)
 
 
-def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with Pade approximation.
+def growth_rate(c0: float, p0: float) -> float:
+    """The harmonic bound's exponential rate 2 p0 (c0 + p0 c0^2)."""
+    return 2.0 * p0 * (c0 + p0 * c0 * c0)
 
-    Thin wrapper over scipy's implementation with explicit finiteness checks;
-    overflow for extreme norms raises instead of returning inf entries.
+
+def theorem4_bound(c0: float, p0: float, eta: float, dt, d_xy):
+    """e^{rate dt} / (2 p0 [1 + d]^eta) with rate = growth_rate(c0, p0), for d > 0.
+
+    Elementwise over broadcast dt and d_xy; +inf wherever the exponential or
+    the denominator leaves the float range.
     """
-    m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix_exp requires finite entries")
+    dt = _check_dt(dt)
+    d_xy = _check_distance(d_xy, "the harmonic bound requires distinct sites (d > 0)")
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(e)):
-        raise OverflowError("matrix exponential overflowed for this norm")
-    return e
+        growth = np.exp(growth_rate(c0, p0) * dt)
+        denominator = 2.0 * p0 * np.power(1.0 + d_xy, eta)
+        return _vacuous_on_overflow(growth / denominator, growth, denominator)
 
 
 def certify(lhs, rhs):

@@ -7,7 +7,8 @@ finite (Python's json reader accepts NaN and Infinity). A spec with variants
 (an operator, a real matrix, Lindblad coefficients) names exactly one of them.
 One reader takes Hamiltonian and Lindblad terms alike and refuses a term whose
 generator, or whose profile's phase over the run's [0, t], leaves the float
-range. Observable pairs are resolved here into (O_X, O_Y, d_xy) triples, and an
+range; an observable whose operator leaves it is refused the same way.
+Observable pairs are resolved here into (O_X, O_Y, d_xy) triples, and an
 explicit pair whose supports overlap is rejected at its pointer.
 """
 
@@ -304,7 +305,9 @@ def _parse_lindblad_coefficients(spec, lattice: Lattice, pointer) -> np.ndarray:
             raise ConfigError(f"{pointer}/dense", f"expected {n}x{2 * n}")
         return mat
     mat = np.zeros((n, 2 * n), dtype=complex)
-    if key == "local_damping":
+    if key == "zero":
+        _check_keys(spec["zero"], f"{pointer}/zero")  # takes no keys
+    elif key == "local_damping":
         damp = _check_keys(spec["local_damping"], f"{pointer}/local_damping",
                            required=("rate",))
         rate = _number(damp["rate"], f"{pointer}/local_damping/rate", minimum=0.0)
@@ -393,7 +396,12 @@ def parse_config(data) -> RunConfig:
             raise ConfigError(f"{ep}/name", f"duplicate observable name {name!r}")
         sites = _parse_sites(entry["sites"], lattice, f"{ep}/sites")
         dim = spin_model.dim_per_site if spin_model is not None else 2
-        mat = _parse_operator_matrix(entry["operator"], len(sites), dim, f"{ep}/operator")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite one is refused
+            mat = _parse_operator_matrix(entry["operator"], len(sites), dim,
+                                         f"{ep}/operator")
+        if not np.isfinite(mat).all():
+            raise ConfigError(ep, "the observable's operator leaves the float range;"
+                                  " lower its entries")
         observables[name] = local_operator(mat, sites, dim)
 
     def disjoint(ox: Operator, oy: Operator) -> bool:

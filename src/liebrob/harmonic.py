@@ -11,7 +11,8 @@ pass: :func:`stepped_products` yields each P_k once, and every consumer (the
 commutator norms |P_k|, the symplectic defect) reads it there. Because
 sigma^2 = -1, E_k = e^{S dt_k} = -P_k sigma, and the symplectic defect
 E_k sigma E_k^T - sigma equals P_k sigma P_k^T - sigma: it needs no further
-exponential either.
+exponential either. The bound's constant c0 and its RHS live in
+:mod:`liebrob.bounds`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .bounds import _check_distance, _check_dt, _vacuous_on_overflow, matrix_exp
-from .lattice import Lattice, _check_eta
+from .lattice import Lattice
 
 SYMMETRY_TOL = 1e-12
 
@@ -86,6 +87,22 @@ def build_kernel(model: HarmonicModel) -> np.ndarray:
     return s
 
 
+def matrix_exp(m) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring with Pade approximation.
+
+    Thin wrapper over scipy's implementation with explicit finiteness checks;
+    overflow for extreme norms raises instead of returning inf entries.
+    """
+    m = np.asarray(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix_exp requires finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(m)
+    if not np.all(np.isfinite(e)):
+        raise OverflowError("matrix exponential overflowed for this norm")
+    return e
+
+
 def stepped_products(s: np.ndarray, t: float, points: int):
     """Yield (dt_k, e^{S dt_k} sigma) on the grid linspace(0, t, points).
 
@@ -123,40 +140,3 @@ def symplectic_defect(product: np.ndarray) -> float:
     p_sigma = np.hstack([-product[:, n:], product[:, :n]])
     with np.errstate(over="ignore", invalid="ignore"):  # beyond the float range: inf
         return float(np.abs(p_sigma @ product.T - symplectic_form(n)).max())
-
-
-def c0_fit(model: HarmonicModel, eta: float) -> float:
-    """Minimal c0 with every |A|, |B|, |M| entry below c0 / [1 + d]^eta.
-
-    Both halves of M are measured against the distance between the Lindblad
-    site (its row) and the coordinate site (its column mod n).
-    """
-    eta = _check_eta(eta)
-    n = model.n_sites
-    weight = (1.0 + model.lattice.dist) ** eta
-    c0 = max(
-        (np.abs(model.a) * weight).max(),
-        (np.abs(model.b) * weight).max(),
-        (np.abs(model.m[:, :n]) * weight).max(),
-        (np.abs(model.m[:, n:]) * weight).max(),
-    )
-    return float(c0)
-
-
-def growth_rate(c0: float, p0: float) -> float:
-    """The harmonic bound's exponential rate 2 p0 (c0 + p0 c0^2)."""
-    return 2.0 * p0 * (c0 + p0 * c0 * c0)
-
-
-def theorem4_bound(c0: float, p0: float, eta: float, dt, d_xy):
-    """e^{rate dt} / (2 p0 [1 + d]^eta) with rate = growth_rate(c0, p0), for d > 0.
-
-    Elementwise over broadcast dt and d_xy; +inf wherever the exponential or
-    the denominator leaves the float range.
-    """
-    dt = _check_dt(dt)
-    d_xy = _check_distance(d_xy, "the harmonic bound requires distinct sites (d > 0)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.exp(growth_rate(c0, p0) * dt)
-        denominator = 2.0 * p0 * np.power(1.0 + d_xy, eta)
-        return _vacuous_on_overflow(growth / denominator, growth, denominator)

@@ -66,6 +66,13 @@ def _check_eta(eta: float) -> float:
     return eta
 
 
+def _check_constant(name: str, value: float, eta: float) -> None:
+    """ValueError naming ``name`` and eta unless the decay constant is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"the decay constant {name} is {value} at eta = {eta!r}: the"
+                         " kernel 1/[1 + d]^eta leaves the float range; lower eta")
+
+
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Decay-assumption constants of a lattice at a fixed exponent.
@@ -96,6 +103,7 @@ def assumption_constants(lattice: Lattice, eta: float) -> AssumptionConstants:
     k = (1.0 + lattice.dist) ** (-eta)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where k underflows
         p0 = float(((k @ k) / k).max())
+    _check_constant("p0", p0, eta)
     ext = float(k.sum(axis=1).max())
     nl = p1 = None
     if lattice.n_sites >= 2:
@@ -103,11 +111,6 @@ def assumption_constants(lattice: Lattice, eta: float) -> AssumptionConstants:
         np.fill_diagonal(k, 0.0)
         with np.errstate(divide="ignore"):  # a sum that underflows to 0 gives inf
             nl = float(1.0 / k.sum(axis=1).max())
+        _check_constant("n_lambda", nl, eta)
         p1 = nl * p0
-    for name, value in (("p0", p0), ("n_lambda", nl)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(
-                f"the decay constant {name} is {value} at eta = {eta!r}: the kernel"
-                " 1/[1 + d]^eta leaves the float range; lower eta"
-            )
     return AssumptionConstants(eta=eta, p0=p0, extensivity_sup=ext, n_lambda=nl, p1=p1)

@@ -64,11 +64,6 @@ class TimeProfile:
         return self.kind == "constant"
 
     @property
-    def sup_abs(self) -> float:
-        """sup over all times of |value(t)|."""
-        return abs(self.amplitude)
-
-    @property
     def min_value(self) -> float:
         """inf over all times of value(t)."""
         if self.kind == "constant":
@@ -352,25 +347,30 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
                            substeps: int = 16):
     """Curves r -> ||[tau(r, t) O_Y, O_X]|| for several observable pairs.
 
-    ``pairs`` is a sequence of (O_X, O_Y) local Operators, embedded here into
-    the model's D x D Hilbert space. All pairs share one backward sweep over
-    the grid linspace(0, t, points); on time-dependent models each grid
-    interval is subdivided into ``substeps`` midpoint actions. Returns a
-    (pairs, points) float array: row i is pair i's curve on the grid, in
-    ascending r.
+    ``pairs`` is a sequence of (O_X, O_Y) local Operators. Each distinct
+    (support, matrix) is embedded once into the model's D x D Hilbert space,
+    and the distinct O_Y, in order of first appearance, are the columns of
+    one backward sweep over the grid linspace(0, t, points); on
+    time-dependent models each grid interval is subdivided into ``substeps``
+    midpoint actions. Returns a (pairs, points) float array: row i is pair
+    i's curve on the grid, in ascending r.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     d = model.hilbert_dim
-    full = [[embed(op.matrix, op.support, model.lattice, model.dim_per_site) for op in pair]
-            for pair in pairs]
-    # Distinct O_Y columns evolve together through a single sweep.
-    columns = {y.tobytes(): vec(y) for _, y in full}
-    index = {key: i for i, key in enumerate(columns)}
-    targets = [(x, index[y.tobytes()]) for x, y in full]
+
+    def key(op) -> tuple:  # a distinct observable: its support and local matrix
+        return op.support, op.matrix.tobytes()
+
+    local = {key(op): op for pair in pairs for op in pair}
+    full = {k: embed(op.matrix, op.support, model.lattice, model.dim_per_site)
+            for k, op in local.items()}
+    keys = [(key(ox), key(oy)) for ox, oy in pairs]
+    index = {y: i for i, y in enumerate(dict.fromkeys(y for _, y in keys))}  # O_Y columns
+    targets = [(full[x], index[y]) for x, y in keys]
     norms = np.empty((len(pairs), points))
-    blocks = _stepped_blocks(model, np.stack(list(columns.values()), axis=1), 0.0, t,
-                             points, substeps)
+    columns = np.stack([vec(full[y]) for y in index], axis=1)
+    blocks = _stepped_blocks(model, columns, 0.0, t, points, substeps)
     for k, block in enumerate(blocks):
         column = points - 1 - k  # the sweep runs backward from r = t
         for i, (x, j) in enumerate(targets):

@@ -134,14 +134,15 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     eta = config.eta
 
     consts = assumption_constants(config.lattice, eta)
-    fitted_lambda0 = bnd.lambda0_fit(model, eta)
     p0 = consts.p0 * SAFETY
-    lambda0 = fitted_lambda0 * SAFETY
     n_lam = consts.n_lambda * SAFETY if consts.n_lambda is not None else None
     p1 = consts.p1 * SAFETY if consts.p1 is not None else None
 
     curves = _spin_lhs(config, guard_dim)
     t, r_grid = config.time.t, config.time.grid()
+    # after the sweep, which refuses a non-finite or too large generator first
+    fitted_lambda0 = bnd.lambda0_fit(model, eta, t)
+    lambda0 = fitted_lambda0 * SAFETY
 
     jm = bnd.build_j_matrix(model, t)  # None: the matrix-exponential bound is inapplicable
     dts = t - r_grid
@@ -288,7 +289,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
 
     consts = assumption_constants(lattice, eta)
     p0 = consts.p0 * SAFETY
-    fitted_c0 = harm.c0_fit(model, eta)
+    fitted_c0 = bnd.c0_fit(model, eta)
     c0 = fitted_c0 * SAFETY
     pairs, starts, distances = _pair_segments(lattice.dist)
     pair_counts = np.diff(starts, append=pairs.size)
@@ -304,7 +305,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     for dt, product, lhs, lhs_max in _harmonic_sweep(config, pairs, starts):
         if closed:
             defect = max(defect, harm.symplectic_defect(product))
-        rhs = harm.theorem4_bound(c0, p0, eta, dt, distances)
+        rhs = bnd.theorem4_bound(c0, p0, eta, dt, distances)
         slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
         cell_viol = np.zeros(lhs_max.shape, dtype=int)
         if violated.any():  # no segment violates unless its max does
@@ -331,7 +332,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "eta_above_lattice_dimension": not eta_warning,
         "constants": {"p0": consts.p0, "extensivity_sup": consts.extensivity_sup},
         "c0": fitted_c0,
-        "growth_rate": harm.growth_rate(c0, p0),
+        "growth_rate": bnd.growth_rate(c0, p0),
         "sites": model.n_sites,
         "dt_points": len(steps),
         "rows": len(rows),

@@ -9,6 +9,7 @@ from liebrob import (
     HamiltonianTerm,
     JMatrix,
     LindbladTerm,
+    TimeProfile,
     assumption_constants,
     build_j_matrix,
     build_lattice,
@@ -50,7 +51,7 @@ class TestLambda0Fit:
             lattice=lattice,
             lindblad_terms=(LindbladTerm(support=(0,), matrix=PAULI_Z, rate=1.0),),
         )
-        lambda0 = lambda0_fit(model, 1.0)
+        lambda0 = lambda0_fit(model, 1.0, 1.0)
         assert lambda0 == 0.0 and isinstance(lambda0, float)
 
     def test_two_site_single_pair_term(self):
@@ -63,13 +64,13 @@ class TestLambda0Fit:
                 HamiltonianTerm(support=(0, 1), matrix=np.kron(PAULI_X, PAULI_X)),
             ),
         )
-        assert lambda0_fit(model, 1.0) == pytest.approx(4.0)
+        assert lambda0_fit(model, 1.0, 1.0) == pytest.approx(4.0)
 
     def test_five_chain_brute_force_oracle(self):
         model = xy_dephasing_model()
         lattice = model.lattice
         eta = 2.0
-        lambda0 = lambda0_fit(model, eta)
+        lambda0 = lambda0_fit(model, eta, 1.0)
         # independent double loop over pairs, summing certified term bounds
         best = 0.0
         for x in range(5):
@@ -87,7 +88,7 @@ class TestLambda0Fit:
     def test_fit_satisfies_power_law_inequality(self):
         model = xy_dephasing_model(n_sites=4, gamma=0.2)
         eta = 1.5
-        lambda0 = lambda0_fit(model, eta)
+        lambda0 = lambda0_fit(model, eta, 1.0)
         lattice = model.lattice
         attained = 0.0
         for x, y in itertools.permutations(range(4), 2):
@@ -99,6 +100,26 @@ class TestLambda0Fit:
             assert total <= envelope * (1.0 + 1e-12)
             attained = max(attained, total / envelope)
         assert attained == pytest.approx(1.0, rel=1e-12)
+
+    def test_driven_window_missing_the_crest(self):
+        # (1 - cos t) / 2 crests at t = pi, outside [0, 1]: lambda0 reads each
+        # term at its sup over the run, as J does, not at its amplitude
+        profile = TimeProfile(kind="sinusoidal", amplitude=1.0, omega=1.0,
+                              phase=-math.pi / 2)
+        xx = np.kron(PAULI_X, PAULI_X)
+        model = GKSLModel(lattice=build_lattice(3), hamiltonian_terms=(
+            HamiltonianTerm(support=(0, 1), matrix=xx, profile=profile),
+            HamiltonianTerm(support=(0, 2), matrix=0.8 * xx, profile=profile),
+            HamiltonianTerm(support=(1, 2), matrix=0.3 * xx),
+        ))
+        eta, t = 1.5, 1.0
+        off = ~np.eye(3, dtype=bool)
+        weight = (1.0 + model.lattice.dist) ** eta
+        pair = build_j_matrix(model, t).matrix - np.eye(3)
+        lambda0 = lambda0_fit(model, eta, t)
+        assert lambda0 == pytest.approx((weight * pair)[off].max(), rel=1e-15)
+        by_amplitude = max(2.0 * 2.0**eta, 2.0 * 0.8 * 3.0**eta, 2.0 * 0.3 * 2.0**eta)
+        assert lambda0 < by_amplitude
 
 
 class TestTheorem1Bound:
@@ -153,6 +174,12 @@ class TestTheorem1Bound:
             two = theorem2_bound(lambda0, p0, 1.0, *args)
             assert np.array_equal(one, two)
             assert np.isinf(one[-1]).all() and np.isinf(one[:, -1]).all()
+            # minimal p1 is N p0, so on every finite lattice the two bounds
+            # agree up to the rounding of N / p1 and of v1 dt / N
+            n_lambda = float(rng.uniform(0.01, 2.0))
+            rescaled = theorem2_bound(lambda0, n_lambda * p0, n_lambda, *args)
+            finite = np.isfinite(one)
+            np.testing.assert_allclose(rescaled[finite], one[finite], rtol=1e-12)
 
 
 class TestTheorem2Bound:
@@ -473,7 +500,7 @@ class TestCertify:
         lattice = model.lattice
         eta = 2.0
         t = 1.5
-        lambda0 = lambda0_fit(model, eta)
+        lambda0 = lambda0_fit(model, eta, t)
         p0 = assumption_constants(lattice, eta).p0
         curve = commutator_norm_curves(
             model, [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))],

@@ -260,6 +260,9 @@ _ERROR_LINES = [
      "/model/m: expected one of 'dense', 'local_damping', 'zero'"),
     ("harmonic", {"/model/m": {"zero": {}, "local_damping": {"rate": 0.1}}},
      "/model/m/zero: unknown key"),
+    # zero takes only an empty object
+    ("harmonic", {"/model/m": {"zero": "x"}}, "/model/m/zero: expected an object, got str"),
+    ("harmonic", {"/model/m": {"zero": 5}}, "/model/m/zero: expected an object, got int"),
     ("harmonic", {"/model/m": {"zero": {}, "rate": 0.1}}, "/model/m/rate: unknown key"),
     ("harmonic", {"/model/m": {"dense": _IDENTITY_4}}, "/model/m/dense: expected 4x8"),
     ("harmonic", {"/model/m": {"local_damping": {"rate": -0.1}}},
@@ -292,6 +295,11 @@ _ERROR_LINES = [
      " lower omega or t"),
     ("spin", {f"{_H0}/operator": {"matrix": [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4]}},
      "/model: Hamiltonian term on (0, 1) is not Hermitian (defect 1.000e+00)"),
+    # an observable's operator, like a term's generator, stays in the float range
+    ("spin", {"/observables/1": {"name": "BIG", "sites": [0, 1],
+                                 "operator": {"kron": [[[1e200, 0], [0, 1e200]]] * 2}}},
+     "/observables/1: the observable's operator leaves the float range; lower its"
+     " entries"),
     # the time grid takes exactly one of r_points, dt_points
     ("spin", {"/time/dt_points": 5}, "/time: specify exactly one of r_points, dt_points"),
     ("spin", {"/time/r_points": _DELETE},
@@ -459,7 +467,7 @@ class TestRunners:
         import csv
 
         from liebrob import assumption_constants, c0_fit, theorem4_bound
-        from liebrob.harmonic import growth_rate
+        from liebrob.bounds import growth_rate
         from liebrob.runner import SAFETY, run_lightcone
 
         data = {
@@ -496,7 +504,7 @@ class TestRunners:
         import csv
         import math
 
-        from liebrob import assumption_constants, harmonic, lightcone_arrivals
+        from liebrob import assumption_constants, bounds, harmonic, lightcone_arrivals
         from liebrob.bounds import VIOLATION_TOLERANCE
         from liebrob.config import RunConfig, TimeGrid
         from liebrob.harmonic import HarmonicModel
@@ -514,13 +522,13 @@ class TestRunners:
                               m=0.3 * m * np.hstack([decay, decay]))
         config = RunConfig(lattice=lattice, eta=3.0, harmonic_model=model,
                            time=TimeGrid(t=1.5, points=7, kind="dt"))
-        bound = harmonic.theorem4_bound
-        monkeypatch.setattr(harmonic, "theorem4_bound",
+        bound = bounds.theorem4_bound
+        monkeypatch.setattr(bounds, "theorem4_bound",
                             lambda *args: rhs_scale * bound(*args))
         summary = run_verify_harmonic(config, tmp_path)
 
         p0 = assumption_constants(lattice, 3.0).p0 * SAFETY
-        c0 = harmonic.c0_fit(model, 3.0) * SAFETY
+        c0 = bounds.c0_fit(model, 3.0) * SAFETY
         dist = lattice.dist
         off = ~np.eye(n, dtype=bool)
         kernel = harmonic.build_kernel(model)
@@ -1124,6 +1132,36 @@ class TestCli:
                 f"error: {path}: /model/{section}/0: the term's generator leaves the float"
                 f" range; lower its {scale} or its operator's entries"]
             assert not out.exists()
+
+    @pytest.mark.parametrize("command, name, eta", [("verify-harmonic", "c0", 310.0),
+                                                    ("verify-spin", "lambda0", 660.0)])
+    def test_envelope_beyond_float_range_exits_one_naming_it(self, tmp_path, capsys,
+                                                            command, name, eta):
+        # [1 + d]^eta overflows on a coupled pair: c0 and lambda0 take the rule
+        # p0 takes, one line naming the constant and eta, and no RuntimeWarning
+        if command == "verify-harmonic":
+            data = json.loads((CONFIG_DIR / "harmonic_chain.json").read_text())
+            data["lattice"]["geometry"]["sides"] = [10]
+            data["time"]["dt_points"] = 5
+        else:
+            xx = {"kron": ["pauli_x", "pauli_x"]}
+            data = {
+                "lattice": {"geometry": {"kind": "chain", "sides": [3]},
+                            "metric": "graph"},
+                "model": {"type": "spin", "hamiltonian": [
+                    {"sites": [0, 1], "operator": xx}, {"sites": [0, 2], "operator": xx}]},
+                "time": {"t": 1, "r_points": 3},
+                "observables": [
+                    {"name": "Z0", "sites": [0], "operator": {"name": "pauli_z"}},
+                    {"name": "Z2", "sites": [2], "operator": {"name": "pauli_z"}}],
+            }
+        data["eta"] = eta
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: the decay constant {name} is inf at eta = {eta!r}: the kernel"
+            " 1/[1 + d]^eta leaves the float range; lower eta"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["spin-r-points", "harmonic-dt-points",
                                       "harmonic-sides"])

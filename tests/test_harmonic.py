@@ -271,6 +271,18 @@ class TestC0Fit:
                               b=np.zeros((n, n)), m=m)
         assert c0_fit(model, 1.0) == pytest.approx(0.5 * 3.0)
 
+    def test_only_nonzero_entries_count(self):
+        # (1 + 9)^400 leaves the float range, which matters only on a coupled pair
+        a = 1.3 * np.eye(10)
+        model = HarmonicModel(lattice=build_lattice(10), a=a, b=np.eye(10),
+                              m=np.zeros((10, 20)))
+        assert c0_fit(model, 400.0) == 1.3
+        a[0, 9] = a[9, 0] = 1e-90
+        model = HarmonicModel(lattice=build_lattice(10), a=a, b=np.eye(10),
+                              m=np.zeros((10, 20)))
+        with pytest.raises(ValueError, match=r"c0 is inf at eta = 400\.0"):
+            c0_fit(model, 400.0)
+
 
 class TestTheorem4Bound:
     def test_dt_zero_quarter(self):
@@ -282,7 +294,7 @@ class TestTheorem4Bound:
         assert values[0] == pytest.approx(1.0 / (2.0 * 2.0 * 3.0**1.5))
 
     def test_log_derivative_growth_rate(self):
-        from liebrob.harmonic import growth_rate
+        from liebrob.bounds import growth_rate
 
         c0, p0 = 0.8, 1.9
         rate = growth_rate(c0, p0)

@@ -55,7 +55,7 @@ class TestTimeProfile:
     def test_constant(self):
         profile = TimeProfile(kind="constant", amplitude=0.7)
         assert profile.value(3.1) == 0.7
-        assert profile.sup_abs == 0.7
+        assert profile.sup_abs_on(0.0, 3.1) == 0.7
         assert profile.min_value == 0.7
         assert profile.is_constant
 
@@ -65,7 +65,7 @@ class TestTimeProfile:
         values = np.array([profile.value(t) for t in ts])
         assert values.min() >= 0.0
         assert values.max() <= 2.0
-        assert profile.sup_abs == 2.0
+        assert profile.sup_abs_on(0.0, 20.0) == 2.0
         assert profile.min_value == 0.0
 
     def test_interval_sup_matches_dense_sampling(self):
@@ -507,6 +507,36 @@ class TestCommutatorNormCurve:
         for pair, batch in zip(pairs, batched):
             single = commutator_norm_curves(model, [pair], 1.0, 6)[0]
             np.testing.assert_array_equal(batch, single)
+
+    def test_each_distinct_observable_is_embedded_once(self, monkeypatch):
+        # all three pairs of three Z observables: three embeddings before the
+        # sweep, not six, and two O_Y columns in order of first appearance
+        import liebrob.lindblad as lindblad
+
+        embedded, blocks, before_sweep = [], [], []
+        embed, sweep = lindblad.embed, lindblad._stepped_blocks
+
+        def counting_embed(matrix, support, *args):
+            embedded.append(support)
+            return embed(matrix, support, *args)
+
+        def recording_sweep(model, block, *args):
+            blocks.append(block)
+            before_sweep.append(list(embedded))  # the generator build embeds terms
+            return sweep(model, block, *args)
+
+        monkeypatch.setattr(lindblad, "embed", counting_embed)
+        monkeypatch.setattr(lindblad, "_stepped_blocks", recording_sweep)
+        z = [local_operator(PAULI_Z, (site,)) for site in range(3)]
+        pairs = [(z[0], z[1]), (z[0], z[2]), (z[1], z[2])]
+        model = xy_chain_with_dephasing()
+        curves = commutator_norm_curves(model, pairs, 1.0, 6)
+        assert before_sweep[0] == [(0,), (1,), (2,)]
+        columns = [vec(embed(PAULI_Z, (site,), model.lattice)) for site in (1, 2)]
+        np.testing.assert_array_equal(blocks[0], np.stack(columns, axis=1))
+        for pair, curve in zip(pairs, curves):
+            single = commutator_norm_curves(model, [pair], 1.0, 6)[0]
+            np.testing.assert_array_equal(curve, single)
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_sweep_counts_kernel_calls(self, monkeypatch, time_dependent):

@@ -9,7 +9,7 @@ from liebrob import (
     TimeProfile,
     build_lattice,
 )
-from liebrob.bounds import _support_norm_bounds
+from liebrob.bounds import _term_norm_bound
 from liebrob.operators import (
     PAULI_X,
     PAULI_Z,
@@ -182,26 +182,32 @@ def term_model(n_sites, h=None, lindblads=(), profile=TimeProfile()):
     )
 
 
+def support_bound(model):
+    """The summed certified norm bounds of a term_model's terms over [0, 1]."""
+    return sum(_term_norm_bound(term, term.profile.sup_abs_on(0.0, 1.0))
+               for term in model.hamiltonian_terms + model.lindblad_terms)
+
+
 class TestAdjointTermNormUpper:
     """The certified inf->inf bound of a local adjoint-generator term.
 
-    ``bounds._support_norm_bounds`` takes it per support set: 2 ||H|| sup|f|
-    + sum_v 2 gamma_v sup|f| ||L_v||^2 by the triangle inequality.
+    ``bounds._term_norm_bound`` gives it per term, and a support set sums
+    them: 2 ||H|| sup|f| + sum_v 2 gamma_v sup|f| ||L_v||^2 by the triangle
+    inequality.
     """
 
     def test_pure_dephasing(self):
-        bounds = _support_norm_bounds(term_model(1, lindblads=[(PAULI_Z, 1.0)]))
-        assert bounds == {(0,): pytest.approx(2.0)}
+        bound = support_bound(term_model(1, lindblads=[(PAULI_Z, 1.0)]))
+        assert bound == pytest.approx(2.0)
         # the bound is attained on pauli_x: ||sz sx sz - sx|| = 2
         action = apply_adjoint_term(None, [(PAULI_Z, 1.0)], PAULI_X)
         assert operator_norm(action) == pytest.approx(2.0)
 
     def test_hamiltonian_only(self):
-        bounds = _support_norm_bounds(term_model(1, h=PAULI_Z))
-        assert bounds == {(0,): pytest.approx(2.0)}
+        assert support_bound(term_model(1, h=PAULI_Z)) == pytest.approx(2.0)
 
     def test_empty_term(self):
-        assert _support_norm_bounds(term_model(1)) == {}
+        assert support_bound(term_model(1)) == 0.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -211,7 +217,7 @@ class TestAdjointTermNormUpper:
         rng = np.random.default_rng(17)
         h = random_hermitian(rng, 4)  # a model's Hamiltonian terms are Hermitian
         lindblads = [(random_matrix(rng, 4), 0.3), (random_matrix(rng, 4), 0.8)]
-        bound = _support_norm_bounds(term_model(2, h, lindblads))[(0, 1)]
+        bound = support_bound(term_model(2, h, lindblads))
         for _ in range(1000):
             a = random_matrix(rng, 4)
             if rng.random() < 0.5:
@@ -231,7 +237,7 @@ class TestAdjointTermNormUpper:
                          for _ in range(2)]
             amplitude = float(rng.uniform(0.3, 2.0))
             model = term_model(n_sites, h, lindblads, TimeProfile(amplitude=amplitude))
-            bound = _support_norm_bounds(model)[tuple(range(n_sites))]
+            bound = support_bound(model)
             est = superop_norm_inf_estimate(generator(model, adjoint=True).toarray(),
                                             restarts=4, seed=trial)
             assert 0.0 < est.lower <= bound * (1.0 + 1e-12)
