@@ -191,7 +191,7 @@ def theorem3_bound(stacked: np.ndarray, k_norm: float, o_norm: float, i: int, j:
     if i == j:
         raise ValueError("the matrix-exponential bound requires i != j")
     e = stacked[..., i, j]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return _vacuous_on_overflow(k_norm * o_norm * e, e)
 
 

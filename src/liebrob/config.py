@@ -9,7 +9,10 @@ One reader takes Hamiltonian and Lindblad terms alike and refuses a term whose
 generator, or whose profile's phase over the run's [0, t], leaves the float
 range; an observable whose operator leaves it is refused the same way.
 Observable pairs are resolved here into (O_X, O_Y, d_xy) triples, and an
-explicit pair whose supports overlap is rejected at its pointer.
+explicit pair whose supports overlap is rejected at its pointer. A pair whose
+2 D ||O_X|| ||O_Y||, with D the spin model's Hilbert dimension (1 without
+one), leaves the float range is refused at its pointer, or at /pairs under
+all_disjoint.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +29,7 @@ from .harmonic import HarmonicModel
 from .lattice import METRICS, Lattice, build_lattice
 from .lindblad import GKSLModel, HamiltonianTerm, LindbladTerm, TimeProfile
 from .operators import (NAMED_OPERATORS, Operator, local_operator, named_operator,
-                        support_distance)
+                        operator_norm, support_distance)
 
 
 class ConfigError(ValueError):
@@ -140,13 +144,11 @@ def _parse_profile(spec, t: float, pointer) -> TimeProfile:
     kind = spec.get("kind")
     if kind == "constant":
         _check_keys(spec, pointer, required=("kind",), optional=("value",))
-        return TimeProfile(kind="constant",
-                           amplitude=_number(spec.get("value", 1.0), f"{pointer}/value"))
+        return TimeProfile(amplitude=_number(spec.get("value", 1.0), f"{pointer}/value"))
     if kind != "sinusoidal":
         raise ConfigError(f"{pointer}/kind", "expected 'constant' or 'sinusoidal'")
     _check_keys(spec, pointer, required=("kind", "amplitude", "omega"), optional=("phase",))
     profile = TimeProfile(
-        kind="sinusoidal",
         amplitude=_number(spec["amplitude"], f"{pointer}/amplitude"),
         omega=_number(spec["omega"], f"{pointer}/omega"),
         phase=_number(spec.get("phase", 0.0), f"{pointer}/phase"),
@@ -428,6 +430,15 @@ def parse_config(data) -> RunConfig:
             pairs.append(pair)
     else:
         raise ConfigError("/pairs", "expected 'all_disjoint' or an array of pairs")
+    # tau(O_Y) O_X sums D products of modulus up to ||O_X|| ||O_Y|| each; a D
+    # beyond the float range has no sweep (the memory guard refuses it)
+    big_d = spin_model.hilbert_dim if spin_model is not None else 1
+    for i, (ox, oy) in enumerate(pairs):
+        bound = 2.0 * operator_norm(ox.matrix) * operator_norm(oy.matrix)
+        if big_d <= sys.float_info.max and not math.isfinite(big_d * bound):
+            raise ConfigError(f"/pairs/{i}" if isinstance(pairs_spec, list) else "/pairs",
+                              "2 D ||O_X|| ||O_Y|| leaves the float range, with D the"
+                              " Hilbert dimension; lower the observables' entries")
 
     epsilon = 1e-2
     if "thresholds" in data:

@@ -3,15 +3,17 @@
 Every bound the certifier checks is a statement about an evolved observable,
 so the package builds only the Hilbert-Schmidt adjoint of the generator,
 A O + O A^dag + sum gamma L^dag O L with A = iH - sum gamma L^dag L / 2, and
-propagates observables backward under it (Heisenberg picture). Its CSR
-pieces, one per time profile, share one sparsity pattern; the per-term form
-survives only as the test oracle. All propagation is one stepped sweep over a
-uniform grid: one action of the exponential per grid interval of a
-time-independent model, one per midpoint substep of a time-dependent one,
-each by the in-package Taylor kernel of Al-Mohy & Higham (2011), Algorithm
-3.2. The kernel never forms an exponential; it picks its degree and scaling
-from the exact 1-norm of the step's generator and works to a
-double-precision backward-error target, with no a-posteriori certificate.
+propagates observables backward under it (Heisenberg picture). Every time
+profile is one raised sinusoid, a constant being the one held at its crest.
+The CSR pieces, one per profile, share one sparsity pattern; the per-term
+form survives only as the test oracle. All propagation is one stepped sweep
+over a uniform grid: one action of the exponential per grid interval of a
+time-independent model (no profile with omega != 0), one per midpoint
+substep of a time-dependent one, each by the in-package Taylor kernel of
+Al-Mohy & Higham (2011), Algorithm 3.2. The kernel never forms an
+exponential; it picks its degree and scaling from the exact 1-norm of the
+step's generator and works to a double-precision backward-error target, with
+no a-posteriori certificate.
 
 :func:`commutator_norm_curves` is the entry point: it embeds the local
 (O_X, O_Y) pairs it is given and refuses only a sweep that would not fit in
@@ -37,48 +39,27 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """Scalar modulation of a generator term.
+    """Scalar modulation of a generator term: one formula for every profile.
 
-    ``constant`` is the fixed value ``amplitude``. ``sinusoidal`` is the
-    raised sinusoid  amplitude * (1 + sin(omega*t + phase)) / 2,  which stays
-    within [0, amplitude] and is therefore a valid rate modulation whenever
-    amplitude >= 0. Suprema are available in closed form for both kinds.
+    The raised sinusoid  amplitude * (1 + sin(omega*t + phase)) / 2  stays
+    within [0, amplitude], so it is a valid rate modulation whenever
+    amplitude >= 0. The default is a constant: at omega = 0 and phase = pi/2
+    the sinusoid is held at its crest, and the value is exactly ``amplitude``.
+    The sup over a window is in closed form.
     """
 
-    kind: str = "constant"
     amplitude: float = 1.0
     omega: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "sinusoidal"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+    phase: float = math.pi / 2
 
     def value(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.amplitude
         return 0.5 * self.amplitude * (1.0 + math.sin(self.omega * t + self.phase))
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
-
-    @property
-    def min_value(self) -> float:
-        """inf over all times of value(t)."""
-        if self.kind == "constant":
-            return self.amplitude
-        return min(0.0, self.amplitude)
 
     def sup_abs_on(self, lo: float, hi: float) -> float:
         """sup of |value| over the time window [lo, hi], in closed form."""
-        if self.kind == "constant":
-            return abs(self.amplitude)
-        if self.omega == 0.0:
-            return abs(self.value(lo))
         smax = _sin_max(self.omega * lo + self.phase, self.omega * hi + self.phase)
         # 1 + sin >= 0, so the crest, not the trough, sets the sup of |value|
-        return 0.5 * abs(self.amplitude * (1.0 + smax))
+        return abs(0.5 * self.amplitude * (1.0 + smax))
 
 
 def _sin_max(a: float, b: float) -> float:
@@ -91,14 +72,11 @@ def _sin_max(a: float, b: float) -> float:
     return max(math.sin(lo), math.sin(hi))
 
 
-CONSTANT_ONE = TimeProfile()
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianTerm:
     support: tuple[int, ...]
     matrix: np.ndarray
-    profile: TimeProfile = CONSTANT_ONE
+    profile: TimeProfile = TimeProfile()
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +84,7 @@ class LindbladTerm:
     support: tuple[int, ...]
     matrix: np.ndarray
     rate: float
-    profile: TimeProfile = CONSTANT_ONE
+    profile: TimeProfile = TimeProfile()
 
 
 HERMITICITY_TOL = 1e-12
@@ -149,7 +127,7 @@ class GKSLModel:
         for term in self.lindblad_terms:
             if term.rate < 0:
                 raise ValueError(f"negative dissipation rate {term.rate}")
-            if term.rate > 0 and term.profile.min_value < 0:
+            if term.rate > 0 and term.profile.amplitude < 0:
                 raise ValueError(
                     f"rate profile on {term.support} takes negative values"
                 )
@@ -160,10 +138,8 @@ class GKSLModel:
 
     @property
     def is_time_dependent(self) -> bool:
-        return any(
-            not t.profile.is_constant
-            for t in self.hamiltonian_terms + self.lindblad_terms
-        )
+        return any(t.profile.omega != 0
+                   for t in self.hamiltonian_terms + self.lindblad_terms)
 
 
 def _check_guard(model: GKSLModel, held_bytes: int) -> None:

@@ -57,7 +57,7 @@ def _write(out_dir, files: dict[str, str]) -> None:
 def _lightcone(dt_grid, field, epsilon: float):
     """The summary's light-cone entries and lightcone.csv for per-distance curves."""
     arrivals = bnd.lightcone_arrivals(dt_grid, field, epsilon)
-    text = _csv_text(("distance", "arrival"), [(repr(d), repr(a)) for d, a in arrivals])
+    text = _csv_text(("distance", "arrival"), arrivals)
     return [{"distance": d, "arrival": a} for d, a in arrivals], text
 
 
@@ -122,10 +122,6 @@ _SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
 _THEOREMS = ("thm1", "thm2", "thm3")
 
 
-def _repr_list(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
-
-
 def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) -> dict:
     """Certify Theorems 1-3 against exact spin dynamics; write report files."""
     if config.spin_model is None:
@@ -148,7 +144,7 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     dts = t - r_grid
     stacked = bnd.theorem3_matrix(jm, dts) if jm is not None else None
 
-    rows = []  # report.csv rows, formatted
+    rows = []  # report.csv rows
     counts = dict.fromkeys(_THEOREMS, 0)
     slacks = {name: [] for name in _THEOREMS}
     rhs_overflow = 0
@@ -165,15 +161,15 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
             rhs["thm3"] = bnd.theorem3_bound(stacked, 2.0 * ox_norm, oy_norm,
                                              ox.support[0], oy.support[0])
         blank = [""] * len(r_grid)  # an inapplicable theorem's column
-        rhs_text, slack_text, hits = [], [], []
+        rhs_cells, slack_cells, hits = [], [], []
         for name in _THEOREMS:
             if name not in rhs:
-                rhs_text.append(blank)
-                slack_text.append(blank)
+                rhs_cells.append(blank)
+                slack_cells.append(blank)
                 continue
             slack, violated = bnd.certify(lhs, rhs[name])
-            rhs_text.append(_repr_list(rhs[name]))
-            slack_text.append(_repr_list(slack))
+            rhs_cells.append(rhs[name].tolist())
+            slack_cells.append(slack.tolist())
             hits.append(np.where(violated, name, ""))
             counts[name] += int(violated.sum())
             slacks[name].append(slack)
@@ -182,8 +178,8 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         rows.extend(zip(
             repeat(";".join(map(str, ox.support))),
             repeat(";".join(map(str, oy.support))),
-            repeat(repr(d_xy)), repeat(repr(t)), _repr_list(r_grid), _repr_list(lhs),
-            *rhs_text, *slack_text, flags,
+            repeat(d_xy), repeat(t), r_grid.tolist(), lhs.tolist(),
+            *rhs_cells, *slack_cells, flags,
         ))
     ranges = {name: _finite_range(v) for name, v in slacks.items()}
     lightcone, lightcone_csv = _spin_lightcone(config, curves)
@@ -293,9 +289,8 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     c0 = fitted_c0 * SAFETY
     pairs, starts, distances = _pair_segments(lattice.dist)
     pair_counts = np.diff(starts, append=pairs.size)
-    d_text = list(map(repr, distances.tolist()))
 
-    rows = []  # report.csv rows, formatted
+    rows = []  # report.csv rows
     slacks = []
     per_kind = {kind: 0 for kind in _HARMONIC_KINDS}
     rhs_overflow = 0
@@ -312,12 +307,11 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
             _, pair_viol = bnd.certify(lhs, np.broadcast_to(np.repeat(rhs, pair_counts),
                                                             lhs.shape))
             cell_viol = np.add.reduceat(pair_viol, starts, axis=1)
-        rhs_text = _repr_list(rhs)
         for kind, kind_max, kind_slack, kind_viol in zip(
             _HARMONIC_KINDS, lhs_max.tolist(), slack.tolist(), cell_viol.tolist()
         ):
-            rows.extend(zip(d_text, repeat(kind), repeat(repr(dt)), map(repr, kind_max),
-                            rhs_text, map(repr, kind_slack), kind_viol))
+            rows.extend(zip(distances.tolist(), repeat(kind), repeat(dt), kind_max,
+                            rhs.tolist(), kind_slack, kind_viol))
             per_kind[kind] += sum(kind_viol)
         slacks.append(slack)
         rhs_overflow += len(_HARMONIC_KINDS) * int(np.isinf(rhs).sum())

@@ -48,7 +48,6 @@ def random_density_matrix(rng, dim):
 
 def random_profile(rng):
     return TimeProfile(
-        kind="sinusoidal",
         amplitude=float(rng.uniform(0.2, 1.5)),
         omega=float(rng.uniform(0.5, 4.0)),
         phase=float(rng.uniform(0.0, 2.0 * np.pi)),

@@ -104,8 +104,7 @@ class TestLambda0Fit:
     def test_driven_window_missing_the_crest(self):
         # (1 - cos t) / 2 crests at t = pi, outside [0, 1]: lambda0 reads each
         # term at its sup over the run, as J does, not at its amplitude
-        profile = TimeProfile(kind="sinusoidal", amplitude=1.0, omega=1.0,
-                              phase=-math.pi / 2)
+        profile = TimeProfile(amplitude=1.0, omega=1.0, phase=-math.pi / 2)
         xx = np.kron(PAULI_X, PAULI_X)
         model = GKSLModel(lattice=build_lattice(3), hamiltonian_terms=(
             HamiltonianTerm(support=(0, 1), matrix=xx, profile=profile),

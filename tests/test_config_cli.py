@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -142,7 +143,24 @@ class TestConfigParsing:
             "kind": "sinusoidal", "amplitude": 1.0, "omega": 2.0, "phase": 0.1,
         }
         config = parse_config(data)
-        assert not config.spin_model.lindblad_terms[0].profile.is_constant
+        assert config.spin_model.lindblad_terms[0].profile.omega != 0
+        assert config.spin_model.is_time_dependent
+
+    def test_constant_profile_is_the_sinusoid_at_its_crest(self):
+        data = minimal_spin_config(rate=0.3)
+        data["model"]["lindblad"][0]["profile"] = {"kind": "constant", "value": 0.6}
+        constant = parse_config(data).spin_model
+        data["model"]["lindblad"][0]["profile"] = {
+            "kind": "sinusoidal", "amplitude": 0.6, "omega": 0, "phase": math.pi / 2,
+        }
+        crest = parse_config(data).spin_model
+        assert constant.lindblad_terms[0].profile == crest.lindblad_terms[0].profile
+        assert not constant.is_time_dependent and not crest.is_time_dependent
+
+    def test_pair_rule_leaves_a_dimension_beyond_the_float_range_to_the_guard(self):
+        # 2^1100 is no float, and no sweep runs at it; the lattice constants do
+        data = minimal_spin_config(n_sites=1100)
+        assert len(parse_config(data).pairs) == 1
 
     def test_duplicate_observable_rejected(self):
         data = minimal_spin_config()
@@ -433,6 +451,24 @@ class TestRunners:
         payload = run_assumptions(parse_config(data), tmp_path)
         for key in ("p0", "extensivity_sup", "n_lambda", "p1"):
             assert np.isfinite(payload[key]) and payload[key] > 0
+
+    @pytest.mark.parametrize("t", [2e-7, 2e-3, 2e-2])
+    def test_two_site_xx_pins_the_analytic_tight_limit(self, tmp_path, t):
+        # one XX bond, no dissipation, Z on each site: ||[tau(Z1), Z0]|| =
+        # 2 |sin(4 dt)|, so Theorems 1 and 2 sit at slack 1 + O(dt) and
+        # Theorem 3 at 2 + O(dt); a factor-of-2 slip in a norm convention
+        # moves a slack out of its band
+        import csv
+
+        data = minimal_spin_config(t=t, points=2)
+        data["eta"] = 2.0
+        run_verify_spin(parse_config(data), tmp_path)
+        with open(tmp_path / "report.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))  # r = 0, so dt = t
+        assert float(row["r"]) == 0.0
+        for name in ("slack1", "slack2"):
+            assert 1.0 <= float(row[name]) <= 1.0 + 10 * t
+        assert 2.0 <= float(row["slack3"]) <= 2.0 + 10 * t
 
     def test_verify_spin_rhs_matches_bound_formulas(self, tmp_path):
         # independent recomputation of the certified RHS wiring: a single
@@ -1132,6 +1168,42 @@ class TestCli:
                 f"error: {path}: /model/{section}/0: the term's generator leaves the float"
                 f" range; lower its {scale} or its operator's entries"]
             assert not out.exists()
+
+    @pytest.mark.parametrize("pairs, pointer", [([["Z0", "Z4"]], "/pairs/0"),
+                                                ("all_disjoint", "/pairs")])
+    def test_overflowing_pair_exits_one_at_its_pointer(self, tmp_path, capsys, pairs,
+                                                       pointer):
+        # each Z is finite, but 2 D ||Z0|| ||Z4|| = 64e310 is not: the pair is
+        # refused while the config is read, before the sweep's products overflow
+        data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+        for i in (0, 4):
+            data["observables"][i]["operator"] = {"matrix": [[1e155, 0], [0, -1e155]]}
+        data["pairs"] = pairs
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-spin", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: {pointer}: 2 D ||O_X|| ||O_Y|| leaves the float range,"
+            " with D the Hilbert dimension; lower the observables' entries"]
+        assert not out.exists()
+
+    def test_large_pair_within_range_runs_without_warnings(self, tmp_path, capsys):
+        # 2 D ||Z0|| ||Z4|| = 6.4e301 is finite, so the pair runs; its RHS
+        # products overflow to vacuous inf cells, with nothing on stderr
+        import csv
+
+        data = json.loads((CONFIG_DIR / "spin_chain_xy.json").read_text())
+        for i in (0, 4):
+            data["observables"][i]["operator"] = {"matrix": [[1e150, 0], [0, -1e150]]}
+        data["pairs"] = [["Z0", "Z4"]]
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-spin", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for name in ("rhs1", "rhs2", "rhs3"):
+            assert rows[0][name] == "inf" and rows[-1][name] == "0.0"
 
     @pytest.mark.parametrize("command, name, eta", [("verify-harmonic", "c0", 310.0),
                                                     ("verify-spin", "lambda0", 660.0)])

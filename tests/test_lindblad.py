@@ -1,5 +1,7 @@
+import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,20 +55,20 @@ def dephasing_model(gamma=0.5):
 
 class TestTimeProfile:
     def test_constant(self):
-        profile = TimeProfile(kind="constant", amplitude=0.7)
-        assert profile.value(3.1) == 0.7
-        assert profile.sup_abs_on(0.0, 3.1) == 0.7
-        assert profile.min_value == 0.7
-        assert profile.is_constant
+        # the raised sinusoid held at its crest: omega = 0, phase = pi / 2
+        profile = TimeProfile(amplitude=0.7)
+        assert (profile.omega, profile.phase) == (0.0, math.pi / 2)
+        assert profile.value(0.0) == profile.value(3.1) == 0.7
+        assert profile.sup_abs_on(0.0, 3.1) == profile.sup_abs_on(3.1, 3.1) == 0.7
+        assert TimeProfile(amplitude=-0.7).sup_abs_on(0.0, 3.1) == 0.7
 
     def test_sinusoidal_range(self):
-        profile = TimeProfile(kind="sinusoidal", amplitude=2.0, omega=3.0, phase=0.4)
+        profile = TimeProfile(amplitude=2.0, omega=3.0, phase=0.4)
         ts = np.linspace(0, 20, 4001)
         values = np.array([profile.value(t) for t in ts])
         assert values.min() >= 0.0
         assert values.max() <= 2.0
         assert profile.sup_abs_on(0.0, 20.0) == 2.0
-        assert profile.min_value == 0.0
 
     def test_interval_sup_matches_dense_sampling(self):
         windows = ((0.0, 0.3), (0.5, 0.9), (0.0, 5.0), (1.2, 1.2001))
@@ -76,18 +78,13 @@ class TestTimeProfile:
             # phases 4.0 to 5.6 hold the trough 3 pi / 2 but no crest
             (0.8, 1.0, 4.0, ((0.0, 1.6), (0.5, 0.6))),
         ):
-            profile = TimeProfile(kind="sinusoidal", amplitude=amplitude, omega=omega,
-                                  phase=phase)
+            profile = TimeProfile(amplitude=amplitude, omega=omega, phase=phase)
             for lo, hi in spans:
                 ts = np.linspace(lo, hi, 20001)
                 sampled = max(abs(profile.value(t)) for t in ts)
                 closed = profile.sup_abs_on(lo, hi)
                 assert sampled <= closed + 1e-9
                 assert closed <= sampled + 1e-4
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TimeProfile(kind="square")
 
 
 class TestModelValidation:
@@ -112,13 +109,16 @@ class TestModelValidation:
             )
 
     def test_negative_rate_profile_rejected(self):
-        profile = TimeProfile(kind="constant", amplitude=-1.0)
-        with pytest.raises(ValueError, match="negative"):
-            single_qubit_model(
-                lindblad_terms=(
-                    LindbladTerm(support=(0,), matrix=PAULI_Z, rate=1.0, profile=profile),
+        # the config's constant and its sinusoid, each at amplitude < 0
+        for profile in (TimeProfile(amplitude=-1.0),
+                        TimeProfile(amplitude=-1.0, omega=2.0, phase=0.0)):
+            with pytest.raises(ValueError, match="negative"):
+                single_qubit_model(
+                    lindblad_terms=(
+                        LindbladTerm(support=(0,), matrix=PAULI_Z, rate=1.0,
+                                     profile=profile),
+                    )
                 )
-            )
 
     def test_support_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -210,6 +210,14 @@ class TestGenerators:
         rng = np.random.default_rng(37)
         static = random_model(rng, n_sites=3)
         assert len(_superop_pieces(static)) == 1
+        # a constant is the sinusoid held at its crest, so the two share a piece
+        crest = TimeProfile(amplitude=0.6, omega=0.0, phase=math.pi / 2)
+        held = GKSLModel(lattice=static.lattice, hamiltonian_terms=(
+            HamiltonianTerm(support=(0,), matrix=PAULI_X,
+                            profile=TimeProfile(amplitude=0.6)),
+            HamiltonianTerm(support=(1,), matrix=PAULI_Z, profile=crest),
+        ))
+        assert len(_superop_pieces(held)) == 1
         model = random_model(rng, n_sites=3, time_dependent=True)
         shared = model.hamiltonian_terms[0].profile
         model = GKSLModel(
@@ -314,8 +322,7 @@ class TestHeisenbergEvolve:
         # so A(r) = exp(-2 int_r^t gamma(s) ds) pauli_x exactly; midpoint
         # stepping converges to the integral at second order
         rate, amp, omega, phase = 0.8, 1.0, 3.0, 0.7
-        profile = TimeProfile(kind="sinusoidal", amplitude=amp, omega=omega,
-                              phase=phase)
+        profile = TimeProfile(amplitude=amp, omega=omega, phase=phase)
         model = single_qubit_model(
             lindblad_terms=(
                 LindbladTerm(support=(0,), matrix=PAULI_Z, rate=rate,
@@ -542,7 +549,8 @@ class TestCommutatorNormCurve:
     def test_sweep_counts_kernel_calls(self, monkeypatch, time_dependent):
         # one kernel call per grid interval of a time-independent model, one per
         # midpoint substep of a driven one, and no dense exponential is ever
-        # formed on the spin path
+        # formed on the spin path; a sinusoid at omega = 0 never changes, so
+        # its model is time-independent
         import scipy.linalg
 
         import liebrob.lindblad as lindblad
@@ -563,11 +571,23 @@ class TestCommutatorNormCurve:
         assert not hasattr(lindblad, "expm_multiply")
         rng = np.random.default_rng(41)
         model = random_model(rng, n_sites=3, time_dependent=time_dependent)
+        models = [model]
+        if not time_dependent:
+            def still(term):
+                return replace(term, profile=replace(term.profile, omega=0.0))
+
+            driven = random_model(rng, n_sites=3, time_dependent=True)
+            models.append(replace(
+                driven, hamiltonian_terms=tuple(map(still, driven.hamiltonian_terms)),
+                lindblad_terms=tuple(map(still, driven.lindblad_terms))))
+            assert len({term.profile for term in models[-1].lindblad_terms}) > 1
         pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
         points, substeps = 21, 4
-        commutator_norm_curves(model, pairs, 2.0, points, substeps=substeps)
         expected = (points - 1) * substeps if time_dependent else points - 1
-        assert calls == [(64, 1)] * expected
+        for model in models:
+            calls.clear()
+            commutator_norm_curves(model, pairs, 2.0, points, substeps=substeps)
+            assert calls == [(64, 1)] * expected
 
     def test_cli_import_leaves_out_sparse_linalg(self):
         import subprocess
