@@ -43,9 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", required=True, help="output directory")
-        if name in ("verify-spin", "lightcone"):
-            cmd.add_argument("--guard-dim", type=int, default=None,
-                             help="cap the spin Hilbert dimension at N")
     return parser
 
 
@@ -60,14 +57,10 @@ def main(argv=None) -> int:
         if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
             raise NotADirectoryError(f"--out {args.out} is a file or lies under one")
         config = load_config(args.config)
-        if args.command == "assumptions":
-            summary = run_assumptions(config, args.out)
-        elif args.command == "verify-spin":
-            summary = run_verify_spin(config, args.out, guard_dim=args.guard_dim)
-        elif args.command == "verify-harmonic":
-            summary = run_verify_harmonic(config, args.out)
-        else:
-            summary = run_lightcone(config, args.out, guard_dim=args.guard_dim)
+        # looked up per call, so a runner replaced on this module is the one run
+        runners = {"assumptions": run_assumptions, "verify-spin": run_verify_spin,
+                   "verify-harmonic": run_verify_harmonic, "lightcone": run_lightcone}
+        summary = runners[args.command](config, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -15,9 +15,11 @@ exponential; it picks its degree and scaling from the exact 1-norm of the
 step's generator and works to a double-precision backward-error target, with
 no a-posteriori certificate.
 
-:func:`commutator_norm_curves` is the entry point: it embeds the local
-(O_X, O_Y) pairs it is given and refuses only a sweep that would not fit in
-free memory. Which pairs to run and any dimension cap are the caller's.
+:func:`commutator_norm_curves` is the entry point. The memory guard is the
+one size rule: it runs first and refuses a sweep that would not fit in free
+memory, counting the pieces, the embedded observables and the sweep's blocks,
+before any D x D array is built. Then the generator pieces are built and the
+local (O_X, O_Y) pairs embedded. Which pairs to run is the caller's.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _check_guard(model: GKSLModel, held_bytes: int) -> None:
     built: an embedded matrix with k nonzeros stores at most D k entries per
     Kronecker product with the identity, a jump L nnz(L)^2. An entry costs 16
     bytes per profile in the pieces' values and at most 96 in the build and
-    the assembled generators; ``held_bytes`` is the sweep's blocks.
+    the assembled generators; ``held_bytes`` is the caller's other arrays.
     """
     dim = model.hilbert_dim
 
@@ -291,24 +293,21 @@ def _expm_action(a: sp.csr_array, block: np.ndarray) -> np.ndarray:
     return f
 
 
-def _stepped_blocks(model: GKSLModel, block: np.ndarray, lo: float, hi: float,
-                    points: int, substeps: int):
+def _stepped_blocks(pieces: _Pieces, block: np.ndarray, lo: float, hi: float,
+                    points: int, steps: int):
     """Yield the vectorized observables at the points of linspace(lo, hi, points).
 
-    The sweep runs backward under the adjoint generator, so the points come
-    in descending order, the input block at hi first. Each step is one
-    ``_expm_action`` (the Algorithm 3.2 Taylor kernel, its degree and scaling
-    from the exact 1-norm, to a 2^-53 backward-error target and with no
-    a-posteriori certificate) on a single matrix whose values are overwritten
-    in place: one step per grid interval of width h = (hi - lo) / (points - 1)
-    on a time-independent model, ``substeps`` midpoint steps per interval on a
-    time-dependent one, latest midpoint first.
+    The sweep runs backward under the adjoint generator of ``pieces``, so the
+    points come in descending order, the input block at hi first. Each step is
+    one ``_expm_action`` (the Algorithm 3.2 Taylor kernel, its degree and
+    scaling from the exact 1-norm, to a 2^-53 backward-error target and with
+    no a-posteriori certificate) on a single matrix whose values are
+    overwritten in place: ``steps`` midpoint steps per grid interval of width
+    h = (hi - lo) / (points - 1), latest midpoint first. A time-independent
+    model needs one step per interval.
     """
     if points < 2:
         raise ValueError(f"the grid needs at least 2 points, got {points}")
-    steps = substeps if model.is_time_dependent else 1
-    # the kernel's blocks: the step's input and sum, a term and its temporaries
-    pieces = _superop_pieces(model, held_bytes=8 * block.nbytes)
     sub = (hi - lo) / (points - 1) / steps
     a = _assemble(pieces, lo)
     yield block
@@ -323,13 +322,15 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
                            substeps: int = 16):
     """Curves r -> ||[tau(r, t) O_Y, O_X]|| for several observable pairs.
 
-    ``pairs`` is a sequence of (O_X, O_Y) local Operators. Each distinct
-    (support, matrix) is embedded once into the model's D x D Hilbert space,
-    and the distinct O_Y, in order of first appearance, are the columns of
-    one backward sweep over the grid linspace(0, t, points); on
-    time-dependent models each grid interval is subdivided into ``substeps``
-    midpoint actions. Returns a (pairs, points) float array: row i is pair
-    i's curve on the grid, in ascending r.
+    ``pairs`` is a sequence of (O_X, O_Y) local Operators. The generator
+    pieces are built first, behind the memory guard, whose estimate counts
+    the D x D embedding of each distinct (support, matrix) and the sweep's
+    blocks. Each distinct observable is then embedded once, and the distinct
+    O_Y, in order of first appearance, are the columns of one backward sweep
+    over the grid linspace(0, t, points); on time-dependent models each grid
+    interval is subdivided into ``substeps`` midpoint actions. Returns a
+    (pairs, points) float array: row i is pair i's curve on the grid, in
+    ascending r.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -339,15 +340,18 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
         return op.support, op.matrix.tobytes()
 
     local = {key(op): op for pair in pairs for op in pair}
-    full = {k: embed(op.matrix, op.support, model.lattice, model.dim_per_site)
-            for k, op in local.items()}
     keys = [(key(ox), key(oy)) for ox, oy in pairs]
     index = {y: i for i, y in enumerate(dict.fromkeys(y for _, y in keys))}  # O_Y columns
+    # the embedded observables, and per O_Y column the kernel's blocks: the
+    # step's input and sum, a term and its temporaries
+    pieces = _superop_pieces(model, 16 * d * d * (len(local) + 8 * len(index)))
+    full = {k: embed(op.matrix, op.support, model.lattice, model.dim_per_site)
+            for k, op in local.items()}
     targets = [(full[x], index[y]) for x, y in keys]
     norms = np.empty((len(pairs), points))
     columns = np.stack([vec(full[y]) for y in index], axis=1)
-    blocks = _stepped_blocks(model, columns, 0.0, t, points, substeps)
-    for k, block in enumerate(blocks):
+    steps = substeps if model.is_time_dependent else 1
+    for k, block in enumerate(_stepped_blocks(pieces, columns, 0.0, t, points, steps)):
         column = points - 1 - k  # the sweep runs backward from r = t
         for i, (x, j) in enumerate(targets):
             m = unvec(block[:, j], d)

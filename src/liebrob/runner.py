@@ -89,20 +89,14 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
     return payload
 
 
-def _spin_lhs(config: RunConfig, guard_dim: int | None):
-    """Exact commutator-norm curves for every configured pair.
-
-    ``guard_dim`` caps the Hilbert dimension before anything large is built.
-    """
+def _spin_lhs(config: RunConfig):
+    """Exact commutator-norm curves for every configured pair."""
     if config.time is None or config.time.kind != "r":
         raise ConfigError("/time", "spin runs need a time section with r_points")
     if not config.pairs:
         raise ConfigError("/pairs", "no observable pairs configured")
-    model = config.spin_model
-    if guard_dim is not None and model.hilbert_dim > guard_dim:
-        raise ValueError(f"Hilbert dimension {model.hilbert_dim} exceeds the guard"
-                         f" {guard_dim}; raise --guard-dim to override")
-    return commutator_norm_curves(model, [(ox, oy) for ox, oy, _ in config.pairs],
+    return commutator_norm_curves(config.spin_model,
+                                  [(ox, oy) for ox, oy, _ in config.pairs],
                                   config.time.t, config.time.points)
 
 
@@ -122,7 +116,7 @@ _SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
 _THEOREMS = ("thm1", "thm2", "thm3")
 
 
-def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) -> dict:
+def run_verify_spin(config: RunConfig, out_dir) -> dict:
     """Certify Theorems 1-3 against exact spin dynamics; write report files."""
     if config.spin_model is None:
         raise ConfigError("/model", "verify-spin requires a spin model")
@@ -130,11 +124,9 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
     eta = config.eta
 
     consts = assumption_constants(config.lattice, eta)
-    p0 = consts.p0 * SAFETY
-    n_lam = consts.n_lambda * SAFETY if consts.n_lambda is not None else None
-    p1 = consts.p1 * SAFETY if consts.p1 is not None else None
-
-    curves = _spin_lhs(config, guard_dim)
+    curves = _spin_lhs(config)
+    # a disjoint pair spans two sites, so n_lambda and p1 are defined
+    p0, n_lam, p1 = (c * SAFETY for c in (consts.p0, consts.n_lambda, consts.p1))
     t, r_grid = config.time.t, config.time.grid()
     # after the sweep, which refuses a non-finite or too large generator first
     fitted_lambda0 = bnd.lambda0_fit(model, eta, t)
@@ -153,10 +145,9 @@ def run_verify_spin(config: RunConfig, out_dir, guard_dim: int | None = None) ->
         oy_norm = operator_norm(oy.matrix)
         sizes = len(ox.support), len(oy.support)
         rhs = {"thm1": bnd.theorem1_bound(lambda0, p0, 2.0 * ox_norm, oy_norm, *sizes,
-                                          eta, dts, d_xy)}
-        if n_lam is not None:
-            rhs["thm2"] = bnd.theorem2_bound(lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
-                                             *sizes, eta, dts, d_xy)
+                                          eta, dts, d_xy),
+               "thm2": bnd.theorem2_bound(lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
+                                          *sizes, eta, dts, d_xy)}
         if jm is not None and sizes == (1, 1):
             rhs["thm3"] = bnd.theorem3_bound(stacked, 2.0 * ox_norm, oy_norm,
                                              ox.support[0], oy.support[0])
@@ -347,10 +338,10 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     return summary
 
 
-def run_lightcone(config: RunConfig, out_dir, guard_dim: int | None = None) -> dict:
+def run_lightcone(config: RunConfig, out_dir) -> dict:
     """Emit threshold-arrival times for the configured model's exact dynamics."""
     if config.spin_model is not None:
-        lightcone, text = _spin_lightcone(config, _spin_lhs(config, guard_dim))
+        lightcone, text = _spin_lightcone(config, _spin_lhs(config))
     elif config.harmonic_model is not None:
         pairs, starts, distances = _pair_segments(config.lattice.dist)
         steps = [(dt, lhs_max) for dt, _, _, lhs_max

@@ -213,7 +213,9 @@ def evolve(model, mat, lo, hi, adjoint, steps=64):
     mats = np.asarray(mat)
     block = vec(mats) if mats.ndim == 2 else np.stack([vec(m) for m in mats], axis=1)
     if adjoint:
-        *_, last = _stepped_blocks(model, block, lo, hi, 2, steps)
+        pieces = _superop_pieces(model, mats.nbytes + 8 * block.nbytes)
+        steps = steps if model.is_time_dependent else 1
+        *_, last = _stepped_blocks(pieces, block, lo, hi, 2, steps)
     else:
         *_, last = dense_stepped_blocks(model, block, lo, hi, 2, False, steps)
     d = model.hilbert_dim

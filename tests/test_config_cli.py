@@ -707,8 +707,9 @@ class TestCli:
         path = write_config(tmp_path, minimal_spin_config())
         assert main(["verify-spin", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 1
-        assert main(["assumptions", "--config", str(path), "--out", str(tmp_path / "out"),
-                     "--guard-dim", "8"]) == 1
+        for command in ("assumptions", "verify-spin"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--guard-dim", "8"]) == 1
         assert not (tmp_path / "out").exists()
         capsys.readouterr()
 
@@ -882,16 +883,19 @@ class TestCli:
         assert summary["violations"]["thm2"] == 0
 
     @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
-    def test_guard_dim_flag(self, tmp_path, capsys, command):
-        data = minimal_spin_config(n_sites=4, coupling=0.5)
-        path = write_config(tmp_path, data)
-        out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out),
-                     "--guard-dim", "8"]) == 1
-        err = capsys.readouterr().err  # the refusal names the CLI flag
-        assert "Hilbert dimension 16 exceeds the guard 8; raise --guard-dim" in err
-        assert main([command, "--config", str(path), "--out", str(out),
-                     "--guard-dim", "16"]) == 0
+    def test_one_site_chain_has_no_pairs(self, tmp_path, capsys, command):
+        # one site admits no disjoint pair, so the run stops at /pairs, before
+        # the undefined n_lambda and p1 of a single site are read
+        data = minimal_spin_config()
+        data["lattice"]["geometry"]["sides"] = [1]
+        data["model"]["hamiltonian"] = [{"sites": [0], "operator": {"name": "pauli_z"}}]
+        data["observables"] = data["observables"][:1]
+        del data["pairs"]
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: /pairs: no observable pairs configured"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
     def test_memory_guard_exits_one(self, tmp_path, capsys, monkeypatch, command):

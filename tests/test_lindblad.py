@@ -516,8 +516,9 @@ class TestCommutatorNormCurve:
             np.testing.assert_array_equal(batch, single)
 
     def test_each_distinct_observable_is_embedded_once(self, monkeypatch):
-        # all three pairs of three Z observables: three embeddings before the
-        # sweep, not six, and two O_Y columns in order of first appearance
+        # all three pairs of three Z observables: the generator build embeds
+        # every term first, then three observable embeddings, not six, come
+        # before the sweep, and two O_Y columns in order of first appearance
         import liebrob.lindblad as lindblad
 
         embedded, blocks, before_sweep = [], [], []
@@ -527,10 +528,10 @@ class TestCommutatorNormCurve:
             embedded.append(support)
             return embed(matrix, support, *args)
 
-        def recording_sweep(model, block, *args):
+        def recording_sweep(pieces, block, *args):
             blocks.append(block)
-            before_sweep.append(list(embedded))  # the generator build embeds terms
-            return sweep(model, block, *args)
+            before_sweep.append(list(embedded))
+            return sweep(pieces, block, *args)
 
         monkeypatch.setattr(lindblad, "embed", counting_embed)
         monkeypatch.setattr(lindblad, "_stepped_blocks", recording_sweep)
@@ -538,7 +539,8 @@ class TestCommutatorNormCurve:
         pairs = [(z[0], z[1]), (z[0], z[2]), (z[1], z[2])]
         model = xy_chain_with_dephasing()
         curves = commutator_norm_curves(model, pairs, 1.0, 6)
-        assert before_sweep[0] == [(0,), (1,), (2,)]
+        terms = [term.support for term in model.hamiltonian_terms + model.lindblad_terms]
+        assert before_sweep[0] == [*terms, (0,), (1,), (2,)]
         columns = [vec(embed(PAULI_Z, (site,), model.lattice)) for site in (1, 2)]
         np.testing.assert_array_equal(blocks[0], np.stack(columns, axis=1))
         for pair, curve in zip(pairs, curves):
@@ -786,12 +788,38 @@ class TestMemoryGuard:
             generator(model)
 
     def test_refusal_comes_before_the_build(self, monkeypatch):
+        # the guard refuses before any D x D array, a term's or an
+        # observable's, is embedded
         import liebrob.lindblad as lindblad
 
-        self._free_pages(monkeypatch, 16)
-        monkeypatch.setattr(lindblad, "embed", None)  # any build step would fail
+        def no_embed(*args):
+            raise AssertionError("an operator was embedded")
+
+        self._free_pages(monkeypatch, 0)
+        monkeypatch.setattr(lindblad, "embed", no_embed)
+        model = xy_chain_with_dephasing()
         with pytest.raises(ValueError, match="estimated"):
-            generator(xy_chain_with_dephasing())
+            generator(model)
+        pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
+        with pytest.raises(ValueError, match="estimated"):
+            commutator_norm_curves(model, pairs, 1.0, 5)
+
+    def test_guard_runs_once_per_sweep_and_counts_the_observables(self, monkeypatch):
+        # one guard call per sweep, holding each distinct observable's D x D
+        # embedding and eight blocks per O_Y column
+        import liebrob.lindblad as lindblad
+
+        held, guard = [], lindblad._check_guard
+
+        def recording_guard(model, held_bytes):
+            held.append(held_bytes)
+            return guard(model, held_bytes)
+
+        monkeypatch.setattr(lindblad, "_check_guard", recording_guard)
+        z = [local_operator(PAULI_Z, (site,)) for site in range(3)]
+        model = xy_chain_with_dephasing()
+        commutator_norm_curves(model, [(z[0], z[1]), (z[0], z[2]), (z[1], z[2])], 1.0, 5)
+        assert held == [16 * 8 * 8 * (3 + 8 * 2)]
 
     @pytest.mark.parametrize("case", ["static-curves", "driven-curves", "two-point"])
     def test_estimate_bounds_the_traced_peak(self, monkeypatch, case):

@@ -35,13 +35,15 @@ def _traced(tmp_path, command, config):
 def _assert_targets_found(traced):
     assert set(traced["absent"]) <= GONE
     names = {span[0] for span in traced["spans"]}
-    assert {"config.load", "lattice.constants", "bounds.lightcone"} <= names
+    # runner.verify is seen only if the CLI looks its runners up at call time
+    assert {"config.load", "runner.verify", "lattice.constants",
+            "bounds.lightcone"} <= names
 
 
 def test_traced_spin_run_records_the_generator(tmp_path):
     traced = _traced(tmp_path, "verify-spin", "spin_chain_xy.json")
     _assert_targets_found(traced)
-    assert any(span[0] == "lindblad.assemble" for span in traced["spans"])
+    assert {"lindblad.sweep", "lindblad.assemble"} <= {span[0] for span in traced["spans"]}
     assert traced["counts"]["lindblad.superop_bytes"] > 0
 
 
