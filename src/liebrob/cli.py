@@ -19,21 +19,12 @@ EXIT_CONFIG_ERROR = 1
 EXIT_VIOLATION = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage errors exit with 1; code 2 is reserved for bound violations.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(self.exit_code_on_error, f"{self.prog}: error: {message}\n")
-
-    exit_code_on_error = EXIT_CONFIG_ERROR
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="liebrob",
         description="Simulate open lattice dynamics and certify Lieb-Robinson bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("assumptions", "emit the lattice decay constants (constants.json)"),
         ("verify-spin", "certify Theorems 1-3 against exact spin dynamics"),
@@ -50,8 +41,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # code 2 is reserved for bound violations
+        return EXIT_CONFIG_ERROR if exc.code == 2 else int(exc.code or 0)
     try:
         out = Path(args.out).absolute()  # refused before the run, not after it
         if not next(p for p in (out, *out.parents) if p.exists()).is_dir():

@@ -284,6 +284,9 @@ def _parse_real_matrix_spec(spec, lattice: Lattice, pointer) -> np.ndarray:
         gap = np.abs(idx[:, None] - idx[None, :])
         for i, (off, val) in enumerate(zip(offsets, values)):
             off = _integer(off, f"{pointer}/banded/offsets/{i}", minimum=0)
+            if off in offsets[:i]:
+                raise ConfigError(f"{pointer}/banded/offsets/{i}",
+                                  f"offset {off} is already listed")
             val = _number(val, f"{pointer}/banded/values/{i}")
             mat[gap == off] = val
         return mat

@@ -17,9 +17,9 @@ no a-posteriori certificate.
 
 :func:`commutator_norm_curves` is the entry point. The memory guard is the
 one size rule: it runs first and refuses a sweep that would not fit in free
-memory, counting the pieces, the embedded observables and the sweep's blocks,
-before any D x D array is built. Then the generator pieces are built and the
-local (O_X, O_Y) pairs embedded. Which pairs to run is the caller's.
+memory, counting the pieces, the O_Y columns and the sweep's blocks, before
+any D x D array is built. Then the pieces are built and each distinct O_Y is
+embedded; no O_X is. Which pairs to run is the caller's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from scipy.linalg import svdvals
 
 from .lattice import Lattice
-from .operators import embed, unvec, vec
+from .operators import act, embed, unvec, vec
 
 
 _TWO_PI = 2.0 * math.pi
@@ -214,7 +214,9 @@ def _superop_pieces(model: GKSLModel, held_bytes: int = 0) -> _Pieces:
                   + jumps.get(profile, 0) for profile, a in effective.items()]
         pattern = sum((abs(piece) for piece in pieces), sp.csr_array((d * d, d * d)))
         rows, cols = pattern.nonzero()
-        data = np.array([piece[rows, cols] for piece in pieces], dtype=complex)
+        # empty index arrays, a zero generator's, give a coo_array, not an ndarray
+        data = np.array([piece[rows, cols] if rows.size else rows for piece in pieces],
+                        dtype=complex)
     if not np.isfinite(data).all():
         raise ValueError("the spin generator has non-finite entries")
     return _Pieces(tuple(effective), data.reshape(len(pieces), rows.size), pattern)
@@ -324,36 +326,34 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
 
     ``pairs`` is a sequence of (O_X, O_Y) local Operators. The generator
     pieces are built first, behind the memory guard, whose estimate counts
-    the D x D embedding of each distinct (support, matrix) and the sweep's
-    blocks. Each distinct observable is then embedded once, and the distinct
-    O_Y, in order of first appearance, are the columns of one backward sweep
-    over the grid linspace(0, t, points); on time-dependent models each grid
-    interval is subdivided into ``substeps`` midpoint actions. Returns a
-    (pairs, points) float array: row i is pair i's curve on the grid, in
-    ascending r.
+    the O_Y columns, the sweep's blocks and the commutator's temporaries. Each
+    distinct O_Y (support and matrix), in order of first appearance, is then
+    embedded as a column of one backward sweep over the grid linspace(0, t,
+    points); on time-dependent models each grid interval is subdivided into
+    ``substeps`` midpoint actions. An O_X is never embedded: A O_X - O_X A is
+    two :func:`act` contractions. Returns a (pairs, points) float array: row i
+    is pair i's curve on the grid, in ascending r.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    d = model.hilbert_dim
+    d, n, q = model.hilbert_dim, model.lattice.n_sites, model.dim_per_site
 
     def key(op) -> tuple:  # a distinct observable: its support and local matrix
         return op.support, op.matrix.tobytes()
 
-    local = {key(op): op for pair in pairs for op in pair}
-    keys = [(key(ox), key(oy)) for ox, oy in pairs]
-    index = {y: i for i, y in enumerate(dict.fromkeys(y for _, y in keys))}  # O_Y columns
-    # the embedded observables, and per O_Y column the kernel's blocks: the
-    # step's input and sum, a term and its temporaries
-    pieces = _superop_pieces(model, 16 * d * d * (len(local) + 8 * len(index)))
-    full = {k: embed(op.matrix, op.support, model.lattice, model.dim_per_site)
-            for k, op in local.items()}
-    targets = [(full[x], index[y]) for x, y in keys]
+    distinct_y = {key(y): y for _, y in pairs}  # in order of first appearance
+    index = {k: j for j, k in enumerate(distinct_y)}  # the O_Y columns
+    # D x D arrays, as traced: per O_Y column the column and up to 7 sweep
+    # blocks; the commutator's 3, and svdvals' workspace (1 more at D = 64)
+    pieces = _superop_pieces(model, 16 * d * d * (8 * len(index) + 4))
+    columns = np.stack([vec(embed(y.matrix, y.support, model.lattice, q))
+                        for y in distinct_y.values()], axis=1)
     norms = np.empty((len(pairs), points))
-    columns = np.stack([vec(full[y]) for y in index], axis=1)
     steps = substeps if model.is_time_dependent else 1
     for k, block in enumerate(_stepped_blocks(pieces, columns, 0.0, t, points, steps)):
         column = points - 1 - k  # the sweep runs backward from r = t
-        for i, (x, j) in enumerate(targets):
-            m = unvec(block[:, j], d)
-            norms[i, column] = svdvals(m @ x - x @ m)[0]
+        for i, (x, y) in enumerate(pairs):
+            m = unvec(block[:, index[key(y)]], d)
+            norms[i, column] = svdvals(act(x.matrix.T, x.support, m.T, n, q).T
+                                       - act(x.matrix, x.support, m, n, q))[0]
     return norms

@@ -1,10 +1,10 @@
 """Operator algebra on spin lattices.
 
-Named single-site operators, local operators with their supports, tensor
-embedding of a local matrix into the full D x D matrix (a plain ndarray),
-the operator norm of an array (dense SVD: the pipeline only takes norms of
-local term and observable matrices) and support distances. The
-vectorization convention used throughout the package is column stacking,
+Named single-site operators, local operators with their supports, the action
+of a local matrix on a lattice array (one contraction over its support's site
+axes, which on the identity is the D x D embedding), the operator norm of an
+array (dense SVD of local term and observable matrices) and support distances.
+The vectorization convention used throughout the package is column stacking,
 
     vec(X Y Z) = (Z^T kron X) vec(Y),
 
@@ -92,7 +92,8 @@ def embed(matrix, support, lattice: Lattice, dim_per_site: int = 2) -> np.ndarra
 
     Tensor factors of ``matrix`` correspond to the support sites in the order
     listed; the embedded matrix's factors follow ascending global site index,
-    the single ordering convention shared by all modules.
+    the single ordering convention shared by all modules. It is :func:`act`
+    on the identity.
     """
     mat = np.asarray(matrix, dtype=complex)
     support = tuple(int(s) for s in support)
@@ -109,12 +110,15 @@ def embed(matrix, support, lattice: Lattice, dim_per_site: int = 2) -> np.ndarra
         raise ValueError(
             f"matrix shape {mat.shape} does not match dim_per_site^{k} = {d ** k}"
         )
-    rest = [s for s in range(n) if s not in support]
-    full = np.kron(mat, np.eye(d ** len(rest), dtype=complex))
-    axis_sites = list(support) + rest
-    order = np.argsort(axis_sites)  # order[j] = current axis of site j
-    perm = list(order) + [n + a for a in order]
-    return full.reshape([d] * (2 * n)).transpose(perm).reshape(d**n, d**n)
+    return act(mat, support, np.eye(d**n), n, d)
+
+
+def act(matrix, support, block, n_sites: int, dim_per_site: int) -> np.ndarray:
+    """``embed(matrix, support) @ block``, contracting only the support's site axes."""
+    k, d = len(support), dim_per_site
+    sites = np.reshape(block, (d,) * n_sites + (-1,))
+    out = np.tensordot(np.reshape(matrix, [d] * 2 * k), sites, (range(k, 2 * k), support))
+    return np.moveaxis(out, range(k), support).reshape(np.shape(block))
 
 
 def operator_norm(matrix) -> float:

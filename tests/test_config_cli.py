@@ -264,6 +264,8 @@ _ERROR_LINES = [
      "/model/a/banded: missing required key 'values'"),
     ("harmonic", {"/model/a": {"banded": {"offsets": [-1], "values": [1.0]}}},
      "/model/a/banded/offsets/0: must be >= 0, got -1"),
+    ("harmonic", {"/model/b": {"banded": {"offsets": [1, 1], "values": [0.3, 0.5]}}},
+     "/model/b/banded/offsets/1: offset 1 is already listed"),
     ("harmonic", {"/model/a": {"power_law": {"amplitude": 1.0, "eta": 0}}},
      "/model/a/power_law/eta: must be > 0.0, got 0.0"),
     ("harmonic", {"/model/a": {"power_law": {"eta": 2.0}}},
@@ -406,6 +408,33 @@ class TestHarmonicMatrixSpecs:
         amp = np.sqrt(0.25)
         np.testing.assert_allclose(m[:, :4], amp * np.eye(4))
         np.testing.assert_allclose(m[:, 4:], 1j * amp * np.eye(4))
+
+    def test_dense_specs_match_the_specs_they_spell_out(self, tmp_path):
+        # a dense a, b and m equal to identity, banded and local_damping give
+        # the same kernel and the same verify-harmonic outputs, byte for byte
+        from liebrob.harmonic import build_kernel
+
+        data = self.base()
+        data["model"]["a"] = {"identity": {"scale": 1.5}}
+        data["model"]["b"] = {"banded": {"offsets": [0, 1, 3], "values": [2.0, -0.4, 0.1]}}
+        data["model"]["m"] = {"local_damping": {"rate": 0.3}}
+        data["thresholds"] = {"epsilon": 0.01}
+        model = parse_config(data).harmonic_model
+        dense = json.loads(json.dumps(data))
+        dense["model"] = {
+            "type": "harmonic", "a": {"dense": model.a.tolist()},
+            "b": {"dense": model.b.tolist()},
+            "m": {"dense": [[[z.real, z.imag] for z in row] for row in model.m]}}
+        spelled = parse_config(dense).harmonic_model
+        np.testing.assert_array_equal(build_kernel(spelled), build_kernel(model))
+        outs = []
+        for spec in (data, dense):
+            path = write_config(tmp_path, spec, name=f"config{len(outs)}.json")
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert main(["verify-harmonic", "--config", str(path),
+                         "--out", str(outs[-1])]) == 0
+        for name in ("report.csv", "summary.json", "lightcone.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_dense_m_shape_enforced(self):
         data = self.base()
@@ -699,6 +728,8 @@ class TestCli:
                      "--out", str(tmp_path)]) == 1
 
     def test_usage_error_exits_one(self, capsys, tmp_path):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: liebrob")
         assert main(["verify-spin"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: liebrob verify-spin")
@@ -915,6 +946,51 @@ class TestCli:
         assert "Traceback" not in err
         monkeypatch.setattr(os, "sysconf", real)
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
+    @pytest.mark.parametrize("case", ["zero-strengths", "zero-rate"])
+    def test_zero_generator_runs_clean(self, tmp_path, capsys, command, case):
+        # a generator whose every entry is zero has an empty sparsity pattern;
+        # the run exits 0 with empty stderr, and every LHS and RHS is 0
+        import csv
+
+        data = minimal_spin_config(n_sites=3, coupling=0.0)
+        if case == "zero-strengths":
+            data["model"]["hamiltonian"].append(
+                {"sites": [2], "operator": {"name": "pauli_z"}, "strength": 0.0})
+        else:
+            data["model"]["hamiltonian"] = []
+            data["model"]["lindblad"] = [
+                {"sites": [1], "operator": {"name": "lowering"}, "rate": 0.0}]
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "lightcone.csv").read_text() == "distance,arrival\n"
+        if command == "verify-spin":
+            with open(out / "report.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 5
+            for row in rows:
+                assert [row[c] for c in ("lhs", "rhs1", "rhs2", "rhs3")] == ["0.0"] * 4
+                assert row["flags"] == ""
+            assert json.loads((out / "summary.json").read_text())["violation_count"] == 0
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_lightcone_and_assumptions_agree_with_the_verify_run(self, tmp_path, path):
+        # the lightcone command writes the verify run's lightcone.csv byte for
+        # byte, and assumptions' constants.json holds the summary's constants
+        verify = f"verify-{json.loads(path.read_text())['model']['type']}"
+        outs = {command: tmp_path / command for command in (verify, "lightcone",
+                                                             "assumptions")}
+        for command, out in outs.items():
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert ((outs["lightcone"] / "lightcone.csv").read_bytes()
+                == (outs[verify] / "lightcone.csv").read_bytes())
+        constants = json.loads((outs["assumptions"] / "constants.json").read_text())
+        summary = json.loads((outs[verify] / "summary.json").read_text())
+        assert constants["eta"] == summary["eta"]
+        assert summary["constants"] == {key: constants[key] for key in summary["constants"]}
 
     def test_lightcone_subcommand(self, tmp_path):
         path = write_config(tmp_path, minimal_spin_config(coupling=1.0, rate=0.2))

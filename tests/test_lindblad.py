@@ -517,8 +517,8 @@ class TestCommutatorNormCurve:
 
     def test_each_distinct_observable_is_embedded_once(self, monkeypatch):
         # all three pairs of three Z observables: the generator build embeds
-        # every term first, then three observable embeddings, not six, come
-        # before the sweep, and two O_Y columns in order of first appearance
+        # every term first, then only the two distinct O_Y, in order of first
+        # appearance, as the sweep's columns; z[0], only ever an O_X, stays local
         import liebrob.lindblad as lindblad
 
         embedded, blocks, before_sweep = [], [], []
@@ -540,7 +540,8 @@ class TestCommutatorNormCurve:
         model = xy_chain_with_dephasing()
         curves = commutator_norm_curves(model, pairs, 1.0, 6)
         terms = [term.support for term in model.hamiltonian_terms + model.lindblad_terms]
-        assert before_sweep[0] == [*terms, (0,), (1,), (2,)]
+        assert before_sweep[0] == [*terms, (1,), (2,)]
+        assert embedded == before_sweep[0]  # and none during the sweep
         columns = [vec(embed(PAULI_Z, (site,), model.lattice)) for site in (1, 2)]
         np.testing.assert_array_equal(blocks[0], np.stack(columns, axis=1))
         for pair, curve in zip(pairs, curves):
@@ -662,7 +663,8 @@ class TestDenseOracle:
                                            dense_assemble(pieces, dim, time),
                                            rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("case", ["xy5", "qubit4-driven", "qutrit2-driven"])
+    @pytest.mark.parametrize("case", ["xy5", "qubit4-driven", "qutrit2-driven",
+                                      "qutrit3-pair"])
     def test_curves_match_dense_sweep(self, case):
         rng = np.random.default_rng(70)
         if case == "xy5":
@@ -672,9 +674,13 @@ class TestDenseOracle:
             model = random_model(rng, n_sites=4, time_dependent=True)  # D = 16
             o_x = local_operator(random_hermitian(rng, 2), (0,))
             o_y = local_operator(random_matrix(rng, 2), (3,))
-        else:
+        elif case == "qutrit2-driven":
             model = random_qudit_model(rng, 3, 2, time_dependent=True)  # D = 9
             o_x = local_operator(random_hermitian(rng, 3), (0,), dim_per_site=3)
+            o_y = local_operator(random_matrix(rng, 3), (1,), dim_per_site=3)
+        else:  # a two-site O_X on unsorted, non-adjacent sites acts unembedded
+            model = random_qudit_model(rng, 3, 3, time_dependent=False)  # D = 27
+            o_x = local_operator(random_matrix(rng, 9), (2, 0), dim_per_site=3)
             o_y = local_operator(random_matrix(rng, 3), (1,), dim_per_site=3)
         t, points, substeps = 1.5, 11, 4
         curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
@@ -805,8 +811,8 @@ class TestMemoryGuard:
             commutator_norm_curves(model, pairs, 1.0, 5)
 
     def test_guard_runs_once_per_sweep_and_counts_the_observables(self, monkeypatch):
-        # one guard call per sweep, holding each distinct observable's D x D
-        # embedding and eight blocks per O_Y column
+        # one guard call per sweep, holding per distinct O_Y its column and up
+        # to seven blocks of the sweep, and the commutator's four temporaries
         import liebrob.lindblad as lindblad
 
         held, guard = [], lindblad._check_guard
@@ -819,7 +825,7 @@ class TestMemoryGuard:
         z = [local_operator(PAULI_Z, (site,)) for site in range(3)]
         model = xy_chain_with_dephasing()
         commutator_norm_curves(model, [(z[0], z[1]), (z[0], z[2]), (z[1], z[2])], 1.0, 5)
-        assert held == [16 * 8 * 8 * (3 + 8 * 2)]
+        assert held == [16 * 8 * 8 * (8 * 2 + 4)]
 
     @pytest.mark.parametrize("case", ["static-curves", "driven-curves", "two-point"])
     def test_estimate_bounds_the_traced_peak(self, monkeypatch, case):

@@ -13,6 +13,7 @@ from liebrob.bounds import _term_norm_bound
 from liebrob.operators import (
     PAULI_X,
     PAULI_Z,
+    act,
     embed,
     local_operator,
     named_operator,
@@ -102,6 +103,51 @@ class TestEmbed:
         out = embed(a, (1,), lat, dim_per_site=3)
         np.testing.assert_allclose(out, np.kron(np.eye(3), a), atol=1e-12)
         assert out.shape == (9, 9)
+
+
+class TestAct:
+    """act(matrix, support, block) against the product with the embedding."""
+
+    @pytest.mark.parametrize("dim_per_site, n_sites, support", [
+        (2, 4, (1, 2)),     # two adjacent sites
+        (2, 4, (2, 1)),     # unsorted
+        (2, 4, (3, 0)),     # unsorted and non-adjacent
+        (2, 4, (3, 0, 2)),  # three sites
+        (3, 3, (2, 0)),     # qutrits
+        (3, 3, (1,)),
+    ])
+    @pytest.mark.parametrize("columns", [1, 5, "transposed"])
+    def test_matches_embedded_product(self, dim_per_site, n_sites, support, columns):
+        rng = np.random.default_rng(12)
+        dim = dim_per_site**n_sites
+        local = random_matrix(rng, dim_per_site ** len(support))
+        if columns == "transposed":  # a square block that is not C-contiguous
+            block = random_matrix(rng, dim).T
+        else:
+            block = rng.standard_normal((dim, columns)) + 1j * rng.standard_normal(
+                (dim, columns))
+        out = act(local, support, block, n_sites, dim_per_site)
+        assert out.shape == block.shape
+        expected = embed(local, support, build_lattice(n_sites), dim_per_site) @ block
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_non_adjacent_unsorted_pair_against_manual_kron(self):
+        # a on site 3 and b on site 0 of 4: the full matrix is b x I x I x a
+        rng = np.random.default_rng(13)
+        a, b = random_matrix(rng, 2), random_matrix(rng, 2)
+        block = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        manual = np.kron(np.kron(b, np.eye(4)), a)
+        np.testing.assert_allclose(act(np.kron(a, b), (3, 0), block, 4, 2),
+                                   manual @ block, rtol=0, atol=1e-12)
+
+    def test_pauli_z_action_is_exact(self):
+        # one nonzero per row: the same bits as the dense product
+        rng = np.random.default_rng(14)
+        block = random_matrix(rng, 32)
+        full = embed(PAULI_Z, (2,), build_lattice(5))
+        np.testing.assert_array_equal(act(PAULI_Z, (2,), block, 5, 2), full @ block)
+        np.testing.assert_array_equal(act(PAULI_Z.T, (2,), block.T, 5, 2).T,
+                                      block @ full)
 
 
 class TestSchattenNorm:
