@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import Lattice
+from .lattice import Lattice, _check_grid
 
 SYMMETRY_TOL = 1e-12
 
@@ -112,12 +112,9 @@ def stepped_products(s: np.ndarray, t: float, points: int):
     The step comes from t and points, never from differences of grid values.
     |P_k| is the matrix of coordinate commutator norms at dt_k: [R_k(s), R_l]
     = sum_m [e^{S dt}]_{k,m} i sigma_{m,l} 1 is a scalar multiple of the
-    identity. A product that leaves the float range raises OverflowError.
+    identity. A bad grid raises ValueError, an overflowing product OverflowError.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if points < 2:
-        raise ValueError(f"the grid needs at least 2 points, got {points}")
+    _check_grid(t, points)
     step = matrix_exp(s * (t / (points - 1)))
     product = symplectic_form(len(s) // 2)
     for dt in np.linspace(0.0, t, points).tolist():

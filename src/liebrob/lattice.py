@@ -1,4 +1,4 @@
-"""Finite lattices with a metric, and the kernel-decay constants entering the bounds.
+"""Finite lattices, their decay constants, and the shared site and grid checks.
 
 :func:`assumption_constants` is the one source of the constants of the kernel
 1 / [1 + d]^eta (p0, the extensivity sup, n_lambda and p1): it builds the
@@ -24,7 +24,6 @@ class Lattice:
     """Finite site set 0..N-1 with a precomputed symmetric distance matrix."""
 
     sides: tuple[int, ...]
-    metric: str
     dist: np.ndarray
 
     @property
@@ -34,6 +33,11 @@ class Lattice:
     @property
     def ndim(self) -> int:
         return len(self.sides)
+
+    def check_sites(self, support) -> None:
+        """ValueError unless every site of ``support`` is one of 0..N-1."""
+        if any(s < 0 or s >= self.n_sites for s in support):
+            raise ValueError(f"support {support} out of range for {self.n_sites} sites")
 
 
 def build_lattice(sides, metric: str = "graph") -> Lattice:
@@ -56,7 +60,7 @@ def build_lattice(sides, metric: str = "graph") -> Lattice:
         dist = np.sqrt((delta**2).sum(axis=2))
     else:
         dist = delta.sum(axis=2)
-    return Lattice(sides=sides, metric=metric, dist=dist)
+    return Lattice(sides=sides, dist=dist)
 
 
 def _check_eta(eta: float) -> float:
@@ -64,6 +68,14 @@ def _check_eta(eta: float) -> float:
     if not eta > 0:
         raise ValueError(f"decay exponent eta must be positive, got {eta}")
     return eta
+
+
+def _check_grid(t: float, points: int) -> None:
+    """ValueError unless linspace(0, t, points) is a time grid: t >= 0, points >= 2."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if points < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {points}")
 
 
 def _check_constant(name: str, value: float, eta: float) -> None:

@@ -15,11 +15,11 @@ exponential; it picks its degree and scaling from the exact 1-norm of the
 step's generator and works to a double-precision backward-error target, with
 no a-posteriori certificate.
 
-:func:`commutator_norm_curves` is the entry point. The memory guard is the
-one size rule: it runs first and refuses a sweep that would not fit in free
-memory, counting the pieces, the O_Y columns and the sweep's blocks, before
-any D x D array is built. Then the pieces are built and each distinct O_Y is
-embedded; no O_X is. Which pairs to run is the caller's.
+:func:`commutator_norm_curves` is the entry point. After the grid and O_X
+checks, the memory guard is the one size rule: it refuses a sweep that would
+not fit in free memory, counting the pieces, the O_Y columns and the sweep's
+blocks, before any D x D array is built. Then the pieces are built and each
+distinct O_Y is embedded; no O_X is. Which pairs to run is the caller's.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import svdvals
 
-from .lattice import Lattice
-from .operators import act, embed, unvec, vec
+from .lattice import Lattice, _check_grid
+from .operators import act, embed, local_operator, operator_norm, unvec, vec
 
 
 _TWO_PI = 2.0 * math.pi
@@ -94,7 +93,10 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GKSLModel:
-    """Hamiltonian and Lindblad terms with supports, rates and time profiles."""
+    """Hamiltonian and Lindblad terms with supports, rates and time profiles.
+
+    Every term must pass :func:`local_operator` and :meth:`Lattice.check_sites`.
+    """
 
     lattice: Lattice
     dim_per_site: int = 2
@@ -104,20 +106,9 @@ class GKSLModel:
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian_terms", tuple(self.hamiltonian_terms))
         object.__setattr__(self, "lindblad_terms", tuple(self.lindblad_terms))
-        n = self.lattice.n_sites
-        d = self.dim_per_site
         for term in self.hamiltonian_terms + self.lindblad_terms:
-            support = term.support
-            if len(set(support)) != len(support):
-                raise ValueError(f"term support {support} has repeated sites")
-            if any(s < 0 or s >= n for s in support):
-                raise ValueError(f"term support {support} out of range for {n} sites")
-            expected = d ** len(support)
-            if term.matrix.shape != (expected, expected):
-                raise ValueError(
-                    f"term matrix shape {term.matrix.shape} does not match"
-                    f" dim_per_site^{len(support)} = {expected}"
-                )
+            op = local_operator(term.matrix, term.support, self.dim_per_site)
+            self.lattice.check_sites(op.support)
         for term in self.hamiltonian_terms:
             with np.errstate(over="ignore", invalid="ignore"):  # a NaN defect is refused
                 defect = np.abs(term.matrix - term.matrix.conj().T).max()
@@ -306,10 +297,8 @@ def _stepped_blocks(pieces: _Pieces, block: np.ndarray, lo: float, hi: float,
     no a-posteriori certificate) on a single matrix whose values are
     overwritten in place: ``steps`` midpoint steps per grid interval of width
     h = (hi - lo) / (points - 1), latest midpoint first. A time-independent
-    model needs one step per interval.
+    model needs one step per interval. The caller has checked the grid.
     """
-    if points < 2:
-        raise ValueError(f"the grid needs at least 2 points, got {points}")
     sub = (hi - lo) / (points - 1) / steps
     a = _assemble(pieces, lo)
     yield block
@@ -324,9 +313,11 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
                            substeps: int = 16):
     """Curves r -> ||[tau(r, t) O_Y, O_X]|| for several observable pairs.
 
-    ``pairs`` is a sequence of (O_X, O_Y) local Operators. The generator
-    pieces are built first, behind the memory guard, whose estimate counts
-    the O_Y columns, the sweep's blocks and the commutator's temporaries. Each
+    ``pairs`` is a sequence of (O_X, O_Y) local Operators. The grid and each
+    O_X are checked first (:func:`_check_grid`, :func:`local_operator`,
+    :meth:`Lattice.check_sites`); :func:`embed` checks each O_Y. The generator
+    pieces are built next, behind the memory guard, whose estimate counts the
+    O_Y columns, the sweep's blocks and the commutator's temporaries. Each
     distinct O_Y (support and matrix), in order of first appearance, is then
     embedded as a column of one backward sweep over the grid linspace(0, t,
     points); on time-dependent models each grid interval is subdivided into
@@ -334,17 +325,18 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     two :func:`act` contractions. Returns a (pairs, points) float array: row i
     is pair i's curve on the grid, in ascending r.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_grid(t, points)
     d, n, q = model.hilbert_dim, model.lattice.n_sites, model.dim_per_site
 
     def key(op) -> tuple:  # a distinct observable: its support and local matrix
         return op.support, op.matrix.tobytes()
 
+    for x, _ in pairs:  # an O_Y is checked where it is embedded
+        model.lattice.check_sites(local_operator(x.matrix, x.support, q).support)
     distinct_y = {key(y): y for _, y in pairs}  # in order of first appearance
     index = {k: j for j, k in enumerate(distinct_y)}  # the O_Y columns
     # D x D arrays, as traced: per O_Y column the column and up to 7 sweep
-    # blocks; the commutator's 3, and svdvals' workspace (1 more at D = 64)
+    # blocks; the commutator's 3, and its SVD's workspace (1 more at D = 64)
     pieces = _superop_pieces(model, 16 * d * d * (8 * len(index) + 4))
     columns = np.stack([vec(embed(y.matrix, y.support, model.lattice, q))
                         for y in distinct_y.values()], axis=1)
@@ -354,6 +346,6 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
         column = points - 1 - k  # the sweep runs backward from r = t
         for i, (x, y) in enumerate(pairs):
             m = unvec(block[:, index[key(y)]], d)
-            norms[i, column] = svdvals(act(x.matrix.T, x.support, m.T, n, q).T
-                                       - act(x.matrix, x.support, m, n, q))[0]
+            norms[i, column] = operator_norm(act(x.matrix.T, x.support, m.T, n, q).T
+                                             - act(x.matrix, x.support, m, n, q))
     return norms

@@ -1,9 +1,9 @@
 """Operator algebra on spin lattices.
 
-Named single-site operators, local operators with their supports, the action
-of a local matrix on a lattice array (one contraction over its support's site
-axes, which on the identity is the D x D embedding), the operator norm of an
-array (dense SVD of local term and observable matrices) and support distances.
+Named single-site operators, local operators with their supports (one rule,
+:func:`local_operator`), the action of a local matrix on a lattice array (one
+contraction over its support's site axes, on the identity the D x D
+embedding), the operator norm of an array (dense SVD) and support distances.
 The vectorization convention used throughout the package is column stacking,
 
     vec(X Y Z) = (Z^T kron X) vec(Y),
@@ -73,9 +73,11 @@ class Operator:
 
 
 def local_operator(matrix, support, dim_per_site: int = 2) -> Operator:
-    """Wrap a local matrix acting on the listed support sites."""
+    """Wrap a d^k x d^k matrix on k >= 1 distinct sites, else ValueError."""
     matrix = np.asarray(matrix, dtype=complex)
     support = tuple(int(s) for s in support)
+    if not support:
+        raise ValueError("support must be nonempty")
     if len(set(support)) != len(support):
         raise ValueError(f"support sites must be distinct, got {support}")
     expected = dim_per_site ** len(support)
@@ -92,29 +94,17 @@ def embed(matrix, support, lattice: Lattice, dim_per_site: int = 2) -> np.ndarra
 
     Tensor factors of ``matrix`` correspond to the support sites in the order
     listed; the embedded matrix's factors follow ascending global site index,
-    the single ordering convention shared by all modules. It is :func:`act`
-    on the identity.
+    the single ordering convention shared by all modules. It is :func:`act` on
+    the identity, after :func:`local_operator` and :meth:`Lattice.check_sites`.
     """
-    mat = np.asarray(matrix, dtype=complex)
-    support = tuple(int(s) for s in support)
+    op = local_operator(matrix, support, dim_per_site)
+    lattice.check_sites(op.support)
     n = lattice.n_sites
-    d = dim_per_site
-    if not support:
-        raise ValueError("support must be nonempty")
-    if len(set(support)) != len(support):
-        raise ValueError(f"support sites must be distinct, got {support}")
-    if any(s < 0 or s >= n for s in support):
-        raise ValueError(f"support {support} out of range for {n} sites")
-    k = len(support)
-    if mat.shape != (d**k, d**k):
-        raise ValueError(
-            f"matrix shape {mat.shape} does not match dim_per_site^{k} = {d ** k}"
-        )
-    return act(mat, support, np.eye(d**n), n, d)
+    return act(op.matrix, op.support, np.eye(dim_per_site**n), n, dim_per_site)
 
 
 def act(matrix, support, block, n_sites: int, dim_per_site: int) -> np.ndarray:
-    """``embed(matrix, support) @ block``, contracting only the support's site axes."""
+    """``embed(matrix, support) @ block`` by one contraction; inputs unchecked."""
     k, d = len(support), dim_per_site
     sites = np.reshape(block, (d,) * n_sites + (-1,))
     out = np.tensordot(np.reshape(matrix, [d] * 2 * k), sites, (range(k, 2 * k), support))

@@ -928,6 +928,34 @@ class TestCli:
         assert err == [f"error: {path}: /pairs: no observable pairs configured"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, base, edits, line", [
+        ("verify-spin", "harmonic_chain", {},
+         "/model: verify-spin requires a spin model"),
+        ("verify-harmonic", "spin_chain_xy", {},
+         "/model: verify-harmonic requires a harmonic model"),
+        ("verify-spin", "spin_chain_xy", {"time": {"t": 2.0, "dt_points": 21}},
+         "/time: spin runs need a time section with r_points"),
+        ("lightcone", "spin_chain_xy", {"time": {"t": 2.0, "dt_points": 21}},
+         "/time: spin runs need a time section with r_points"),
+        ("verify-harmonic", "harmonic_chain", {"time": {"t": 2.0, "r_points": 21}},
+         "/time: harmonic runs need a time section with dt_points"),
+        ("lightcone", "harmonic_chain", {"model": _DELETE},
+         "/model: the lightcone command requires a model"),
+    ])
+    def test_runner_refusal_exits_one_with_one_line(
+            self, tmp_path, capsys, command, base, edits, line):
+        # a shipped config the command cannot run: exit 1, one line, no output
+        data = json.loads((CONFIG_DIR / f"{base}.json").read_text())
+        for key, value in edits.items():
+            if value is _DELETE:
+                del data[key]
+            else:
+                data[key] = value
+        path, out = write_config(tmp_path, data), tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {line}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
     def test_memory_guard_exits_one(self, tmp_path, capsys, monkeypatch, command):
         # 16 free pages of 4 KiB cannot hold a 4-qubit sweep: exit 1, no output,

@@ -22,6 +22,7 @@ from liebrob.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Operator,
     embed,
     local_operator,
     operator_norm,
@@ -125,6 +126,35 @@ class TestModelValidation:
             single_qubit_model(
                 hamiltonian_terms=(HamiltonianTerm(support=(3,), matrix=PAULI_Z),)
             )
+
+
+@pytest.mark.parametrize("support, order, message", [
+    ((), 1, "support must be nonempty"),
+    ((1, 1), 4, "support sites must be distinct, got (1, 1)"),
+    ((-1,), 2, "support (-1,) out of range for 3 sites"),
+    ((3,), 2, "support (3,) out of range for 3 sites"),
+    ((0,), 3, "matrix shape (3, 3) does not match dim_per_site^1 = 2"),
+], ids=["empty", "repeated", "negative", "off-lattice", "shape"])
+def test_malformed_local_operator_gets_one_message_everywhere(support, order, message):
+    # on a 3-qubit chain, every entry point refuses the operator with the words
+    # of local_operator and Lattice.check_sites, the sweep's O_X included
+    model = xy_chain_with_dephasing()
+    lattice, matrix, z0 = model.lattice, np.eye(order), local_operator(PAULI_Z, (0,))
+    bad = Operator(matrix, support)
+
+    def checked():
+        lattice.check_sites(local_operator(matrix, support).support)
+
+    for entry in (
+        checked,
+        lambda: embed(matrix, support, lattice),
+        lambda: GKSLModel(lattice, hamiltonian_terms=(HamiltonianTerm(support, matrix),)),
+        lambda: commutator_norm_curves(model, [(bad, z0)], 1.0, 3),
+        lambda: commutator_norm_curves(model, [(z0, bad)], 1.0, 3),
+    ):
+        with pytest.raises(ValueError) as err:
+            entry()
+        assert str(err.value) == message
 
 
 class TestGenerators:
@@ -469,13 +499,20 @@ class TestCommutatorNormCurve:
         )[0]
         assert (curve < 1e-12).all()
 
-    def test_grid_outside_window_rejected(self):
+    def test_grid_outside_window_rejected(self, monkeypatch):
+        # both refusals come before the generator pieces are built
+        import liebrob.lindblad as lindblad
+
+        built, real = [], lindblad._superop_pieces
+        monkeypatch.setattr(lindblad, "_superop_pieces",
+                            lambda *args: built.append(args) or real(*args))
         model = xy_chain_with_dephasing()
         pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
         with pytest.raises(ValueError, match="t must be nonnegative"):
             commutator_norm_curves(model, pairs, t=-0.5, points=5)
         with pytest.raises(ValueError, match="at least 2 points"):
             commutator_norm_curves(model, pairs, t=1.0, points=1)
+        assert built == []
 
     def test_matches_independent_ode_oracle(self):
         model = xy_chain_with_dephasing(n_sites=3, gamma=0.4)

@@ -1,0 +1,79 @@
+"""Compare two liebrob source trees on the 18 reference runs, byte for byte.
+
+    python tools/reference_runs.py A_SRC B_SRC
+
+A_SRC and B_SRC are ``src`` directories (each holding the ``liebrob``
+package). The runs are every shipped config, ``configs/*.json``, and every
+benchmark workload's kept config, ``perfbench/golden/*/config.json``, each
+under its ``verify-spin`` or ``verify-harmonic`` command, ``lightcone`` and
+``assumptions``. The configs are read from the tree this script lives in, so
+both sides see the same files at the same paths.
+
+Each run is ``python -m liebrob.cli <command> --config <config> --out out``
+with PYTHONPATH set to the source tree and one BLAS thread, in a fresh
+temporary directory. The exit code, stdout, stderr and every file under
+``out`` must be the same on both sides. One line is printed per run; the exit
+status is 1 if any run differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reference_runs() -> list[tuple[str, Path]]:
+    """(command, config) for every reference run, in a fixed order."""
+    configs = sorted(ROOT.glob("configs/*.json")) + sorted(
+        ROOT.glob("perfbench/golden/*/config.json"))
+    runs = []
+    for config in configs:
+        kind = json.loads(config.read_text())["model"]["type"]
+        runs += [(f"verify-{kind}", config), ("lightcone", config), ("assumptions", config)]
+    return runs
+
+
+def run(src: Path, command: str, config: Path) -> dict:
+    """One CLI run in a temporary directory: exit code, stdout, stderr, files."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run(
+            [sys.executable, "-m", "liebrob.cli", command, "--config", str(config),
+             "--out", "out"], cwd=tmp, env=env, capture_output=True)
+        out = Path(tmp, "out")
+        files = {str(p.relative_to(out)): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr,
+            **{f"out/{name}": data for name, data in files.items()}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Compare two liebrob source trees"
+                                     " on the reference runs, byte for byte.")
+    parser.add_argument("a_src", type=Path)
+    parser.add_argument("b_src", type=Path)
+    args = parser.parse_args(argv)
+    runs = reference_runs()
+    differing = 0
+    for command, config in runs:
+        a, b = (run(src.resolve(), command, config) for src in (args.a_src, args.b_src))
+        diff = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        files = sum(k.startswith("out/") for k in a)
+        verdict = "differ: " + ", ".join(diff) if diff else "identical"
+        print(f"{command:16} {config.relative_to(ROOT)}: exit {a['exit']},"
+              f" outputs {files}, {verdict}", flush=True)
+        differing += bool(diff)
+    print(f"{differing} of {len(runs)} runs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
