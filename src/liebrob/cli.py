@@ -1,4 +1,8 @@
-"""Command-line entry point.
+"""Command-line entry point: ``assumptions``, ``verify-spin`` and ``verify-harmonic``.
+
+``assumptions`` writes the lattice constants and is the one command that runs
+on a config with no model; each verify command also writes its model's light
+cone.
 
 Exit codes: 0 for a clean run, 1 for configuration or usage errors and for an
 allocation that does not fit in memory, 2 when a certified bound was violated
@@ -12,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .runner import run_assumptions, run_lightcone, run_verify_harmonic, run_verify_spin
+from .runner import run_assumptions, run_verify_harmonic, run_verify_spin
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -29,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("assumptions", "emit the lattice decay constants (constants.json)"),
         ("verify-spin", "certify Theorems 1-3 against exact spin dynamics"),
         ("verify-harmonic", "certify the harmonic bound against kernel dynamics"),
-        ("lightcone", "emit threshold arrival times of the exact dynamics"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
@@ -50,7 +53,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         # looked up per call, so a runner replaced on this module is the one run
         runners = {"assumptions": run_assumptions, "verify-spin": run_verify_spin,
-                   "verify-harmonic": run_verify_harmonic, "lightcone": run_lightcone}
+                   "verify-harmonic": run_verify_harmonic}
         summary = runners[args.command](config, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,7 +95,8 @@ HERMITICITY_TOL = 1e-12
 class GKSLModel:
     """Hamiltonian and Lindblad terms with supports, rates and time profiles.
 
-    Every term must pass :func:`local_operator` and :meth:`Lattice.check_sites`.
+    Every term must pass :func:`local_operator` and :meth:`Lattice.check_sites`;
+    the model keeps the checked matrix and support of each.
     """
 
     lattice: Lattice
@@ -104,11 +105,13 @@ class GKSLModel:
     lindblad_terms: tuple[LindbladTerm, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "hamiltonian_terms", tuple(self.hamiltonian_terms))
-        object.__setattr__(self, "lindblad_terms", tuple(self.lindblad_terms))
-        for term in self.hamiltonian_terms + self.lindblad_terms:
-            op = local_operator(term.matrix, term.support, self.dim_per_site)
-            self.lattice.check_sites(op.support)
+        for name in ("hamiltonian_terms", "lindblad_terms"):
+            checked = []
+            for term in getattr(self, name):
+                op = local_operator(term.matrix, term.support, self.dim_per_site)
+                self.lattice.check_sites(op.support)
+                checked.append(replace(term, matrix=op.matrix, support=op.support))
+            object.__setattr__(self, name, tuple(checked))
         for term in self.hamiltonian_terms:
             with np.errstate(over="ignore", invalid="ignore"):  # a NaN defect is refused
                 defect = np.abs(term.matrix - term.matrix.conj().T).max()

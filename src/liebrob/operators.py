@@ -15,6 +15,7 @@ index.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,11 @@ class Operator:
 def local_operator(matrix, support, dim_per_site: int = 2) -> Operator:
     """Wrap a d^k x d^k matrix on k >= 1 distinct sites, else ValueError."""
     matrix = np.asarray(matrix, dtype=complex)
-    support = tuple(int(s) for s in support)
+    support = tuple(support)
+    try:
+        support = tuple(map(operator.index, support))
+    except TypeError:
+        raise ValueError(f"support sites must be integers, got {support}") from None
     if not support:
         raise ValueError("support must be nonempty")
     if len(set(support)) != len(support):

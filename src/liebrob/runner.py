@@ -1,4 +1,7 @@
-"""Experiment orchestration: assumptions, spin/harmonic verification, light cones.
+"""Experiment orchestration: lattice assumptions and spin/harmonic verification.
+
+Each verify run also writes its model's light cone, lightcone.csv: one path
+per engine, :func:`_spin_lightcone` and :func:`_harmonic_lightcone`.
 
 Each run computes everything first, renders every output file in memory, and
 hands them to one writer, :func:`_write`. It checks every target before the
@@ -89,17 +92,6 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
     return payload
 
 
-def _spin_lhs(config: RunConfig):
-    """Exact commutator-norm curves for every configured pair."""
-    if config.time is None or config.time.kind != "r":
-        raise ConfigError("/time", "spin runs need a time section with r_points")
-    if not config.pairs:
-        raise ConfigError("/pairs", "no observable pairs configured")
-    return commutator_norm_curves(config.spin_model,
-                                  [(ox, oy) for ox, oy, _ in config.pairs],
-                                  config.time.t, config.time.points)
-
-
 def _spin_lightcone(config: RunConfig, curves):
     """_lightcone of the per-distance max LHS over the dt grid."""
     dt_grid = [config.time.t - r for r in reversed(config.time.grid())]
@@ -124,7 +116,12 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
     eta = config.eta
 
     consts = assumption_constants(config.lattice, eta)
-    curves = _spin_lhs(config)
+    if config.time is None or config.time.kind != "r":
+        raise ConfigError("/time", "spin runs need a time section with r_points")
+    if not config.pairs:
+        raise ConfigError("/pairs", "no observable pairs configured")
+    curves = commutator_norm_curves(model, [(ox, oy) for ox, oy, _ in config.pairs],
+                                    config.time.t, config.time.points)
     # a disjoint pair spans two sites, so n_lambda and p1 are defined
     p0, n_lam, p1 = (c * SAFETY for c in (consts.p0, consts.n_lambda, consts.p1))
     t, r_grid = config.time.t, config.time.grid()
@@ -336,18 +333,3 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
                      "summary.json": _json_text(summary),
                      "lightcone.csv": lightcone_csv})
     return summary
-
-
-def run_lightcone(config: RunConfig, out_dir) -> dict:
-    """Emit threshold-arrival times for the configured model's exact dynamics."""
-    if config.spin_model is not None:
-        lightcone, text = _spin_lightcone(config, _spin_lhs(config))
-    elif config.harmonic_model is not None:
-        pairs, starts, distances = _pair_segments(config.lattice.dist)
-        steps = [(dt, lhs_max) for dt, _, _, lhs_max
-                 in _harmonic_sweep(config, pairs, starts)]
-        lightcone, text = _harmonic_lightcone(config, steps, distances)
-    else:
-        raise ConfigError("/model", "the lightcone command requires a model")
-    _write(out_dir, {"lightcone.csv": text})
-    return {"mode": "lightcone", "epsilon": config.epsilon, "lightcone": lightcone}

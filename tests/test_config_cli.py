@@ -506,7 +506,7 @@ class TestRunners:
         import csv
         import math
 
-        from liebrob.runner import SAFETY, run_lightcone
+        from liebrob.runner import SAFETY
 
         data = minimal_spin_config(coupling=0.8, rate=0.0, t=1.0, points=3)
         config = parse_config(data)
@@ -533,7 +533,7 @@ class TestRunners:
 
         from liebrob import assumption_constants, c0_fit, theorem4_bound
         from liebrob.bounds import growth_rate
-        from liebrob.runner import SAFETY, run_lightcone
+        from liebrob.runner import SAFETY
 
         data = {
             "lattice": {"geometry": {"kind": "chain", "sides": [5]},
@@ -574,7 +574,7 @@ class TestRunners:
         from liebrob.config import RunConfig, TimeGrid
         from liebrob.harmonic import HarmonicModel
         from liebrob.lattice import build_lattice
-        from liebrob.runner import SAFETY, run_lightcone
+        from liebrob.runner import SAFETY
 
         rng = np.random.default_rng(71)
         lattice = build_lattice((3, 4), "euclidean")
@@ -625,7 +625,6 @@ class TestRunners:
                     for d, t in lightcone_arrivals([dt for dt, _ in norms], field,
                                                        config.epsilon)]
         assert arrivals and summary["lightcone"] == arrivals
-        assert run_lightcone(config, tmp_path / "lightcone")["lightcone"] == arrivals
 
     @pytest.mark.parametrize("t, rhs1_scale", [(1.5, 1.0), (1.5, 1e-24), (60.0, 1.0)])
     def test_verify_spin_rows_match_scalar_oracle(self, tmp_path, monkeypatch, t,
@@ -843,8 +842,6 @@ class TestCli:
         ("verify-spin", "spin", "lightcone.csv"),
         ("verify-harmonic", "harmonic", "report.csv"),
         ("verify-harmonic", "harmonic", "lightcone.csv"),
-        ("lightcone", "spin", "lightcone.csv"),
-        ("lightcone", "harmonic", "lightcone.csv"),
     ])
     def test_directory_in_place_of_an_output_leaves_no_partial_output(
             self, tmp_path, capsys, command, model, name):
@@ -913,7 +910,7 @@ class TestCli:
         assert summary["violations"]["thm1"] == 0
         assert summary["violations"]["thm2"] == 0
 
-    @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
+    @pytest.mark.parametrize("command", ["verify-spin"])
     def test_one_site_chain_has_no_pairs(self, tmp_path, capsys, command):
         # one site admits no disjoint pair, so the run stops at /pairs, before
         # the undefined n_lambda and p1 of a single site are read
@@ -935,28 +932,20 @@ class TestCli:
          "/model: verify-harmonic requires a harmonic model"),
         ("verify-spin", "spin_chain_xy", {"time": {"t": 2.0, "dt_points": 21}},
          "/time: spin runs need a time section with r_points"),
-        ("lightcone", "spin_chain_xy", {"time": {"t": 2.0, "dt_points": 21}},
-         "/time: spin runs need a time section with r_points"),
         ("verify-harmonic", "harmonic_chain", {"time": {"t": 2.0, "r_points": 21}},
          "/time: harmonic runs need a time section with dt_points"),
-        ("lightcone", "harmonic_chain", {"model": _DELETE},
-         "/model: the lightcone command requires a model"),
     ])
     def test_runner_refusal_exits_one_with_one_line(
             self, tmp_path, capsys, command, base, edits, line):
         # a shipped config the command cannot run: exit 1, one line, no output
         data = json.loads((CONFIG_DIR / f"{base}.json").read_text())
-        for key, value in edits.items():
-            if value is _DELETE:
-                del data[key]
-            else:
-                data[key] = value
+        data.update(edits)
         path, out = write_config(tmp_path, data), tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {line}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
+    @pytest.mark.parametrize("command", ["verify-spin"])
     def test_memory_guard_exits_one(self, tmp_path, capsys, monkeypatch, command):
         # 16 free pages of 4 KiB cannot hold a 4-qubit sweep: exit 1, no output,
         # and the message names the estimate and the available bytes
@@ -975,7 +964,7 @@ class TestCli:
         monkeypatch.setattr(os, "sysconf", real)
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("command", ["verify-spin", "lightcone"])
+    @pytest.mark.parametrize("command", ["verify-spin"])
     @pytest.mark.parametrize("case", ["zero-strengths", "zero-rate"])
     def test_zero_generator_runs_clean(self, tmp_path, capsys, command, case):
         # a generator whose every entry is zero has an empty sparsity pattern;
@@ -994,39 +983,37 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert (out / "lightcone.csv").read_text() == "distance,arrival\n"
-        if command == "verify-spin":
-            with open(out / "report.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            assert len(rows) == 5
-            for row in rows:
-                assert [row[c] for c in ("lhs", "rhs1", "rhs2", "rhs3")] == ["0.0"] * 4
-                assert row["flags"] == ""
-            assert json.loads((out / "summary.json").read_text())["violation_count"] == 0
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        for row in rows:
+            assert [row[c] for c in ("lhs", "rhs1", "rhs2", "rhs3")] == ["0.0"] * 4
+            assert row["flags"] == ""
+        assert json.loads((out / "summary.json").read_text())["violation_count"] == 0
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda path: path.stem)
-    def test_lightcone_and_assumptions_agree_with_the_verify_run(self, tmp_path, path):
-        # the lightcone command writes the verify run's lightcone.csv byte for
-        # byte, and assumptions' constants.json holds the summary's constants
+    def test_assumptions_agree_with_the_verify_run(self, tmp_path, path):
+        # assumptions' constants.json holds the verify summary's constants
         verify = f"verify-{json.loads(path.read_text())['model']['type']}"
-        outs = {command: tmp_path / command for command in (verify, "lightcone",
-                                                             "assumptions")}
+        outs = {command: tmp_path / command for command in (verify, "assumptions")}
         for command, out in outs.items():
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
-        assert ((outs["lightcone"] / "lightcone.csv").read_bytes()
-                == (outs[verify] / "lightcone.csv").read_bytes())
         constants = json.loads((outs["assumptions"] / "constants.json").read_text())
         summary = json.loads((outs[verify] / "summary.json").read_text())
         assert constants["eta"] == summary["eta"]
         assert summary["constants"] == {key: constants[key] for key in summary["constants"]}
 
-    def test_lightcone_subcommand(self, tmp_path):
+    def test_lightcone_command_is_gone(self, tmp_path, capsys):
+        # each verify run writes its model's lightcone.csv; a lightcone
+        # command is a usage error that writes nothing
         path = write_config(tmp_path, minimal_spin_config(coupling=1.0, rate=0.2))
         out = tmp_path / "out"
-        assert main(["lightcone", "--config", str(path), "--out", str(out)]) == 0
-        lines = (out / "lightcone.csv").read_text().strip().splitlines()
-        assert lines[0] == "distance,arrival"
-        assert len(lines) >= 2
+        assert main(["lightcone", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "{assumptions,verify-spin,verify-harmonic}" in err
+        assert "invalid choice: 'lightcone'" in err
+        assert not out.exists()
 
     def test_verify_harmonic_small_chain(self, tmp_path):
         data = {
@@ -1196,7 +1183,7 @@ class TestCli:
         assert "p0 is nan at eta = 800.0" in err
         assert "Traceback" not in err and "JSON" not in err
 
-    @pytest.mark.parametrize("command", ["verify-harmonic", "lightcone"])
+    @pytest.mark.parametrize("command", ["verify-harmonic"])
     def test_overflowing_harmonic_lhs_exits_one(self, tmp_path, capsys, command):
         # inverted oscillators: S has eigenvalues +-1, e^{S dt} passes the
         # float range around dt = 710 while each step e^{100 S} is finite
@@ -1266,7 +1253,7 @@ class TestCli:
         path = write_config(tmp_path, data)
         env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
         scale = "rate" if section == "lindblad" else "strength"
-        for command in ("verify-spin", "lightcone", "assumptions"):
+        for command in ("verify-spin", "assumptions"):
             out = tmp_path / command
             done = subprocess.run([sys.executable, "-m", "liebrob.cli", command,
                                    "--config", str(path), "--out", str(out)],
@@ -1384,7 +1371,7 @@ class TestCli:
         assert "Unable to allocate" in lines[0] and "Traceback" not in done.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["verify-spin", "lightcone", "assumptions"])
+    @pytest.mark.parametrize("command", ["verify-spin", "assumptions"])
     def test_overflowing_profile_phase_exits_one_before_the_build(
             self, tmp_path, capsys, monkeypatch, command):
         # omega t = 2e308 is beyond the float range, so sin(omega t + phase)

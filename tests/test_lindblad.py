@@ -127,6 +127,23 @@ class TestModelValidation:
                 hamiltonian_terms=(HamiltonianTerm(support=(3,), matrix=PAULI_Z),)
             )
 
+    def test_nested_list_term_is_kept_as_its_checked_array(self):
+        # a term given as nested lists on np.int64 sites is stored as the
+        # complex array and int support of local_operator, and sweeps as the
+        # same term given as an array
+        xy = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
+        rest = HamiltonianTerm((1, 2), xy)
+        given = HamiltonianTerm((np.int64(0), np.int64(1)), xy.real.astype(int).tolist())
+        models = [GKSLModel(build_lattice(3), hamiltonian_terms=(term, rest))
+                  for term in (given, HamiltonianTerm((0, 1), xy))]
+        kept = models[0].hamiltonian_terms[0]
+        assert kept.support == (0, 1) and {type(s) for s in kept.support} == {int}
+        assert kept.matrix.dtype == complex
+        pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
+        curves = [commutator_norm_curves(model, pairs, 1.0, 5) for model in models]
+        assert curves[0].max() > 0
+        np.testing.assert_array_equal(*curves)
+
 
 @pytest.mark.parametrize("support, order, message", [
     ((), 1, "support must be nonempty"),
@@ -134,7 +151,8 @@ class TestModelValidation:
     ((-1,), 2, "support (-1,) out of range for 3 sites"),
     ((3,), 2, "support (3,) out of range for 3 sites"),
     ((0,), 3, "matrix shape (3, 3) does not match dim_per_site^1 = 2"),
-], ids=["empty", "repeated", "negative", "off-lattice", "shape"])
+    ((1.7,), 2, "support sites must be integers, got (1.7,)"),
+], ids=["empty", "repeated", "negative", "off-lattice", "shape", "non-integer"])
 def test_malformed_local_operator_gets_one_message_everywhere(support, order, message):
     # on a 3-qubit chain, every entry point refuses the operator with the words
     # of local_operator and Lattice.check_sites, the sweep's O_X included

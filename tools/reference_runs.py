@@ -1,13 +1,14 @@
-"""Compare two liebrob source trees on the 18 reference runs, byte for byte.
+"""Compare two liebrob source trees on the 12 reference runs, byte for byte.
 
     python tools/reference_runs.py A_SRC B_SRC
 
 A_SRC and B_SRC are ``src`` directories (each holding the ``liebrob``
 package). The runs are every shipped config, ``configs/*.json``, and every
 benchmark workload's kept config, ``perfbench/golden/*/config.json``, each
-under its ``verify-spin`` or ``verify-harmonic`` command, ``lightcone`` and
-``assumptions``. The configs are read from the tree this script lives in, so
-both sides see the same files at the same paths.
+under its ``verify-spin`` or ``verify-harmonic`` command and ``assumptions``.
+The verify run also writes the model's ``lightcone.csv``. The configs are read
+from the tree this script lives in, so both sides see the same files at the
+same paths.
 
 Each run is ``python -m liebrob.cli <command> --config <config> --out out``
 with PYTHONPATH set to the source tree and one BLAS thread, in a fresh
@@ -36,7 +37,7 @@ def reference_runs() -> list[tuple[str, Path]]:
     runs = []
     for config in configs:
         kind = json.loads(config.read_text())["model"]["type"]
-        runs += [(f"verify-{kind}", config), ("lightcone", config), ("assumptions", config)]
+        runs += [(f"verify-{kind}", config), ("assumptions", config)]
     return runs
 
 
