@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .harmonic import HarmonicModel
 from .lattice import _check_constant, _check_eta
@@ -174,8 +173,11 @@ def theorem3_matrix(jm: JMatrix, dt) -> np.ndarray:
     """exp(kappa J dt) for each dt, stacked along dt's shape.
 
     Entries are nonnegative and nondecreasing in dt. A dt whose exponential
-    leaves the float range gives a matrix of +inf.
+    leaves the float range gives a matrix of +inf. The exponential is scipy's
+    expm, not :func:`matrix_exp`: the benchmark's golden rhs3 holds its rounding.
     """
+    import scipy.linalg  # here, not at module level: harmonic runs need no scipy
+
     dt = _check_dt(dt)
     with np.errstate(over="ignore", invalid="ignore"):
         e = scipy.linalg.expm(jm.kappa * jm.matrix * dt[..., None, None])

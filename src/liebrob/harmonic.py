@@ -11,20 +11,39 @@ pass: :func:`stepped_products` yields each P_k once, and every consumer (the
 commutator norms |P_k|, the symplectic defect) reads it there. Because
 sigma^2 = -1, E_k = e^{S dt_k} = -P_k sigma, and the symplectic defect
 E_k sigma E_k^T - sigma equals P_k sigma P_k^T - sigma: it needs no further
-exponential either. The bound's constant c0 and its RHS live in
-:mod:`liebrob.bounds`.
+exponential either. That one exponential is :func:`matrix_exp`, an
+in-package scaling-and-squaring Pade method, so the module needs numpy only.
+The bound's constant c0 and its RHS live in :mod:`liebrob.bounds`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Lattice, _check_grid
 
 SYMMETRY_TOL = 1e-12
+
+# Pade degree m and theta_m, the largest bound on A's size (its 1-norm, or
+# matrix_exp's eta) at which the [m/m] Pade approximant of e^A meets a
+# backward error of 2^-53 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005),
+# Table 2.3), with the coefficients b_0..b_m of its
+# numerator, p_m(A) = sum_k b_k A^k; the denominator is p_m(-A).
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                               10559470521600.0, 670442572800.0, 33522128640.0,
+                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
 
 
 def symplectic_form(n_sites: int) -> np.ndarray:
@@ -88,19 +107,93 @@ def build_kernel(model: HarmonicModel) -> np.ndarray:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with Pade approximation.
+    """Matrix exponential by scaling and squaring with a Pade approximant.
 
-    Thin wrapper over scipy's implementation with explicit finiteness checks;
-    overflow for extreme norms raises instead of returning inf entries.
+    Higham (2005) with the degree and squaring rule of Al-Mohy & Higham
+    (SIAM J. Matrix Anal. Appl. 31 (2009) 970): eta is the least of |A|_1,
+    max(d_2, d_4) and, past degree 5, max(d_4, d_6), where d_k = |A^k|_1^(1/k)
+    comes from the powers the approximant uses anyway. Each bounds the Pade
+    backward error as |A|_1 does in the 2005 rule, but tends to the spectral
+    radius, so a far-from-normal A is not over-scaled. The degree is the
+    lowest m in 3, 5, 7, 9 with eta <= theta_m, else 13 on A / 2^s for the
+    least s >= 0 with eta / 2^s < theta_13, then s squarings. The 2009 rule's
+    extra squarings from powers of |A| (its ell) are not taken. A non-finite
+    entry raises ValueError; a result beyond the float range OverflowError.
     """
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix_exp requires finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+        powers = _extend([m @ m], 2)
+        eta = min(np.linalg.norm(m, 1), _bound(powers, 0))
+        if eta > _PADE[5][0]:
+            _extend(powers, 3)
+            eta = min(eta, _bound(powers, 1))
+        degree = next((d for d, (theta, _) in _PADE.items() if eta <= theta), 13)
+        squarings = max(0, math.frexp(eta / _PADE[13][0])[1])
+        if squarings:
+            m = m * 0.5**squarings
+            powers = _extend([m @ m], 3)
+        e = _pade(m, powers, degree)
+        for _ in range(squarings):
+            e = e @ e
     if not np.all(np.isfinite(e)):
         raise OverflowError("matrix exponential overflowed for this norm")
     return e
+
+
+def _extend(powers: list, count: int) -> list:
+    """Extend [A^2, ...] in place to [A^2, A^4, ..., A^(2 count)]."""
+    while len(powers) < count:
+        powers.append(powers[-1] @ powers[0])
+    return powers
+
+
+def _bound(powers, j: int) -> float:
+    """max(d_2j+2, d_2j+4) for powers = [A^2, A^4, ...], d_k = |A^k|_1^(1/k).
+
+    A power beyond the float range bounds nothing: inf.
+    """
+    d = [np.linalg.norm(powers[i], 1) ** (1.0 / (2 * i + 2)) for i in (j, j + 1)]
+    return float(max(d)) if np.all(np.isfinite(d)) else math.inf
+
+
+def _pade(a: np.ndarray, powers: list, degree: int) -> np.ndarray:
+    """The [m/m] Pade approximant of e^A, q_m(A)^-1 p_m(A) = (V - U)^-1 (V + U).
+
+    ``powers`` holds A^2, A^4, ... and is extended as the degree needs; U
+    holds the odd powers of A, V the even ones, each sum formed in place.
+    Degree 13 takes A^2, A^4 and A^6 only, and six products in all, as
+    Higham (2005) does. ``powers`` is emptied before the solve, which holds
+    two more matrices, so the caller's list frees its arrays too.
+    """
+    # b_0 taken into [1/2, 1) by a power of 2, which moves no rounding: b_1 A
+    # then overflows no sooner than A, as for a huge nilpotent A, e^A = I + A
+    scale = 0.5 ** math.frexp(_PADE[degree][1][0])[1]
+    b = [c * scale for c in _PADE[degree][1]]
+    _extend(powers, 3 if degree == 13 else degree // 2)
+    if degree == 13:
+        u = powers[2] @ _poly((0.0, *b[9::2]), powers)
+        u += _poly(b[1:8:2], powers)
+        v = powers[2] @ _poly((0.0, *b[8::2]), powers)
+        v += _poly(b[0:7:2], powers)
+    else:
+        u, v = _poly(b[1::2], powers), _poly(b[0::2], powers)
+    u = a @ u
+    powers.clear()
+    p = v + u
+    v -= u
+    del u
+    return np.linalg.solve(v, p)
+
+
+def _poly(coeffs, powers) -> np.ndarray:
+    """coeffs[0] I + sum_k coeffs[k] powers[k - 1], summed in place."""
+    out = coeffs[1] * powers[0]
+    for c, power in zip(coeffs[2:], powers[1:]):
+        out += c * power
+    out.flat[:: len(out) + 1] += coeffs[0]
+    return out
 
 
 def stepped_products(s: np.ndarray, t: float, points: int):

@@ -27,9 +27,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .lattice import Lattice, _check_grid
 from .operators import act, embed, local_operator, operator_norm, unvec, vec
@@ -185,6 +188,8 @@ def _superop_pieces(model: GKSLModel, held_bytes: int = 0) -> _Pieces:
     of sum_p |G_p|, which no cancellation thins. A non-finite generator is
     refused; ``held_bytes`` goes to the memory guard.
     """
+    import scipy.sparse as sp  # here, not at module level: harmonic runs need no scipy
+
     _check_guard(model, held_bytes)
     d = model.hilbert_dim
     eye = sp.eye_array(d, dtype=complex, format="csr")
@@ -224,8 +229,8 @@ def _values(pieces: _Pieces, time: float) -> np.ndarray:
 def _assemble(pieces: _Pieces, time: float) -> sp.csr_array:
     """The generator at ``time`` on the pieces' shared pattern."""
     pattern = pieces.pattern
-    return sp.csr_array((_values(pieces, time), pattern.indices, pattern.indptr),
-                        shape=pattern.shape)
+    return type(pattern)((_values(pieces, time), pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
 
 
 # theta_m for m = 1..30, 35, ..., 55: the largest 1-norm of A at which m Taylor

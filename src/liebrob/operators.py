@@ -19,7 +19,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .lattice import Lattice
 
@@ -118,7 +117,7 @@ def act(matrix, support, block, n_sites: int, dim_per_site: int) -> np.ndarray:
 
 def operator_norm(matrix) -> float:
     """Largest singular value, by dense SVD."""
-    s = svdvals(np.asarray(matrix, dtype=complex))
+    s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 

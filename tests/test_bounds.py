@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liebrob import (
     GKSLModel,
@@ -251,7 +252,7 @@ class TestArrayGrids:
         assert stacked.shape == (7, 4, 4)
         for dt, e in zip(self.DTS, stacked):
             np.testing.assert_array_equal(e, theorem3_matrix(jm, dt))
-            np.testing.assert_array_equal(e, matrix_exp(jm.kappa * jm.matrix * dt))
+            np.testing.assert_array_equal(e, scipy.linalg.expm(jm.kappa * jm.matrix * dt))
         np.testing.assert_array_equal(theorem3_bound(stacked, 2.0, 1.0, 0, 3),
                                       2.0 * stacked[:, 0, 3])
 

@@ -743,6 +743,37 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, config", [
+        (None, None),  # the bare import
+        ("verify-harmonic", "harmonic_chain.json"),
+        ("assumptions", "harmonic_chain.json"),
+        ("verify-spin", "spin_chain_xy.json"),
+    ])
+    def test_only_the_spin_engine_loads_scipy(self, tmp_path, command, config):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        code = ("import json, sys, liebrob\n"
+                "if sys.argv[1:]:\n"
+                "    from liebrob.cli import main\n"
+                "    assert main(sys.argv[1:]) == 0\n"
+                "print(json.dumps(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy')))")
+        argv = [] if command is None else [command, "--config", str(CONFIG_DIR / config),
+                                           "--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True, env=env)
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        if command == "verify-spin":  # the sparse generator and Theorem 3's expm
+            assert {"scipy.sparse", "scipy.linalg"} <= set(loaded)
+        else:
+            assert loaded == []
+
     @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
                                       "config-is-a-directory"])
     def test_path_errors_exit_one_without_traceback(self, tmp_path, case):

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import liebrob.harmonic
 from liebrob import (
     HarmonicModel,
     assumption_constants,
+    build_j_matrix,
     build_kernel,
     build_lattice,
     c0_fit,
@@ -13,6 +17,7 @@ from liebrob import (
     symplectic_form,
     theorem4_bound,
 )
+from liebrob.config import load_config
 
 from _helpers import commutator_norms
 
@@ -237,6 +242,86 @@ class TestHarmonicCommutatorNorms:
         kernel = build_kernel(model)
         with pytest.raises(OverflowError, match="dt = "):
             commutator_norms(kernel, 1000.0, 11)
+
+
+def eigh_exp(m):
+    """e^M of a real symmetric M from its eigendecomposition: the oracle."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.exp(w)) @ v.T
+
+
+class TestMatrixExpScaling:
+    """The Pade exponential at every degree and through its squarings."""
+
+    @pytest.fixture
+    def pade_calls(self, monkeypatch):
+        calls = []  # (degree, 1-norm of the scaled matrix) per approximant
+        pade = liebrob.harmonic._pade
+
+        def recording(a, powers, degree):
+            calls.append((degree, np.linalg.norm(a, 1)))
+            return pade(a, powers, degree)
+
+        monkeypatch.setattr(liebrob.harmonic, "_pade", recording)
+        return calls
+
+    @pytest.mark.parametrize("norm, degree, squarings", [
+        (0.01, 3, 0), (0.2, 5, 0), (0.9, 7, 0), (2.0, 9, 0), (5.0, 13, 0),
+        (40.0, 13, 3), (300.0, 13, 6),
+    ])
+    def test_symmetric_matches_eigh_at_each_degree(self, pade_calls, norm, degree,
+                                                   squarings):
+        # symmetric, nonnegative, equal column sums: |M^k|_1 = |M|_1^k, so the
+        # degree and the squarings follow the 1-norm
+        rng = np.random.default_rng(60)
+        m = sum(w * (np.eye(24)[p] + np.eye(24)[p].T)
+                for w, p in zip(rng.uniform(0.5, 1.0, 4), (rng.permutation(24) for _ in range(4))))
+        m *= norm / np.linalg.norm(m, 1)
+        oracle = eigh_exp(m)
+        got = matrix_exp(m)
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert pade_calls == [(degree, pytest.approx(norm / 2**squarings, rel=1e-15))]
+
+    @pytest.mark.parametrize("dt, squarings", [(1.0, 5), (2.0, 6)])
+    def test_theorem3_exponent_of_a_benchmark_model(self, pade_calls, dt, squarings):
+        # kappa J dt of the spin_static5 workload: 1-norm 107 at dt = 1, 214 at 2
+        root = Path(__file__).resolve().parents[1]
+        config = load_config(root / "perfbench" / "golden" / "spin_static5" / "config.json")
+        jm = build_j_matrix(config.spin_model, config.time.t)
+        m = jm.kappa * jm.matrix * dt
+        oracle = eigh_exp(m)
+        assert np.abs(matrix_exp(m) - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert [degree for degree, _ in pade_calls] == [13]
+        assert np.linalg.norm(m, 1) / pade_calls[0][1] == pytest.approx(2.0**squarings)
+
+    @pytest.mark.parametrize("gamma, a, b", [(0.1, 3.0, 5.0), (0.1, 10.0, 20.0),
+                                             (1.0, 3.0, 5.0), (1.0, 10.0, 20.0)])
+    def test_damped_chain_semigroup(self, pade_calls, gamma, a, b):
+        # S is far from normal; e^{S (a + b)} = e^{S a} e^{S b} holds exactly
+        kernel = build_kernel(damped_chain(30, eta=3.0, gamma=gamma))
+        together = matrix_exp(kernel * (a + b))
+        split = matrix_exp(kernel * a) @ matrix_exp(kernel * b)
+        assert np.abs(together - split).max() <= 1e-13 * np.abs(together).max()
+        assert pade_calls[0][1] < np.linalg.norm(kernel * (a + b), 1)  # it squared
+
+    @pytest.mark.parametrize("t, squarings", [(0.1, 0), (1.0, 0), (3.0, 0), (100.0, 5)])
+    def test_far_from_normal_kernel_is_not_over_scaled(self, pade_calls, t, squarings):
+        # A = 1e10, B = 1e-10: unit frequency, but |S t|_1 = 1e10 t. S^2 = -1, so
+        # e^{S t} = cos t + S sin t; squarings from |S t|_1 would take 38 at t = 100
+        n = 3
+        model = HarmonicModel(lattice=build_lattice(n), a=1e10 * np.eye(n),
+                              b=1e-10 * np.eye(n), m=np.zeros((n, 2 * n)))
+        kernel = build_kernel(model)
+        exact = np.cos(t) * np.eye(2 * n) + np.sin(t) * kernel
+        got = matrix_exp(kernel * t)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
+        assert np.linalg.norm(kernel * t, 1) / pade_calls[0][1] == 2.0**squarings
+
+    def test_huge_nilpotent_is_exact(self, pade_calls):
+        # A^2 = 0, so e^A = 1 + A; from |A|_1 it would take 1018 squarings
+        got = matrix_exp(np.array([[0.0, 1e307], [0.0, 0.0]]))
+        np.testing.assert_array_equal(got, [[1.0, 1e307], [0.0, 1.0]])
+        assert pade_calls == [(3, 1e307)]
 
 
 class TestC0Fit:
