@@ -80,9 +80,9 @@ def c0_fit(model: HarmonicModel, eta: float) -> float:
 
 
 def _check_dt(dt) -> np.ndarray:
-    """dt as a float array; ValueError if any entry is negative."""
+    """dt as a float array; ValueError unless all of it is nonnegative (not NaN)."""
     dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0):
+    if not np.all(dt >= 0):
         raise ValueError(f"dt must be nonnegative, got {float(dt.min())}")
     return dt
 
@@ -90,7 +90,7 @@ def _check_dt(dt) -> np.ndarray:
 def _check_distance(d_xy, requirement: str) -> np.ndarray:
     """d_xy as a float array; ValueError(requirement) unless all of it is positive."""
     d_xy = np.asarray(d_xy, dtype=float)
-    if np.any(d_xy <= 0):
+    if not np.all(d_xy > 0):
         raise ValueError(requirement)
     return d_xy
 
@@ -231,21 +231,26 @@ def certify(lhs, rhs):
     return slack, lhs > rhs * (1.0 + VIOLATION_TOLERANCE)
 
 
-def lightcone_arrivals(dt_grid, curves, epsilon: float):
+def lightcone_arrivals(dt_grid, distances, field, epsilon: float):
     """First threshold crossings of per-distance curves on a shared dt grid.
 
-    For each distance, the arrival is the first grid dt whose value reaches
-    ``epsilon``, linearly interpolated between the bracketing grid points;
-    distances whose curve never reaches the threshold are omitted.
+    ``field[k, j]`` is the curve of ``distances[j]`` at ``dt_grid[k]``. For
+    each distance, in the given order, the arrival is the first grid dt whose
+    value reaches ``epsilon``, linearly interpolated between the bracketing
+    grid points; distances whose curve never reaches the threshold are
+    omitted. An arrival inside the first grid interval is read off a line
+    drawn from the first grid point, dt = 0 in both engines' runs, which the
+    grid does not resolve: a curve that is concave there arrives earlier than
+    reported, a convex one later.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     dt_grid = [float(x) for x in dt_grid]
+    field = np.asarray(field, dtype=float)
+    if field.shape != (len(dt_grid), len(distances)):
+        raise ValueError("the field's shape does not match the dt grid and distances")
     arrivals = []
-    for distance in sorted(curves):
-        values = list(curves[distance])
-        if len(values) != len(dt_grid):
-            raise ValueError("curve length does not match the dt grid")
+    for distance, values in zip(distances, field.T.tolist()):
         hit = next((k for k, v in enumerate(values) if v >= epsilon), None)
         if hit is None:
             continue

@@ -71,9 +71,9 @@ def _check_eta(eta: float) -> float:
 
 
 def _check_grid(t: float, points: int) -> None:
-    """ValueError unless linspace(0, t, points) is a time grid: t >= 0, points >= 2."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    """ValueError unless linspace(0, t, points) is a grid: finite t >= 0, points >= 2."""
+    if not 0 <= t < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     if points < 2:
         raise ValueError(f"the grid needs at least 2 points, got {points}")
 

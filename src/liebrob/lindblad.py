@@ -343,6 +343,7 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
         model.lattice.check_sites(local_operator(x.matrix, x.support, q).support)
     distinct_y = {key(y): y for _, y in pairs}  # in order of first appearance
     index = {k: j for j, k in enumerate(distinct_y)}  # the O_Y columns
+    pair_columns = [(x, index[key(y)]) for x, y in pairs]
     # D x D arrays, as traced: per O_Y column the column and up to 7 sweep
     # blocks; the commutator's 3, and its SVD's workspace (1 more at D = 64)
     pieces = _superop_pieces(model, 16 * d * d * (8 * len(index) + 4))
@@ -352,8 +353,8 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     steps = substeps if model.is_time_dependent else 1
     for k, block in enumerate(_stepped_blocks(pieces, columns, 0.0, t, points, steps)):
         column = points - 1 - k  # the sweep runs backward from r = t
-        for i, (x, y) in enumerate(pairs):
-            m = unvec(block[:, index[key(y)]], d)
+        for i, (x, j) in enumerate(pair_columns):
+            m = unvec(block[:, j], d)
             norms[i, column] = operator_norm(act(x.matrix.T, x.support, m.T, n, q).T
                                              - act(x.matrix, x.support, m, n, q))
     return norms

@@ -1,7 +1,9 @@
 """Experiment orchestration: lattice assumptions and spin/harmonic verification.
 
-Each verify run also writes its model's light cone, lightcone.csv: one path
-per engine, :func:`_spin_lightcone` and :func:`_harmonic_lightcone`.
+Each verify run also writes its model's light cone, lightcone.csv, by one
+path for both engines: :func:`_by_distance` groups the run's curves into
+equal-distance runs, their maxima form a (dt x distance) field, and
+:func:`_lightcone` reads the arrivals off it.
 
 Each run computes everything first, renders every output file in memory, and
 hands them to one writer, :func:`_write`. It checks every target before the
@@ -57,9 +59,22 @@ def _write(out_dir, files: dict[str, str]) -> None:
         (out_dir / name).write_text(text, newline="")
 
 
-def _lightcone(dt_grid, field, epsilon: float):
-    """The summary's light-cone entries and lightcone.csv for per-distance curves."""
-    arrivals = bnd.lightcone_arrivals(dt_grid, field, epsilon)
+def _by_distance(distance: np.ndarray):
+    """Group a 1-D distance array into equal-distance runs, for a scatter-max.
+
+    Returns the stable sort order, the start of each equal-distance run in
+    sorted order and the distinct distances, ascending: per-distance maxima
+    of rows ``values`` are ``np.maximum.reduceat(values[order], starts)``.
+    """
+    order = np.argsort(distance, kind="stable")
+    ordered = distance[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf))
+    return order, starts, ordered[starts]
+
+
+def _lightcone(dt_grid, distances, field, epsilon: float):
+    """The summary's light-cone entries and lightcone.csv of a (dt x distance) field."""
+    arrivals = bnd.lightcone_arrivals(dt_grid, distances, field, epsilon)
     text = _csv_text(("distance", "arrival"), arrivals)
     return [{"distance": d, "arrival": a} for d, a in arrivals], text
 
@@ -90,17 +105,6 @@ def run_assumptions(config: RunConfig, out_dir) -> dict:
         payload["p1"] = consts.p1
     _write(out_dir, {"constants.json": _json_text(payload)})
     return payload
-
-
-def _spin_lightcone(config: RunConfig, curves):
-    """_lightcone of the per-distance max LHS over the dt grid."""
-    dt_grid = [config.time.t - r for r in reversed(config.time.grid())]
-    field: dict[float, np.ndarray] = {}
-    for (_, _, d_xy), row in zip(config.pairs, curves):
-        values = row[::-1]
-        key = float(d_xy)
-        field[key] = np.maximum(field[key], values) if key in field else values
-    return _lightcone(dt_grid, field, config.epsilon)
 
 
 _SPIN_COLUMNS = ("X", "Y", "d", "t", "r", "lhs", "rhs1", "rhs2", "rhs3",
@@ -170,7 +174,10 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
             *rhs_cells, *slack_cells, flags,
         ))
     ranges = {name: _finite_range(v) for name, v in slacks.items()}
-    lightcone, lightcone_csv = _spin_lightcone(config, curves)
+    order, starts, distances = _by_distance(np.array([d for *_, d in config.pairs],
+                                                     dtype=float))
+    field = np.maximum.reduceat(curves[order], starts).T[::-1]  # dt = t - r ascending
+    lightcone, lightcone_csv = _lightcone(dts[::-1], distances, field, config.epsilon)
 
     summary = {
         "mode": "verify-spin",
@@ -205,25 +212,13 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
 _HARMONIC_KINDS = ("QQ", "QP", "PQ", "PP")
 
 
-def _pair_segments(dist: np.ndarray):
-    """Off-diagonal site pairs sorted by distance, for a scatter-max.
-
-    Returns the pairs' flat indices into an n x n block, the start of each
-    equal-distance segment, and the distinct distances.
-    """
-    pairs = np.flatnonzero(~np.eye(dist.shape[0], dtype=bool))
-    pairs = pairs[np.argsort(dist.ravel()[pairs], kind="stable")]
-    pair_dist = dist.ravel()[pairs]
-    starts = np.flatnonzero(np.diff(pair_dist, prepend=-np.inf))
-    return pairs, starts, pair_dist[starts]
-
-
 def _harmonic_sweep(config: RunConfig, pairs, starts):
     """Per grid point (dt, product, lhs, lhs_max), in one stepping pass.
 
     product is e^{S dt} sigma from harm.stepped_products on the model's
     kernel S; lhs gathers every kind's commutator norms |product| (rows in
-    _HARMONIC_KINDS order) over the distance-sorted pairs of _pair_segments,
+    _HARMONIC_KINDS order) over ``pairs``, flat indices into an n x n block
+    sorted by distance, whose equal-distance runs begin at ``starts``,
     one n x n block at a time to stay in cache; lhs_max is its per-kind,
     per-distance maximum. A grid on which e^{S dt} overflows is a
     configuration error.
@@ -246,16 +241,6 @@ def _harmonic_sweep(config: RunConfig, pairs, starts):
         ) from exc
 
 
-def _harmonic_lightcone(config: RunConfig, steps, distances: np.ndarray):
-    """_lightcone of the per-distance maximum over all kinds.
-
-    steps holds (dt, lhs_max) per grid point, as _harmonic_sweep yields them.
-    """
-    dt_grid = [dt for dt, _ in steps]
-    field = np.array([lhs_max.max(axis=0) for _, lhs_max in steps])
-    return _lightcone(dt_grid, dict(zip(distances.tolist(), field.T)), config.epsilon)
-
-
 def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     """Certify the harmonic bound against the exact kernel dynamics."""
     if config.harmonic_model is None:
@@ -275,14 +260,16 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     p0 = consts.p0 * SAFETY
     fitted_c0 = bnd.c0_fit(model, eta)
     c0 = fitted_c0 * SAFETY
-    pairs, starts, distances = _pair_segments(lattice.dist)
+    off = np.flatnonzero(~np.eye(lattice.n_sites, dtype=bool))  # x != y in n x n
+    order, starts, distances = _by_distance(lattice.dist.ravel()[off])
+    pairs = off[order]
     pair_counts = np.diff(starts, append=pairs.size)
 
     rows = []  # report.csv rows
     slacks = []
     per_kind = {kind: 0 for kind in _HARMONIC_KINDS}
     rhs_overflow = 0
-    steps = []  # (dt, lhs_max) per grid point
+    dts, field = [], []  # per grid point: dt, and the max over kinds per distance
     closed = bool(np.all(model.m == 0))  # the flow must then preserve sigma
     defect = 0.0
     for dt, product, lhs, lhs_max in _harmonic_sweep(config, pairs, starts):
@@ -303,10 +290,11 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
             per_kind[kind] += sum(kind_viol)
         slacks.append(slack)
         rhs_overflow += len(_HARMONIC_KINDS) * int(np.isinf(rhs).sum())
-        steps.append((dt, lhs_max))
+        dts.append(dt)
+        field.append(lhs_max.max(axis=0))
     violation_count = sum(per_kind.values())
     max_slack, min_slack = _finite_range(slacks)
-    lightcone, lightcone_csv = _harmonic_lightcone(config, steps, distances)
+    lightcone, lightcone_csv = _lightcone(dts, distances, field, config.epsilon)
 
     summary = {
         "mode": "verify-harmonic",
@@ -316,7 +304,7 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "c0": fitted_c0,
         "growth_rate": bnd.growth_rate(c0, p0),
         "sites": model.n_sites,
-        "dt_points": len(steps),
+        "dt_points": len(dts),
         "rows": len(rows),
         "violation_count": violation_count,
         "violations": per_kind,

@@ -286,16 +286,18 @@ class TestArrayGrids:
         assert 0.0 < values[0] < math.inf and values[1] == math.inf
 
     def test_negative_dt_anywhere_rejected(self):
+        # a NaN dt or d is refused too: it would give a NaN RHS no point violates
         args = (1.0, 1.0, 1.0, 1.0, 1, 1, 1.0)
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
-        with pytest.raises(ValueError, match="nonnegative"):
-            theorem1_bound(*args, [0.0, -1e-3], 1.0)
-        with pytest.raises(ValueError, match="disjoint"):
-            theorem1_bound(*args, 1.0, [1.0, 0.0])
-        with pytest.raises(ValueError, match="nonnegative"):
-            theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, [0.5, -0.5], 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            theorem3_matrix(jm, [0.5, -0.5])
+        for bad_dt, bad_d in ((-1e-3, 0.0), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                theorem1_bound(*args, [0.0, bad_dt], 1.0)
+            with pytest.raises(ValueError, match="disjoint"):
+                theorem1_bound(*args, 1.0, [1.0, bad_d])
+            with pytest.raises(ValueError, match="nonnegative"):
+                theorem2_bound(4.0, 4.0, 2.0, 2.0, 1.0, 1, 1, 1.0, [0.5, bad_dt], 1.0)
+            with pytest.raises(ValueError, match="nonnegative"):
+                theorem3_matrix(jm, [0.5, bad_dt])
 
 
 class TestJMatrix:
@@ -534,27 +536,29 @@ class TestCertify:
 
 
 class TestLightconeArrivals:
+    # field[k, j] is the curve of distances[j] at dt_grid[k]
     def test_all_below_threshold(self):
-        assert lightcone_arrivals([0.0, 1.0], {1.0: [0.0, 0.1]}, 0.5) == []
+        assert lightcone_arrivals([0.0, 1.0], [1.0], [[0.0], [0.1]], 0.5) == []
 
     def test_linear_field(self):
         grid = np.linspace(0.0, 1.0, 5)
-        curves = {d: list(grid) for d in (1.0, 2.0, 3.0)}
-        arrivals = lightcone_arrivals(grid, curves, 0.5)
+        field = np.repeat(grid[:, None], 3, axis=1)
+        arrivals = lightcone_arrivals(grid, [1.0, 2.0, 3.0], field, 0.5)
         assert arrivals == [(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
 
     def test_bracketing_interpolation(self):
-        arrivals = lightcone_arrivals([0.0, 1.0, 2.0], {1.0: [0.0, 0.2, 1.0]}, 0.6)
+        arrivals = lightcone_arrivals([0.0, 1.0, 2.0], [1.0], [[0.0], [0.2], [1.0]], 0.6)
         assert arrivals == [(1.0, 1.5)]
 
     def test_immediate_crossing_uses_first_point(self):
-        arrivals = lightcone_arrivals([0.0, 1.0], {1.0: [0.7, 0.9]}, 0.5)
+        arrivals = lightcone_arrivals([0.0, 1.0], [1.0], [[0.7], [0.9]], 0.5)
         assert arrivals == [(1.0, 0.0)]
 
     def test_nonpositive_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            lightcone_arrivals([0.0], {1.0: [0.0]}, 0.0)
+        for epsilon in (0.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                lightcone_arrivals([0.0], [1.0], [[0.0]], epsilon)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            lightcone_arrivals([0.0, 1.0], {1.0: [0.0]}, 0.5)
+            lightcone_arrivals([0.0, 1.0], [1.0], [[0.0]], 0.5)

@@ -445,6 +445,36 @@ class TestHarmonicMatrixSpecs:
             parse_config(data)
 
 
+def _four_pair_spin_config(t):
+    """A random 4-site long-range spin model on a 13-point grid up to t, and
+    four pairs, one with a 2-site O_X: two at d = 2 and two at d = 3."""
+    from liebrob.config import RunConfig, TimeGrid
+    from liebrob.lattice import build_lattice
+    from liebrob.lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
+    from liebrob.operators import PAULI_Z, local_operator, support_distance
+
+    from _helpers import random_hermitian
+
+    rng = np.random.default_rng(83)
+    lattice = build_lattice(4)
+    h_terms = [HamiltonianTerm(support=(x, y), matrix=random_hermitian(rng, 4)
+                               / (1.0 + lattice.dist[x, y]) ** 2)
+               for x in range(4) for y in range(x + 1, 4)]
+    h_terms += [HamiltonianTerm(support=(x,), matrix=random_hermitian(rng, 2))
+                for x in range(4)]
+    l_terms = [LindbladTerm(support=(x,), matrix=PAULI_Z, rate=0.3) for x in range(4)]
+    model = GKSLModel(lattice=lattice, hamiltonian_terms=tuple(h_terms),
+                      lindblad_terms=tuple(l_terms))
+    a01 = local_operator(random_hermitian(rng, 4), (0, 1))
+    x0 = local_operator(random_hermitian(rng, 2), (0,))
+    z2, z3 = local_operator(PAULI_Z, (2,)), local_operator(PAULI_Z, (3,))
+    pairs = [(a01, z3), (x0, z2), (x0, z3), (z3, x0)]
+    return RunConfig(lattice=lattice, eta=2.0, spin_model=model,
+                     time=TimeGrid(t=t, points=13, kind="r"),
+                     pairs=[(ox, oy, support_distance(ox.support, oy.support, lattice))
+                            for ox, oy in pairs])
+
+
 class TestRunners:
     def test_assumptions_two_site_chain(self, tmp_path):
         data = {
@@ -621,9 +651,11 @@ class TestRunners:
         assert summary["violation_count"] == total
         assert (total == 0) == (rhs_scale == 1.0)
         assert total < 4 * n * (n - 1) * 7
+        distances = sorted(field)
         arrivals = [{"distance": d, "arrival": t}
-                    for d, t in lightcone_arrivals([dt for dt, _ in norms], field,
-                                                       config.epsilon)]
+                    for d, t in lightcone_arrivals([dt for dt, _ in norms], distances,
+                                                   np.array([field[d] for d in distances]).T,
+                                                   config.epsilon)]
         assert arrivals and summary["lightcone"] == arrivals
 
     @pytest.mark.parametrize("t, rhs1_scale", [(1.5, 1.0), (1.5, 1e-24), (60.0, 1.0)])
@@ -636,32 +668,10 @@ class TestRunners:
         import math
 
         from liebrob import bounds
-        from liebrob.config import RunConfig, TimeGrid
-        from liebrob.lattice import build_lattice
-        from liebrob.lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
-        from liebrob.operators import PAULI_Z, local_operator, support_distance
 
-        from _helpers import random_hermitian, spin_report_oracle
+        from _helpers import spin_report_oracle
 
-        rng = np.random.default_rng(83)
-        lattice = build_lattice(4)
-        h_terms = [HamiltonianTerm(support=(x, y), matrix=random_hermitian(rng, 4)
-                                   / (1.0 + lattice.dist[x, y]) ** 2)
-                   for x in range(4) for y in range(x + 1, 4)]
-        h_terms += [HamiltonianTerm(support=(x,), matrix=random_hermitian(rng, 2))
-                    for x in range(4)]
-        l_terms = [LindbladTerm(support=(x,), matrix=PAULI_Z, rate=0.3) for x in range(4)]
-        model = GKSLModel(lattice=lattice, hamiltonian_terms=tuple(h_terms),
-                          lindblad_terms=tuple(l_terms))
-        a01 = local_operator(random_hermitian(rng, 4), (0, 1))
-        x0 = local_operator(random_hermitian(rng, 2), (0,))
-        z2, z3 = local_operator(PAULI_Z, (2,)), local_operator(PAULI_Z, (3,))
-        pairs = [(a01, z3), (x0, z2), (x0, z3), (z3, x0)]
-        config = RunConfig(lattice=lattice, eta=2.0, spin_model=model,
-                           time=TimeGrid(t=t, points=13, kind="r"),
-                           pairs=[(ox, oy, support_distance(ox.support, oy.support,
-                                                            lattice))
-                                  for ox, oy in pairs])
+        config = _four_pair_spin_config(t)
         bound = bounds.theorem1_bound
         monkeypatch.setattr(bounds, "theorem1_bound",
                             lambda *args: rhs1_scale * bound(*args))
@@ -690,6 +700,52 @@ class TestRunners:
         assert (summary["violations"]["thm1"] > 0) == (rhs1_scale != 1.0)
         assert (summary["rhs_overflow"] > 0) == (t > 10.0)
         assert all(row[8] == "" for row in rows[:13])  # 2-site X: no Theorem 3
+
+    @pytest.mark.parametrize("case", ["spin_chain_xy.json", "harmonic_chain.json",
+                                      "four_pairs"])
+    def test_lightcone_is_first_crossing_of_report(self, tmp_path, case):
+        # The light cone read back from the run's own report.csv: the largest
+        # LHS per distance and dt (spin: over the pairs at d, dt = t - r;
+        # harmonic: over the four kinds), then the first grid dt that reaches
+        # epsilon, linearly interpolated from the grid point before it.
+        import csv
+
+        if case == "four_pairs":  # two pairs at each distance
+            config = _four_pair_spin_config(1.5)
+        else:
+            config = load_config(CONFIG_DIR / case)
+        spin = config.spin_model is not None
+        summary = (run_verify_spin if spin else run_verify_harmonic)(config, tmp_path)
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        curves = {}  # distance -> {dt: largest LHS}
+        for row in rows:
+            if spin:
+                d, dt, lhs = (float(row["d"]), float(row["t"]) - float(row["r"]),
+                              float(row["lhs"]))
+            else:
+                d, dt, lhs = float(row["distance"]), float(row["dt"]), float(row["lhs_max"])
+            curve = curves.setdefault(d, {})
+            curve[dt] = max(curve.get(dt, lhs), lhs)
+        epsilon = config.epsilon
+        expected = []
+        for d, curve in sorted(curves.items()):
+            points = sorted(curve.items())
+            hit = next((k for k, (_, v) in enumerate(points) if v >= epsilon), None)
+            if hit is None:
+                continue
+            if hit == 0:
+                arrival = points[0][0]
+            else:
+                (t0, v0), (t1, v1) = points[hit - 1], points[hit]
+                arrival = t0 + (epsilon - v0) * (t1 - t0) / (v1 - v0)
+            expected.append((d, arrival))
+        assert expected
+        with open(tmp_path / "lightcone.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["distance", "arrival"]] + [
+                [repr(d), repr(arrival)] for d, arrival in expected]
+        assert summary["lightcone"] == [{"distance": d, "arrival": arrival}
+                                        for d, arrival in expected]
 
     def test_verify_spin_interaction_free_model(self, tmp_path):
         data = minimal_spin_config(coupling=0.0, rate=0.4)

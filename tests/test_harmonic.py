@@ -221,8 +221,9 @@ class TestHarmonicCommutatorNorms:
 
     def test_negative_dt_rejected(self):
         kernel = build_kernel(damped_chain(2, 2.0, 0.1))
-        with pytest.raises(ValueError):
-            next(stepped_products(kernel, -0.1, 2))
+        for t in (-0.1, np.nan, np.inf):  # refused before the step's exponential
+            with pytest.raises(ValueError, match="t must be nonnegative"):
+                next(stepped_products(kernel, t, 2))
 
     def test_overflow_reported(self):
         # inverted oscillator: S has real eigenvalues +-1e4, so the
@@ -412,10 +413,11 @@ class TestTheorem4Bound:
         # a denominator beyond the float range is vacuous too, not a 0 bound
         values = theorem4_bound(1.0, 1.0, 40.0, 1.0, [1.0, 1e10])
         assert 0.0 < values[0] < np.inf and values[1] == np.inf
-        with pytest.raises(ValueError):
-            theorem4_bound(1.0, 1.0, 1.0, [1.0, -1.0], 1.0)
-        with pytest.raises(ValueError):
-            theorem4_bound(1.0, 1.0, 1.0, 1.0, [1.0, 0.0])
+        for bad_dt, bad_d in ((-1.0, 0.0), (np.nan, np.nan)):
+            with pytest.raises(ValueError):
+                theorem4_bound(1.0, 1.0, 1.0, [1.0, bad_dt], 1.0)
+            with pytest.raises(ValueError):
+                theorem4_bound(1.0, 1.0, 1.0, 1.0, [1.0, bad_d])
 
 
 class TestSoundnessSweep:

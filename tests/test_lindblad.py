@@ -518,7 +518,7 @@ class TestCommutatorNormCurve:
         assert (curve < 1e-12).all()
 
     def test_grid_outside_window_rejected(self, monkeypatch):
-        # both refusals come before the generator pieces are built
+        # every refusal comes before the generator pieces are built
         import liebrob.lindblad as lindblad
 
         built, real = [], lindblad._superop_pieces
@@ -526,8 +526,9 @@ class TestCommutatorNormCurve:
                             lambda *args: built.append(args) or real(*args))
         model = xy_chain_with_dephasing()
         pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            commutator_norm_curves(model, pairs, t=-0.5, points=5)
+        for t in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t must be nonnegative"):
+                commutator_norm_curves(model, pairs, t=t, points=5)
         with pytest.raises(ValueError, match="at least 2 points"):
             commutator_norm_curves(model, pairs, t=1.0, points=1)
         assert built == []
