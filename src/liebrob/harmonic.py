@@ -8,11 +8,14 @@ coordinate commutators follow from a matrix exponential:
 On a uniform grid dt_k = k h the products P_k = e^{S dt_k} sigma are stepped,
 P_{k+1} = E P_k with E = e^{S h}, so a run takes one exponential and one
 pass: :func:`stepped_products` yields each P_k once, and every consumer (the
-commutator norms |P_k|, the symplectic defect) reads it there. Because
-sigma^2 = -1, E_k = e^{S dt_k} = -P_k sigma, and the symplectic defect
-E_k sigma E_k^T - sigma equals P_k sigma P_k^T - sigma: it needs no further
-exponential either. That one exponential is :func:`matrix_exp`, an
-in-package scaling-and-squaring Pade method, so the module needs numpy only.
+commutator norms |P_k|, the symplectic defect) reads it there. A grid point
+costs one 2n x 2n product, the first one a signed column permutation of E
+(P_1 = E sigma), plus, for the defect of a closed model, one 2n x n x 2n
+product. Because sigma^2 = -1, E_k = e^{S dt_k} = -P_k sigma, and the
+symplectic defect E_k sigma E_k^T - sigma equals P_k sigma P_k^T - sigma: it
+needs no further exponential either. That one exponential is
+:func:`matrix_exp`, an in-package scaling-and-squaring Pade method, so the
+module needs numpy only.
 The bound's constant c0 and its RHS live in :mod:`liebrob.bounds`.
 """
 
@@ -201,17 +204,24 @@ def stepped_products(s: np.ndarray, t: float, points: int):
 
     ``s`` is the 2n x 2n kernel S of :func:`build_kernel`; the products start
     from sigma = symplectic_form(n). One exponential E = e^{S h},
-    h = t / (points - 1), then P_{k+1} = E P_k.
-    The step comes from t and points, never from differences of grid values.
+    h = t / (points - 1), after which S is no longer held; then P_1 = E sigma
+    = [-E[:, n:] | E[:, :n]], a signed column permutation of E equal to the
+    product, and P_{k+1} = E P_k, one 2n x 2n product per further point.
+    The step comes from t and points, never from differences of grid values;
+    every dt_k = 0 point, all of a t = 0 grid, yields sigma.
     |P_k| is the matrix of coordinate commutator norms at dt_k: [R_k(s), R_l]
     = sum_m [e^{S dt}]_{k,m} i sigma_{m,l} 1 is a scalar multiple of the
     identity. A bad grid raises ValueError, an overflowing product OverflowError.
     """
     _check_grid(t, points)
     step = matrix_exp(s * (t / (points - 1)))
-    product = symplectic_form(len(s) // 2)
+    del s
+    n = len(step) // 2
+    product, stepped = symplectic_form(n), False
     for dt in np.linspace(0.0, t, points).tolist():
-        if dt > 0.0:
+        if dt > 0.0 and not stepped:  # E sigma; E is finite, matrix_exp checked it
+            product, stepped = np.hstack([-step[:, n:], step[:, :n]]), True
+        elif dt > 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
                 product = step @ product
             if not np.all(np.isfinite(product)):
@@ -223,10 +233,19 @@ def symplectic_defect(product: np.ndarray) -> float:
     """max |e^{S dt} sigma e^{S dt}^T - sigma| for P = e^{S dt} sigma; 0 if closed.
 
     Hamiltonian kernels generate symplectic flows, so this is a consistency
-    check for M = 0 models. n is half the order of the 2n x 2n product; the
-    check is P sigma P^T - sigma, with P sigma = [-P[:, n:] | P[:, :n]].
+    check for M = 0 models. n is half the order of the 2n x 2n product. With
+    X = P[:, :n] P[:, n:]^T, one 2n x n x 2n product, P sigma P^T = X - X^T,
+    so the defect D = X - X^T - sigma is antisymmetric and its largest entry
+    lies in one of three n x n blocks: QQ, PP, and QP, where sigma's identity
+    is subtracted on the diagonal. A defect beyond the float range is inf or
+    NaN.
     """
     n = len(product) // 2
-    p_sigma = np.hstack([-product[:, n:], product[:, :n]])
-    with np.errstate(over="ignore", invalid="ignore"):  # beyond the float range: inf
-        return float(np.abs(p_sigma @ product.T - symplectic_form(n)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = product[:, :n] @ product[:, n:].T
+        qq, pp = x[:n, :n], x[n:, n:]
+        qp = x[:n, n:] - x[n:, :n].T
+        qp.flat[:: n + 1] -= 1.0
+        # np.max, not max: a NaN block maximum must not be dropped
+        return float(np.max([np.abs(qp).max(), np.abs(qq - qq.T).max(),
+                             np.abs(pp - pp.T).max()]))

@@ -212,28 +212,40 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
 _HARMONIC_KINDS = ("QQ", "QP", "PQ", "PP")
 
 
-def _harmonic_sweep(config: RunConfig, pairs, starts):
-    """Per grid point (dt, product, lhs, lhs_max), in one stepping pass.
+def _harmonic_sweep(config: RunConfig, pairs, starts, closed: bool):
+    """Per grid point (dt, lhs, lhs_max, defect), in one stepping pass.
 
-    product is e^{S dt} sigma from harm.stepped_products on the model's
-    kernel S; lhs gathers every kind's commutator norms |product| (rows in
+    Each point's product e^{S dt} sigma comes from harm.stepped_products on
+    the model's kernel S: one 2n x 2n product, the first a permutation of E.
+    lhs holds every kind's commutator norms |product| (rows in
     _HARMONIC_KINDS order) over ``pairs``, flat indices into an n x n block
-    sorted by distance, whose equal-distance runs begin at ``starts``,
-    one n x n block at a time to stay in cache; lhs_max is its per-kind,
-    per-distance maximum. A grid on which e^{S dt} overflows is a
-    configuration error.
+    sorted by distance, whose equal-distance runs begin at ``starts``; one
+    np.take gathers them straight from the product. lhs_max is lhs's
+    per-kind, per-distance maximum. defect is the product's symplectic
+    defect (one 2n x n x 2n product) if ``closed``; it is 0 at dt = 0, where
+    the product is sigma, and for a damped model. A grid on which e^{S dt} or
+    the defect overflows is a configuration error.
     """
     if config.time is None or config.time.kind != "dt":
         raise ConfigError("/time", "harmonic runs need a time section with dt_points")
     t = config.time.t
-    kernel = harm.build_kernel(config.harmonic_model)
-    n = len(kernel) // 2
+    n = config.harmonic_model.n_sites
+    flat = None
     try:
-        for dt, product in harm.stepped_products(kernel, t, config.time.points):
-            values = np.abs(product)
-            lhs = np.stack([np.take(values[r:r + n, c:c + n], pairs)
-                            for r in (0, n) for c in (0, n)])
-            yield dt, product, lhs, np.maximum.reduceat(lhs, starts, axis=1)
+        for dt, product in harm.stepped_products(harm.build_kernel(config.harmonic_model),
+                                                 t, config.time.points):
+            if flat is None:  # after the exponential, not on top of its arrays
+                # pair x n + y is entry x 2n + y, offset to each kind's block
+                offsets = np.array([0, n, 2 * n * n, 2 * n * n + n])[:, None]
+                flat = pairs + pairs // n * n + offsets
+            lhs = np.take(product, flat)
+            np.abs(lhs, out=lhs)
+            defect = harm.symplectic_defect(product) if closed and dt > 0.0 else 0.0
+            if not np.isfinite(defect):
+                raise ConfigError(
+                    "/time/t", f"P sigma P^T overflowed at dt = {dt!r}: the symplectic"
+                    f" defect leaves the float range before t = {t!r}; lower t")
+            yield dt, lhs, np.maximum.reduceat(lhs, starts, axis=1), defect
     except OverflowError as exc:
         raise ConfigError(
             "/time/t", f"{exc}: e^(S dt) leaves the float range before t = {t!r};"
@@ -272,9 +284,8 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     dts, field = [], []  # per grid point: dt, and the max over kinds per distance
     closed = bool(np.all(model.m == 0))  # the flow must then preserve sigma
     defect = 0.0
-    for dt, product, lhs, lhs_max in _harmonic_sweep(config, pairs, starts):
-        if closed:
-            defect = max(defect, harm.symplectic_defect(product))
+    for dt, lhs, lhs_max, point_defect in _harmonic_sweep(config, pairs, starts, closed):
+        defect = max(defect, point_defect)
         rhs = bnd.theorem4_bound(c0, p0, eta, dt, distances)
         slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
         cell_viol = np.zeros(lhs_max.shape, dtype=int)

@@ -1270,29 +1270,35 @@ class TestCli:
         assert "p0 is nan at eta = 800.0" in err
         assert "Traceback" not in err and "JSON" not in err
 
-    @pytest.mark.parametrize("command", ["verify-harmonic"])
-    def test_overflowing_harmonic_lhs_exits_one(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("sites, scale, t, points", [
         # inverted oscillators: S has eigenvalues +-1, e^{S dt} passes the
         # float range around dt = 710 while each step e^{100 S} is finite
+        (2, 1.0, 1000.0, 11),
+        # eigenvalues +-1e4: e^{S t} stays finite (cosh 460 ~ 1e199), but
+        # the symplectic defect's P sigma P^T (~1e399) does not
+        (1, 1e4, 0.046, 2),
+    ], ids=["verify-harmonic", "symplectic-defect"])
+    def test_overflowing_harmonic_lhs_exits_one(self, tmp_path, capsys, sites, scale,
+                                                t, points):
         data = {
-            "lattice": {"geometry": {"kind": "chain", "sides": [2]},
+            "lattice": {"geometry": {"kind": "chain", "sides": [sites]},
                         "metric": "graph"},
             "eta": 2.0,
             "model": {
                 "type": "harmonic",
-                "a": {"identity": {}},
-                "b": {"identity": {"scale": -1.0}},
+                "a": {"identity": {"scale": scale}},
+                "b": {"identity": {"scale": -scale}},
                 "m": {"zero": {}},
             },
-            "time": {"t": 1000.0, "dt_points": 11},
+            "time": {"t": t, "dt_points": points},
         }
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert main(["verify-harmonic", "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "/time/t" in err and "t = 1000.0" in err
-        assert "Traceback" not in err
+        assert "/time/t" in err and f"t = {t!r}" in err
+        assert "Traceback" not in err and "JSON" not in err
 
     def test_non_finite_generator_exits_one_with_one_line(self, tmp_path):
         # 1e308 + 1e308 on the first bond overflows the effective matrix; the

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,11 @@ class TestHarmonicCommutatorNorms:
         kernel = build_kernel(model)
         _, values = commutator_norms(kernel, 0.0, 2)[-1]
         np.testing.assert_allclose(values, np.abs(symplectic_form(3)), atol=1e-15)
+        for points in (2, 5):  # a t = 0 grid yields sigma at every point
+            products = list(stepped_products(kernel, 0.0, points))
+            assert [dt for dt, _ in products] == [0.0] * points
+            for _, product in products:
+                np.testing.assert_array_equal(product, symplectic_form(3))
 
     def test_single_site_oscillator_rotation(self):
         lattice = build_lattice(1)
@@ -184,6 +190,11 @@ class TestHarmonicCommutatorNorms:
         rng = np.random.default_rng(58)
         for model in (damped_chain(12, eta=3.0, gamma=0.2), closed_model(rng, 12)):
             kernel = build_kernel(model)
+            # P_1, taken as a signed column permutation of E, equals E sigma
+            # exactly (array_equal counts -0.0 equal to 0.0)
+            (_, first), (_, second) = itertools.islice(stepped_products(kernel, 2.0, 101), 2)
+            np.testing.assert_array_equal(first, symplectic_form(12))
+            assert np.array_equal(second, matrix_exp(kernel * 0.02) @ symplectic_form(12))
             norms = commutator_norms(kernel, 2.0, 101)
             assert [dt for dt, _ in norms] == np.linspace(0.0, 2.0, 101).tolist()
             for dt, values in norms:
@@ -206,18 +217,31 @@ class TestHarmonicCommutatorNorms:
             assert np.abs(values[:n, n:][off]).max() == 0.0
 
     def test_symplectic_defect_helper(self):
+        def oracle(product):
+            sigma = symplectic_form(len(product) // 2)
+            return np.abs(product @ sigma @ product.T - sigma).max()
+
+        def check(product):
+            defect = symplectic_defect(product)
+            scale = max(1.0, np.abs(product).max() ** 2)
+            assert abs(defect - oracle(product)) <= 1e-14 * scale
+            return defect
+
         rng = np.random.default_rng(57)
         closed = closed_model(rng, 6)
         kernel = build_kernel(closed)
         damped = build_kernel(damped_chain(6, eta=3.0, gamma=0.5))
         for points in (2, 101):
-            closed_defects = [symplectic_defect(product)
+            closed_defects = [check(product)
                               for _, product in stepped_products(kernel, 1.5, points)]
-            damped_defects = [symplectic_defect(product)
+            damped_defects = [check(product)
                               for _, product in stepped_products(damped, 1.5, points)]
             assert max(closed_defects) < 1e-11
             assert max(damped_defects) > 1e-3
             assert closed_defects[0] == damped_defects[0] == 0.0  # P_0 = sigma
+        for n in (1, 3, 16):  # random, so not symplectic
+            for _ in range(4):
+                assert check(rng.standard_normal((2 * n, 2 * n))) > 0.0
 
     def test_negative_dt_rejected(self):
         kernel = build_kernel(damped_chain(2, 2.0, 0.1))
