@@ -133,7 +133,8 @@ def theorem1_bound(lambda0: float, p0: float, k_norm: float, o_norm: float,
     """Power-law bound C (e^{v dt} - 1) / [1 + d(X,Y)]^eta, for eta above the dimension.
 
     C = ||K|| ||O|| |X||Y| / p0 and v = lambda0 p0: Theorem 2's RHS at N = 1,
-    p1 = p0, so both share one formula and one overflow rule.
+    p1 = p0, so both share one formula and one overflow rule. Every per-pair
+    argument broadcasts: (pairs, 1) columns over a dt grid give (pairs, points).
     """
     return theorem2_bound(lambda0, p0, 1.0, k_norm, o_norm, size_x, size_y, eta, dt,
                           d_xy)
@@ -185,14 +186,16 @@ def theorem3_matrix(jm: JMatrix, dt) -> np.ndarray:
     return np.where(overflow[..., None, None], math.inf, e)  # vacuous, never violated
 
 
-def theorem3_bound(stacked: np.ndarray, k_norm: float, o_norm: float, i: int, j: int):
+def theorem3_bound(stacked: np.ndarray, k_norm, o_norm, i, j):
     """||K|| ||O|| [exp(kappa J dt)]_{i,j} for single sites i != j, per dt.
 
-    ``stacked`` is :func:`theorem3_matrix` over the dt grid.
+    ``stacked`` is :func:`theorem3_matrix` over the dt grid. i and j may be
+    index arrays of the pairs' sites, with the norms as (pairs, 1) columns:
+    the result is then (pairs, points). Every pair must have i != j.
     """
-    if i == j:
+    if np.any(np.asarray(i) == np.asarray(j)):
         raise ValueError("the matrix-exponential bound requires i != j")
-    e = stacked[..., i, j]
+    e = np.moveaxis(stacked, (-2, -1), (0, 1))[i, j]
     with np.errstate(over="ignore", invalid="ignore"):
         return _vacuous_on_overflow(k_norm * o_norm * e, e)
 

@@ -1,5 +1,11 @@
 """Experiment orchestration: lattice assumptions and spin/harmonic verification.
 
+Each verify run certifies its report in one verdict pass on whole arrays: one
+:func:`bounds.certify` call gives every report.csv slack and the spin flags.
+The spin arrays are (theorem, pair, point), NaN where a theorem is
+inapplicable; the harmonic ones are (point, kind, distance), and the sweep
+loop counts the violating pairs behind each harmonic cell.
+
 Each verify run also writes its model's light cone, lightcone.csv, by one
 path for both engines: :func:`_by_distance` groups the run's curves into
 equal-distance runs, their maxima form a (dt x distance) field, and
@@ -18,7 +24,6 @@ import csv
 import io
 import json
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +84,14 @@ def _lightcone(dt_grid, distances, field, epsilon: float):
     return [{"distance": d, "arrival": a} for d, a in arrivals], text
 
 
-def _finite_range(slacks) -> tuple[float | None, float | None]:
-    """(max, min) over the finite entries of slack arrays; None where there are none."""
-    finite = np.concatenate([s[np.isfinite(s)] for s in slacks] + [np.empty(0)])
+def _flat(values, shape) -> list:
+    """One report.csv column: ``values`` broadcast to ``shape``, in C order."""
+    return np.broadcast_to(values, shape).ravel().tolist()
+
+
+def _finite_range(slack: np.ndarray) -> tuple[float | None, float | None]:
+    """(max, min) over the finite entries of a slack array; None where there are none."""
+    finite = slack[np.isfinite(slack)]
     if finite.size == 0:
         return None, None
     return float(finite.max()), float(finite.min())
@@ -124,58 +134,50 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
         raise ConfigError("/time", "spin runs need a time section with r_points")
     if not config.pairs:
         raise ConfigError("/pairs", "no observable pairs configured")
-    curves = commutator_norm_curves(model, [(ox, oy) for ox, oy, _ in config.pairs],
-                                    config.time.t, config.time.points)
+    xs, ys, ds = zip(*config.pairs)  # per pair: O_X, O_Y and d(X, Y)
+    t, r_grid = config.time.t, config.time.grid()
+    curves = commutator_norm_curves(model, list(zip(xs, ys)), t, config.time.points)
     # a disjoint pair spans two sites, so n_lambda and p1 are defined
     p0, n_lam, p1 = (c * SAFETY for c in (consts.p0, consts.n_lambda, consts.p1))
-    t, r_grid = config.time.t, config.time.grid()
     # after the sweep, which refuses a non-finite or too large generator first
     fitted_lambda0 = bnd.lambda0_fit(model, eta, t)
     lambda0 = fitted_lambda0 * SAFETY
 
     jm = bnd.build_j_matrix(model, t)  # None: the matrix-exponential bound is inapplicable
     dts = t - r_grid
-    stacked = bnd.theorem3_matrix(jm, dts) if jm is not None else None
 
-    rows = []  # report.csv rows
-    counts = dict.fromkeys(_THEOREMS, 0)
-    slacks = {name: [] for name in _THEOREMS}
-    rhs_overflow = 0
-    for (ox, oy, d_xy), lhs in zip(config.pairs, curves):
-        ox_norm = operator_norm(ox.matrix)
-        oy_norm = operator_norm(oy.matrix)
-        sizes = len(ox.support), len(oy.support)
-        rhs = {"thm1": bnd.theorem1_bound(lambda0, p0, 2.0 * ox_norm, oy_norm, *sizes,
-                                          eta, dts, d_xy),
-               "thm2": bnd.theorem2_bound(lambda0, p1, n_lam, 2.0 * ox_norm, oy_norm,
-                                          *sizes, eta, dts, d_xy)}
-        if jm is not None and sizes == (1, 1):
-            rhs["thm3"] = bnd.theorem3_bound(stacked, 2.0 * ox_norm, oy_norm,
-                                             ox.support[0], oy.support[0])
-        blank = [""] * len(r_grid)  # an inapplicable theorem's column
-        rhs_cells, slack_cells, hits = [], [], []
-        for name in _THEOREMS:
-            if name not in rhs:
-                rhs_cells.append(blank)
-                slack_cells.append(blank)
-                continue
-            slack, violated = bnd.certify(lhs, rhs[name])
-            rhs_cells.append(rhs[name].tolist())
-            slack_cells.append(slack.tolist())
-            hits.append(np.where(violated, name, ""))
-            counts[name] += int(violated.sum())
-            slacks[name].append(slack)
-            rhs_overflow += int(np.isinf(rhs[name]).sum())
-        flags = ["|".join(filter(None, names)) for names in zip(*hits)]
-        rows.extend(zip(
-            repeat(";".join(map(str, ox.support))),
-            repeat(";".join(map(str, oy.support))),
-            repeat(d_xy), repeat(t), r_grid.tolist(), lhs.tolist(),
-            *rhs_cells, *slack_cells, flags,
-        ))
-    ranges = {name: _finite_range(v) for name, v in slacks.items()}
-    order, starts, distances = _by_distance(np.array([d for *_, d in config.pairs],
-                                                     dtype=float))
+    def column(values):  # one entry per pair, broadcast against the dt grid
+        return np.array(values)[:, None]
+
+    k_norm = column([2.0 * operator_norm(ox.matrix) for ox in xs])
+    o_norm = column([operator_norm(oy.matrix) for oy in ys])
+    size_x = column([len(ox.support) for ox in xs])
+    size_y = column([len(oy.support) for oy in ys])
+    d_xy = column(ds)
+    norms_sizes = (k_norm, o_norm, size_x, size_y)
+    rhs = np.full((len(_THEOREMS),) + curves.shape, np.nan)  # NaN: inapplicable
+    rhs[0] = bnd.theorem1_bound(lambda0, p0, *norms_sizes, eta, dts, d_xy)
+    rhs[1] = bnd.theorem2_bound(lambda0, p1, n_lam, *norms_sizes, eta, dts, d_xy)
+    single = ((size_x == 1) & (size_y == 1))[:, 0]
+    if jm is not None:
+        sites = np.array([(ox.support[0], oy.support[0]) for ox, oy in zip(xs, ys)])
+        rhs[2, single] = bnd.theorem3_bound(bnd.theorem3_matrix(jm, dts), k_norm[single],
+                                            o_norm[single], *sites[single].T)
+    slack, violated = bnd.certify(np.broadcast_to(curves, rhs.shape), rhs)
+
+    flagged = np.where(violated, np.array(_THEOREMS)[:, None, None], "")
+    flags = ["|".join(filter(None, names))
+             for names in zip(*flagged.reshape(len(_THEOREMS), -1).tolist())]
+    inapplicable = np.isnan(rhs)  # its rhs and slack cells are blank
+    rhs_cells, slack_cells = (np.where(inapplicable, "", v.astype(object))
+                              for v in (rhs, slack))
+    labels = [column([";".join(map(str, op.support)) for op in ops]) for ops in (xs, ys)]
+    columns = (*labels, d_xy, t, r_grid, curves, *rhs_cells, *slack_cells)
+    rows = list(zip(*(_flat(c, curves.shape) for c in columns), flags))
+    counts = dict(zip(_THEOREMS, violated.sum(axis=(1, 2)).tolist()))
+    # a blank cell's slack is NaN or +inf, outside every range
+    ranges = {name: _finite_range(s) for name, s in zip(_THEOREMS, slack)}
+    order, starts, distances = _by_distance(d_xy[:, 0])
     field = np.maximum.reduceat(curves[order], starts).T[::-1]  # dt = t - r ascending
     lightcone, lightcone_csv = _lightcone(dts[::-1], distances, field, config.epsilon)
 
@@ -197,7 +199,7 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
         "rows": len(rows),
         "violations": counts,
         "violation_count": sum(counts.values()),
-        "rhs_overflow": rhs_overflow,
+        "rhs_overflow": int(np.isinf(rhs).sum()),
         "max_slack": {name: hi for name, (hi, _) in ranges.items()},
         "min_slack": {name: lo for name, (_, lo) in ranges.items()},
         "epsilon": config.epsilon,
@@ -277,35 +279,29 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     pairs = off[order]
     pair_counts = np.diff(starts, append=pairs.size)
 
-    rows = []  # report.csv rows
-    slacks = []
-    per_kind = {kind: 0 for kind in _HARMONIC_KINDS}
-    rhs_overflow = 0
-    dts, field = [], []  # per grid point: dt, and the max over kinds per distance
+    points = []  # per grid point: dt, lhs_max, its RHS and violating pairs per segment
     closed = bool(np.all(model.m == 0))  # the flow must then preserve sigma
     defect = 0.0
     for dt, lhs, lhs_max, point_defect in _harmonic_sweep(config, pairs, starts, closed):
         defect = max(defect, point_defect)
         rhs = bnd.theorem4_bound(c0, p0, eta, dt, distances)
-        slack, violated = bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))
-        cell_viol = np.zeros(lhs_max.shape, dtype=int)
-        if violated.any():  # no segment violates unless its max does
-            _, pair_viol = bnd.certify(lhs, np.broadcast_to(np.repeat(rhs, pair_counts),
-                                                            lhs.shape))
-            cell_viol = np.add.reduceat(pair_viol, starts, axis=1)
-        for kind, kind_max, kind_slack, kind_viol in zip(
-            _HARMONIC_KINDS, lhs_max.tolist(), slack.tolist(), cell_viol.tolist()
-        ):
-            rows.extend(zip(distances.tolist(), repeat(kind), repeat(dt), kind_max,
-                            rhs.tolist(), kind_slack, kind_viol))
-            per_kind[kind] += sum(kind_viol)
-        slacks.append(slack)
-        rhs_overflow += len(_HARMONIC_KINDS) * int(np.isinf(rhs).sum())
-        dts.append(dt)
-        field.append(lhs_max.max(axis=0))
-    violation_count = sum(per_kind.values())
-    max_slack, min_slack = _finite_range(slacks)
-    lightcone, lightcone_csv = _lightcone(dts, distances, field, config.epsilon)
+        count = np.zeros(lhs_max.shape, dtype=int)
+        if bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))[1].any():
+            # a segment has a violating pair only where its max violates
+            _, violated = bnd.certify(lhs, np.broadcast_to(np.repeat(rhs, pair_counts),
+                                                           lhs.shape))
+            count = np.add.reduceat(violated, starts, axis=1)
+        points.append((dt, lhs_max, rhs, count))
+    dts, maxima, rhs, counts = map(np.array, zip(*points))  # (point, kind, distance)
+    rhs = np.broadcast_to(rhs[:, None, :], maxima.shape)
+    slack, _ = bnd.certify(maxima, rhs)
+    per_kind = dict(zip(_HARMONIC_KINDS, counts.sum(axis=(0, 2)).tolist()))
+    max_slack, min_slack = _finite_range(slack)
+    lightcone, lightcone_csv = _lightcone(dts, distances, maxima.max(axis=1),
+                                          config.epsilon)
+    rows = list(zip(*(_flat(c, maxima.shape) for c in (
+        distances, np.array(_HARMONIC_KINDS)[:, None], dts[:, None, None], maxima, rhs,
+        slack, counts))))
 
     summary = {
         "mode": "verify-harmonic",
@@ -317,9 +313,9 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
         "sites": model.n_sites,
         "dt_points": len(dts),
         "rows": len(rows),
-        "violation_count": violation_count,
+        "violation_count": sum(per_kind.values()),
         "violations": per_kind,
-        "rhs_overflow": rhs_overflow,
+        "rhs_overflow": int(np.isinf(rhs).sum()),
         "max_slack": max_slack,
         "min_slack": min_slack,
         "epsilon": config.epsilon,

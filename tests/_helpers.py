@@ -352,8 +352,9 @@ def spin_report_oracle(config, rhs1_scale=1.0):
     One ``math.expm1`` per point for Theorems 1 and 2 (an overflow is +inf),
     one scipy ``expm`` per dt for Theorem 3, and the certification rule
     written out per point. ``rhs1_scale`` multiplies the Theorem-1 RHS.
-    Returns the report rows (site tuples, floats, None for a blank cell, the
-    flags string) and the summary's counts, slack extremes and overflow count.
+    A model with a term on three or more sites has no J matrix, so every
+    Theorem-3 cell is blank. Returns the report rows (site tuples, floats,
+    None for a blank cell, the flags string) and the summary's counts, slack extremes and overflow count.
     """
     import math
 
@@ -412,7 +413,7 @@ def spin_report_oracle(config, rhs1_scale=1.0):
                     * math.expm1(lambda0 * p1 * dt / n_lam) / (1.0 + d) ** eta),
                 "thm3": None,
             }
-            if sizes == 1:
+            if sizes == 1 and jm is not None:  # no J matrix: Theorem 3 is blank
                 rhs["thm3"] = vacuous_on_overflow(
                     lambda: k_norm * o_norm * theorem3_exp(jm.kappa * jm.matrix * dt)[
                         ox.support[0], oy.support[0]])

@@ -255,6 +255,13 @@ class TestArrayGrids:
             np.testing.assert_array_equal(e, scipy.linalg.expm(jm.kappa * jm.matrix * dt))
         np.testing.assert_array_equal(theorem3_bound(stacked, 2.0, 1.0, 0, 3),
                                       2.0 * stacked[:, 0, 3])
+        # index arrays and (pairs, 1) norm columns give one (pairs, points) array
+        k_norm, o_norm = np.array([[2.0], [3.0], [0.5]]), np.array([[1.0], [0.25], [4.0]])
+        i, j = np.array([0, 3, 1]), np.array([3, 1, 2])
+        grid = theorem3_bound(stacked, k_norm, o_norm, i, j)
+        assert grid.shape == (3, 7)
+        for row, k, o, x, y in zip(grid, k_norm[:, 0], o_norm[:, 0], i, j):
+            np.testing.assert_array_equal(row, theorem3_bound(stacked, k, o, x, y))
 
     def test_scalar_arguments_give_scalars(self):
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
@@ -383,6 +390,10 @@ class TestTheorem3Bound:
         jm = JMatrix(matrix=np.eye(2), kappa=0.0, onsite_excluded=False)
         with pytest.raises(ValueError):
             theorem3_bound(theorem3_matrix(jm, 0.5), 1.0, 1.0, 1, 1)
+        # every pair of index arrays is checked, not only the first
+        with pytest.raises(ValueError, match="i != j"):
+            theorem3_bound(theorem3_matrix(jm, [0.5, 1.0]), np.ones((2, 1)),
+                           np.ones((2, 1)), np.array([0, 1]), np.array([1, 1]))
 
 
 class TestMatrixExp:

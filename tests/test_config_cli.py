@@ -445,9 +445,10 @@ class TestHarmonicMatrixSpecs:
             parse_config(data)
 
 
-def _four_pair_spin_config(t):
+def _four_pair_spin_config(t, three_site_term=False):
     """A random 4-site long-range spin model on a 13-point grid up to t, and
-    four pairs, one with a 2-site O_X: two at d = 2 and two at d = 3."""
+    four pairs, one with a 2-site O_X: two at d = 2 and two at d = 3. With
+    ``three_site_term`` the model has a term on sites 0-2, so no J matrix."""
     from liebrob.config import RunConfig, TimeGrid
     from liebrob.lattice import build_lattice
     from liebrob.lindblad import GKSLModel, HamiltonianTerm, LindbladTerm
@@ -463,6 +464,9 @@ def _four_pair_spin_config(t):
     h_terms += [HamiltonianTerm(support=(x,), matrix=random_hermitian(rng, 2))
                 for x in range(4)]
     l_terms = [LindbladTerm(support=(x,), matrix=PAULI_Z, rate=0.3) for x in range(4)]
+    if three_site_term:
+        h_terms.append(HamiltonianTerm(support=(0, 1, 2),
+                                       matrix=0.1 * random_hermitian(rng, 8)))
     model = GKSLModel(lattice=lattice, hamiltonian_terms=tuple(h_terms),
                       lindblad_terms=tuple(l_terms))
     a01 = local_operator(random_hermitian(rng, 4), (0, 1))
@@ -589,13 +593,16 @@ class TestRunners:
                                       float(row["distance"]))
             assert float(row["rhs"]) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("rhs_scale", [1.0, 1e-24])
+    @pytest.mark.parametrize("t, rhs_scale", [(1.5, 1.0), (1.5, 1e-24), (9.0, 1.0)],
+                             ids=["1.0", "1e-24", "overflow"])
     def test_verify_harmonic_rows_match_mask_loop_oracle(self, tmp_path, monkeypatch,
-                                                         rhs_scale):
+                                                         t, rhs_scale):
         # The per-distance reduction, one boolean mask per distance, kind and
         # grid point, on a random power-law model on a grid with tied and
         # irrational distances. The bound is loose by a factor above 1e11
-        # here; scaled down by 1e-24 it fails on part of the pairs.
+        # here; scaled down by 1e-24 it fails on part of the pairs. Its growth
+        # rate is about 113, so at t = 9 the RHS of the last two grid points
+        # leaves the float range.
         import csv
         import math
 
@@ -616,7 +623,7 @@ class TestRunners:
         model = HarmonicModel(lattice=lattice, a=(a + a.T) * decay, b=(b + b.T) * decay,
                               m=0.3 * m * np.hstack([decay, decay]))
         config = RunConfig(lattice=lattice, eta=3.0, harmonic_model=model,
-                           time=TimeGrid(t=1.5, points=7, kind="dt"))
+                           time=TimeGrid(t=t, points=7, kind="dt"))
         bound = bounds.theorem4_bound
         monkeypatch.setattr(bounds, "theorem4_bound",
                             lambda *args: rhs_scale * bound(*args))
@@ -627,8 +634,9 @@ class TestRunners:
         dist = lattice.dist
         off = ~np.eye(n, dtype=bool)
         kernel = harmonic.build_kernel(model)
-        norms = commutator_norms(kernel, 1.5, 7)
-        expected, per_kind, field = [], {}, {}
+        norms = commutator_norms(kernel, t, 7)
+        expected, per_kind, field, slacks = [], {}, {}, []
+        overflow = 0
         for k, (dt, values) in enumerate(norms):
             blocks = {"QQ": values[:n, :n], "QP": values[:n, n:],
                       "PQ": values[n:, :n], "PP": values[n:, n:]}
@@ -638,6 +646,9 @@ class TestRunners:
                     lhs_max = float(lhs[mask].max())
                     rhs = float(rhs_scale * bound(c0, p0, 3.0, dt, d))
                     slack = math.inf if lhs_max == 0.0 else rhs / lhs_max
+                    overflow += rhs == math.inf
+                    if math.isfinite(slack):
+                        slacks.append(slack)
                     cell = int((lhs[mask] > rhs * (1.0 + VIOLATION_TOLERANCE)).sum())
                     per_kind[kind] = per_kind.get(kind, 0) + cell
                     curve = field.setdefault(float(d), [0.0] * len(norms))
@@ -651,6 +662,10 @@ class TestRunners:
         assert summary["violation_count"] == total
         assert (total == 0) == (rhs_scale == 1.0)
         assert total < 4 * n * (n - 1) * 7
+        assert summary["rhs_overflow"] == overflow
+        assert (overflow > 0) == (t > 1.5)
+        assert summary["max_slack"] == max(slacks)
+        assert summary["min_slack"] == min(slacks)
         distances = sorted(field)
         arrivals = [{"distance": d, "arrival": t}
                     for d, t in lightcone_arrivals([dt for dt, _ in norms], distances,
@@ -658,12 +673,16 @@ class TestRunners:
                                                    config.epsilon)]
         assert arrivals and summary["lightcone"] == arrivals
 
-    @pytest.mark.parametrize("t, rhs1_scale", [(1.5, 1.0), (1.5, 1e-24), (60.0, 1.0)])
+    @pytest.mark.parametrize("t, rhs1_scale, three_site_term", [
+        (1.5, 1.0, False), (1.5, 1e-24, False), (60.0, 1.0, False), (1.5, 1e-24, True),
+    ], ids=["1.5-1.0", "1.5-1e-24", "60.0-1.0", "three_site_term"])
     def test_verify_spin_rows_match_scalar_oracle(self, tmp_path, monkeypatch, t,
-                                                 rhs1_scale):
+                                                 rhs1_scale, three_site_term):
         # A random 4-site long-range model with one 2-site observable (its
         # rhs3 cells stay blank). Scaled down by 1e-24 the Theorem-1 bound
         # fails on part of the grid; at t = 60 the early RHS cells overflow.
+        # A 3-site term leaves no J matrix: every rhs3 and slack3 cell is
+        # blank, and Theorem 3 has no violation and no slack range.
         import csv
         import math
 
@@ -671,7 +690,7 @@ class TestRunners:
 
         from _helpers import spin_report_oracle
 
-        config = _four_pair_spin_config(t)
+        config = _four_pair_spin_config(t, three_site_term)
         bound = bounds.theorem1_bound
         monkeypatch.setattr(bounds, "theorem1_bound",
                             lambda *args: rhs1_scale * bound(*args))
@@ -700,6 +719,11 @@ class TestRunners:
         assert (summary["violations"]["thm1"] > 0) == (rhs1_scale != 1.0)
         assert (summary["rhs_overflow"] > 0) == (t > 10.0)
         assert all(row[8] == "" for row in rows[:13])  # 2-site X: no Theorem 3
+        if three_site_term:
+            assert summary["theorem3_applicable"] is False
+            assert all(row[8] == row[11] == "" for row in rows)
+            assert summary["violations"]["thm3"] == 0
+            assert summary["max_slack"]["thm3"] is summary["min_slack"]["thm3"] is None
 
     @pytest.mark.parametrize("case", ["spin_chain_xy.json", "harmonic_chain.json",
                                       "four_pairs"])

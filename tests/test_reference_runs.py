@@ -57,3 +57,19 @@ def test_json_float_leaf_is_reported_under_its_key_path():
     # 0.25 over the largest arrival, 1.0
     assert line == ("out/summary.json: column-relative differences"
                     " lightcone[].arrival 0.25; other fields equal")
+
+
+def test_reference_runs_include_the_edge_case_configs():
+    # every edge-case config is run under its verify command and assumptions,
+    # after the shipped configs and the benchmark's kept ones
+    from liebrob.config import load_config
+
+    runs = reference_runs.reference_runs()
+    edge = sorted((reference_runs.ROOT / "tools" / "reference_configs").glob("*.json"))
+    assert len(edge) == 5 and len(runs) == 22
+    assert [config for _, config in runs[-2 * len(edge):]] == [
+        config for config in edge for _ in range(2)]
+    for command, config in runs[-2 * len(edge):]:
+        parsed = load_config(config)
+        assert command in ("assumptions", "verify-spin" if parsed.spin_model
+                           else "verify-harmonic")

@@ -1,11 +1,16 @@
-"""Compare two liebrob source trees on the 12 reference runs, byte for byte.
+"""Compare two liebrob source trees on the 22 reference runs, byte for byte.
 
     python tools/reference_runs.py A_SRC B_SRC
 
 A_SRC and B_SRC are ``src`` directories (each holding the ``liebrob``
-package). The runs are every shipped config, ``configs/*.json``, and every
-benchmark workload's kept config, ``perfbench/golden/*/config.json``, each
-under its ``verify-spin`` or ``verify-harmonic`` command and ``assumptions``.
+package). The runs are every shipped config, ``configs/*.json``, every
+benchmark workload's kept config, ``perfbench/golden/*/config.json``, and the
+edge cases in ``tools/reference_configs/*.json``, each under its
+``verify-spin`` or ``verify-harmonic`` command and ``assumptions``. The edge
+cases reach the verdict's branches that the other configs miss: a run that
+exits 2 on flagged cells, blank Theorem-3 cells (a 2-site observable, and a
+model with a 3-site term, which has no J matrix), infinite RHS cells on both
+engines, and a single-site harmonic chain whose report has no rows.
 The verify run also writes the model's ``lightcone.csv``. The configs are read
 from the tree this script lives in, so both sides see the same files at the
 same paths.
@@ -40,8 +45,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def reference_runs() -> list[tuple[str, Path]]:
     """(command, config) for every reference run, in a fixed order."""
-    configs = sorted(ROOT.glob("configs/*.json")) + sorted(
-        ROOT.glob("perfbench/golden/*/config.json"))
+    configs = [config for pattern in ("configs/*.json", "perfbench/golden/*/config.json",
+                                      "tools/reference_configs/*.json")
+               for config in sorted(ROOT.glob(pattern))]
     runs = []
     for config in configs:
         kind = json.loads(config.read_text())["model"]["type"]
