@@ -98,14 +98,19 @@ def build_kernel(model: HarmonicModel) -> np.ndarray:
 
     With Y = M_Q^dag M_P, S = [[0, -B - Im Y], [A, Im Y]]: the bilinears of M
     contribute F = -D, so nothing to the Q columns, and E + G = -Im Y, with
-    opposite signs in the upper and lower block rows. S is real.
+    opposite signs in the upper and lower block rows. S is real. A kernel
+    beyond the float range raises ValueError.
     """
     n = model.n_sites
-    im_y = (model.m[:, :n].conj().T @ model.m[:, n:]).imag
     s = np.zeros((2 * n, 2 * n))
-    s[:n, n:] = -model.b - im_y
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+        im_y = (model.m[:, :n].conj().T @ model.m[:, n:]).imag
+        s[:n, n:] = -model.b - im_y
     s[n:, :n] = model.a
     s[n:, n:] = im_y
+    if not np.isfinite(s).all():
+        raise ValueError("the harmonic kernel S has non-finite entries: a, b or m"
+                         " is too large")
     return s
 
 
@@ -230,15 +235,15 @@ def stepped_products(s: np.ndarray, t: float, points: int):
 
 
 def symplectic_defect(product: np.ndarray) -> float:
-    """max |e^{S dt} sigma e^{S dt}^T - sigma| for P = e^{S dt} sigma; 0 if closed.
+    """max |e^{S dt} sigma e^{S dt}^T - sigma| for P = e^{S dt} sigma.
 
-    Hamiltonian kernels generate symplectic flows, so this is a consistency
-    check for M = 0 models. n is half the order of the 2n x 2n product. With
-    X = P[:, :n] P[:, n:]^T, one 2n x n x 2n product, P sigma P^T = X - X^T,
-    so the defect D = X - X^T - sigma is antisymmetric and its largest entry
-    lies in one of three n x n blocks: QQ, PP, and QP, where sigma's identity
-    is subtracted on the diagonal. A defect beyond the float range is inf or
-    NaN.
+    It is 0 for an exactly symplectic P. Hamiltonian kernels generate
+    symplectic flows, so this is a consistency check for M = 0 models. n is
+    half the order of the 2n x 2n product. With X = P[:, :n] P[:, n:]^T, one
+    2n x n x 2n product, P sigma P^T = X - X^T, so the defect
+    D = X - X^T - sigma is antisymmetric and its largest entry lies in one of
+    three n x n blocks: QQ, PP, and QP, where sigma's identity is subtracted
+    on the diagonal. A defect beyond the float range is inf or NaN.
     """
     n = len(product) // 2
     with np.errstate(over="ignore", invalid="ignore"):

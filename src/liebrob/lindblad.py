@@ -248,6 +248,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 # a 1024^2 generator, and a finite generator of huge 1-norm would otherwise ask
 # for one sum per 9.9 units of it.
 MAX_SCALING = 2**20
+# Midpoint actions per grid interval of a time-dependent model's sweep.
+SUBSTEPS = 16
 
 
 def _inf_norm(block: np.ndarray) -> float:
@@ -317,8 +319,7 @@ def _stepped_blocks(pieces: _Pieces, block: np.ndarray, lo: float, hi: float,
         yield block
 
 
-def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
-                           substeps: int = 16):
+def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int):
     """Curves r -> ||[tau(r, t) O_Y, O_X]|| for several observable pairs.
 
     ``pairs`` is a sequence of (O_X, O_Y) local Operators. The grid and each
@@ -329,7 +330,7 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     distinct O_Y (support and matrix), in order of first appearance, is then
     embedded as a column of one backward sweep over the grid linspace(0, t,
     points); on time-dependent models each grid interval is subdivided into
-    ``substeps`` midpoint actions. An O_X is never embedded: A O_X - O_X A is
+    SUBSTEPS midpoint actions. An O_X is never embedded: A O_X - O_X A is
     two :func:`act` contractions. Returns a (pairs, points) float array: row i
     is pair i's curve on the grid, in ascending r.
     """
@@ -350,7 +351,7 @@ def commutator_norm_curves(model: GKSLModel, pairs, t: float, points: int,
     columns = np.stack([vec(embed(y.matrix, y.support, model.lattice, q))
                         for y in distinct_y.values()], axis=1)
     norms = np.empty((len(pairs), points))
-    steps = substeps if model.is_time_dependent else 1
+    steps = SUBSTEPS if model.is_time_dependent else 1
     for k, block in enumerate(_stepped_blocks(pieces, columns, 0.0, t, points, steps)):
         column = points - 1 - k  # the sweep runs backward from r = t
         for i, (x, j) in enumerate(pair_columns):

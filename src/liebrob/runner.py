@@ -3,8 +3,10 @@
 Each verify run certifies its report in one verdict pass on whole arrays: one
 :func:`bounds.certify` call gives every report.csv slack and the spin flags.
 The spin arrays are (theorem, pair, point), NaN where a theorem is
-inapplicable; the harmonic ones are (point, kind, distance), and the sweep
-loop counts the violating pairs behind each harmonic cell.
+inapplicable. The harmonic RHS is one (point, distance) array from one
+:func:`bounds.theorem4_bound` call, made before the run's loop over the
+stepped products; that loop fills (point, kind, distance) arrays of LHS
+maxima and of the violating pairs behind each cell.
 
 Each verify run also writes its model's light cone, lightcone.csv, by one
 path for both engines: :func:`_by_distance` groups the run's curves into
@@ -214,49 +216,16 @@ def run_verify_spin(config: RunConfig, out_dir) -> dict:
 _HARMONIC_KINDS = ("QQ", "QP", "PQ", "PP")
 
 
-def _harmonic_sweep(config: RunConfig, pairs, starts, closed: bool):
-    """Per grid point (dt, lhs, lhs_max, defect), in one stepping pass.
-
-    Each point's product e^{S dt} sigma comes from harm.stepped_products on
-    the model's kernel S: one 2n x 2n product, the first a permutation of E.
-    lhs holds every kind's commutator norms |product| (rows in
-    _HARMONIC_KINDS order) over ``pairs``, flat indices into an n x n block
-    sorted by distance, whose equal-distance runs begin at ``starts``; one
-    np.take gathers them straight from the product. lhs_max is lhs's
-    per-kind, per-distance maximum. defect is the product's symplectic
-    defect (one 2n x n x 2n product) if ``closed``; it is 0 at dt = 0, where
-    the product is sigma, and for a damped model. A grid on which e^{S dt} or
-    the defect overflows is a configuration error.
-    """
-    if config.time is None or config.time.kind != "dt":
-        raise ConfigError("/time", "harmonic runs need a time section with dt_points")
-    t = config.time.t
-    n = config.harmonic_model.n_sites
-    flat = None
-    try:
-        for dt, product in harm.stepped_products(harm.build_kernel(config.harmonic_model),
-                                                 t, config.time.points):
-            if flat is None:  # after the exponential, not on top of its arrays
-                # pair x n + y is entry x 2n + y, offset to each kind's block
-                offsets = np.array([0, n, 2 * n * n, 2 * n * n + n])[:, None]
-                flat = pairs + pairs // n * n + offsets
-            lhs = np.take(product, flat)
-            np.abs(lhs, out=lhs)
-            defect = harm.symplectic_defect(product) if closed and dt > 0.0 else 0.0
-            if not np.isfinite(defect):
-                raise ConfigError(
-                    "/time/t", f"P sigma P^T overflowed at dt = {dt!r}: the symplectic"
-                    f" defect leaves the float range before t = {t!r}; lower t")
-            yield dt, lhs, np.maximum.reduceat(lhs, starts, axis=1), defect
-    except OverflowError as exc:
-        raise ConfigError(
-            "/time/t", f"{exc}: e^(S dt) leaves the float range before t = {t!r};"
-            " lower t"
-        ) from exc
-
-
 def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
-    """Certify the harmonic bound against the exact kernel dynamics."""
+    """Certify the harmonic bound against the exact kernel dynamics.
+
+    One pass over harm.stepped_products on the model's kernel S gives each
+    grid point's product e^{S dt} sigma. One np.take gathers its commutator
+    norms |product| over the x != y pairs, rows in _HARMONIC_KINDS order and
+    pairs sorted by distance; their per-distance maxima are the report's
+    cells. A closed model's symplectic defect reads the same products. A grid
+    on which e^{S dt} or the defect overflows is a configuration error.
+    """
     if config.harmonic_model is None:
         raise ConfigError("/model", "verify-harmonic requires a harmonic model")
     model = config.harmonic_model
@@ -274,25 +243,44 @@ def run_verify_harmonic(config: RunConfig, out_dir) -> dict:
     p0 = consts.p0 * SAFETY
     fitted_c0 = bnd.c0_fit(model, eta)
     c0 = fitted_c0 * SAFETY
-    off = np.flatnonzero(~np.eye(lattice.n_sites, dtype=bool))  # x != y in n x n
+    n = model.n_sites
+    off = np.flatnonzero(~np.eye(n, dtype=bool))  # x != y in n x n
     order, starts, distances = _by_distance(lattice.dist.ravel()[off])
     pairs = off[order]
     pair_counts = np.diff(starts, append=pairs.size)
+    if config.time is None or config.time.kind != "dt":
+        raise ConfigError("/time", "harmonic runs need a time section with dt_points")
+    t, dts = config.time.t, config.time.grid()
+    rhs = bnd.theorem4_bound(c0, p0, eta, dts[:, None], distances)  # (point, distance)
 
-    points = []  # per grid point: dt, lhs_max, its RHS and violating pairs per segment
+    maxima = np.empty((dts.size, len(_HARMONIC_KINDS), distances.size))
+    counts = np.zeros(maxima.shape, dtype=int)  # violating pairs per cell
     closed = bool(np.all(model.m == 0))  # the flow must then preserve sigma
-    defect = 0.0
-    for dt, lhs, lhs_max, point_defect in _harmonic_sweep(config, pairs, starts, closed):
-        defect = max(defect, point_defect)
-        rhs = bnd.theorem4_bound(c0, p0, eta, dt, distances)
-        count = np.zeros(lhs_max.shape, dtype=int)
-        if bnd.certify(lhs_max, np.broadcast_to(rhs, lhs_max.shape))[1].any():
-            # a segment has a violating pair only where its max violates
-            _, violated = bnd.certify(lhs, np.broadcast_to(np.repeat(rhs, pair_counts),
-                                                           lhs.shape))
-            count = np.add.reduceat(violated, starts, axis=1)
-        points.append((dt, lhs_max, rhs, count))
-    dts, maxima, rhs, counts = map(np.array, zip(*points))  # (point, kind, distance)
+    defect, flat = 0.0, None
+    try:
+        for k, (dt, product) in enumerate(harm.stepped_products(harm.build_kernel(model),
+                                                                t, dts.size)):
+            if flat is None:  # after the exponential, not on top of its arrays
+                # pair x n + y is entry x 2n + y, offset to each kind's block
+                offsets = np.array([0, n, 2 * n * n, 2 * n * n + n])[:, None]
+                flat = pairs + pairs // n * n + offsets
+            lhs = np.take(product, flat)
+            np.abs(lhs, out=lhs)
+            maxima[k] = np.maximum.reduceat(lhs, starts, axis=1)
+            bound = np.broadcast_to(rhs[k], maxima[k].shape)
+            if bnd.certify(maxima[k], bound)[1].any():
+                # a cell has a violating pair only where its max violates
+                bound = np.broadcast_to(np.repeat(rhs[k], pair_counts), lhs.shape)
+                counts[k] = np.add.reduceat(bnd.certify(lhs, bound)[1], starts, axis=1)
+            if closed and dt > 0.0:  # at dt = 0 the product is sigma itself
+                point_defect = harm.symplectic_defect(product)
+                if not np.isfinite(point_defect):  # before the max, which drops a NaN
+                    raise OverflowError(f"P sigma P^T overflowed at dt = {dt!r}")
+                defect = max(defect, point_defect)
+    except OverflowError as exc:
+        raise ConfigError("/time/t", f"{exc}: the flow leaves the float range before"
+                          f" t = {t!r}; lower t") from exc
+    del product, lhs, flat  # the loop's big arrays, before the report is built
     rhs = np.broadcast_to(rhs[:, None, :], maxima.shape)
     slack, _ = bnd.certify(maxima, rhs)
     per_kind = dict(zip(_HARMONIC_KINDS, counts.sum(axis=(0, 2)).tolist()))

@@ -1176,13 +1176,13 @@ class TestCli:
     def test_closed_harmonic_run_takes_one_exponential_and_one_pass(self, tmp_path,
                                                                     monkeypatch):
         # the symplectic defect reads the sweep's own products: no second
-        # stepping pass and no second exponential
-        from liebrob import harmonic
+        # stepping pass and no second exponential; the RHS is one call
+        from liebrob import bounds, harmonic
 
-        calls = {"matrix_exp": 0, "stepped_products": 0}
+        calls = {"matrix_exp": 0, "stepped_products": 0, "theorem4_bound": 0}
 
-        def counted(name):
-            fn = getattr(harmonic, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -1190,7 +1190,8 @@ class TestCli:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(harmonic, name, counted(name))
+            module = bounds if name == "theorem4_bound" else harmonic
+            monkeypatch.setattr(module, name, counted(module, name))
         config = load_config(write_config(tmp_path, {
             "lattice": {"geometry": {"kind": "grid", "sides": [3, 3]},
                         "metric": "graph"},
@@ -1201,7 +1202,7 @@ class TestCli:
             "time": {"t": 2.0, "dt_points": 9},
         }))
         summary = run_verify_harmonic(config, tmp_path / "out")
-        assert calls == {"matrix_exp": 1, "stepped_products": 1}
+        assert calls == {"matrix_exp": 1, "stepped_products": 1, "theorem4_bound": 1}
         monkeypatch.undo()
         kernel = harmonic.build_kernel(config.harmonic_model)
         defects = [harmonic.symplectic_defect(product)
@@ -1345,6 +1346,35 @@ class TestCli:
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
             f"error: {path}: the spin generator has non-finite entries"]
+        assert not out.exists()
+
+    def test_non_finite_harmonic_kernel_exits_one_with_one_line(self, tmp_path):
+        # two 1e200 entries in row 0 of m overflow Im(M_Q^dag M_P); the kernel
+        # build refuses it before the exponential, with no warning on stderr
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import liebrob
+
+        m = [[0.0] * 6 for _ in range(3)]
+        m[0][1] = m[0][5] = 1e200
+        path, out = write_config(tmp_path, {
+            "lattice": {"geometry": {"kind": "chain", "sides": [3]}, "metric": "graph"},
+            "eta": 2.0,
+            "model": {"type": "harmonic", "a": {"identity": {}}, "b": {"identity": {}},
+                      "m": {"dense": m}},
+            "time": {"t": 1.0, "dt_points": 3},
+        }), tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(liebrob.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "liebrob.cli", "verify-harmonic",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"error: {path}: the harmonic kernel S has non-finite entries: a, b or m"
+            " is too large"]
         assert not out.exists()
 
     @pytest.mark.parametrize("section, term", [

@@ -544,14 +544,16 @@ class TestCommutatorNormCurve:
         for r, value in zip(rs, curve):
             assert value == pytest.approx(oracle[r], abs=1e-8)
 
-    def test_time_dependent_curve_agrees_with_heisenberg_partition(self):
+    def test_time_dependent_curve_agrees_with_heisenberg_partition(self, monkeypatch):
+        import liebrob.lindblad as lindblad
+
         rng = np.random.default_rng(39)
         model = random_model(rng, n_sites=2, time_dependent=True)
         o_x = local_operator(PAULI_Z, (0,))
         o_y = local_operator(random_matrix(rng, 2), (1,))
         t, points, substeps = 1.1, 12, 32
-        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
-                                       substeps=substeps)[0]
+        monkeypatch.setattr(lindblad, "SUBSTEPS", substeps)
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points)[0]
         r, value = np.linspace(0.0, t, points)[3], curve[3]  # 8 intervals below t
         evolved = evolve(model, embed(o_y.matrix, (1,), model.lattice), r, t,
                          adjoint=True, steps=8 * substeps)
@@ -642,10 +644,11 @@ class TestCommutatorNormCurve:
             assert len({term.profile for term in models[-1].lindblad_terms}) > 1
         pairs = [(local_operator(PAULI_Z, (0,)), local_operator(PAULI_Z, (2,)))]
         points, substeps = 21, 4
+        monkeypatch.setattr(lindblad, "SUBSTEPS", substeps)
         expected = (points - 1) * substeps if time_dependent else points - 1
         for model in models:
             calls.clear()
-            commutator_norm_curves(model, pairs, 2.0, points, substeps=substeps)
+            commutator_norm_curves(model, pairs, 2.0, points)
             assert calls == [(64, 1)] * expected
 
     def test_cli_import_leaves_out_sparse_linalg(self):
@@ -663,15 +666,17 @@ class TestCommutatorNormCurve:
         assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("time_dependent", [False, True])
-    def test_stepped_grid_matches_direct_evolution(self, time_dependent):
+    def test_stepped_grid_matches_direct_evolution(self, monkeypatch, time_dependent):
+        import liebrob.lindblad as lindblad
+
         rng = np.random.default_rng(40)
         model = random_model(rng, n_sites=2, time_dependent=time_dependent)
         o_x = local_operator(PAULI_Z, (0,))
         o_y = local_operator(random_matrix(rng, 2), (1,))
         y_full = embed(o_y.matrix, (1,), model.lattice)
         t, points, substeps = 1.3, 7, 4
-        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
-                                       substeps=substeps)[0]
+        monkeypatch.setattr(lindblad, "SUBSTEPS", substeps)
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points)[0]
         x_full = embed(PAULI_Z, (0,), model.lattice)
         for k, (r, value) in enumerate(zip(np.linspace(0.0, t, points), curve)):
             # a fresh backward evolution over the points - 1 - k intervals above r
@@ -721,7 +726,9 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("case", ["xy5", "qubit4-driven", "qutrit2-driven",
                                       "qutrit3-pair"])
-    def test_curves_match_dense_sweep(self, case):
+    def test_curves_match_dense_sweep(self, monkeypatch, case):
+        import liebrob.lindblad as lindblad
+
         rng = np.random.default_rng(70)
         if case == "xy5":
             model = xy_chain_with_dephasing(n_sites=5, gamma=0.5)  # D = 32
@@ -739,8 +746,8 @@ class TestDenseOracle:
             o_x = local_operator(random_matrix(rng, 9), (2, 0), dim_per_site=3)
             o_y = local_operator(random_matrix(rng, 3), (1,), dim_per_site=3)
         t, points, substeps = 1.5, 11, 4
-        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points,
-                                       substeps=substeps)[0]
+        monkeypatch.setattr(lindblad, "SUBSTEPS", substeps)
+        curve = commutator_norm_curves(model, [(o_x, o_y)], t, points)[0]
         oracle = dense_commutator_norms(model, o_x, o_y, t, points, substeps)
         np.testing.assert_allclose(curve, oracle, rtol=0, atol=1e-12)
 
@@ -890,6 +897,8 @@ class TestMemoryGuard:
         # refusal of the same call with no free memory, must not undercut it
         import re
 
+        import liebrob.lindblad as lindblad
+
         rng = np.random.default_rng(80)
         if case == "static-curves":
             model = xy_chain_with_dephasing(n_sites=5)
@@ -897,13 +906,14 @@ class TestMemoryGuard:
             model = random_qudit_model(rng, 2, 4, time_dependent=True)
         pairs = [(local_operator(PAULI_Z, (i,)), local_operator(PAULI_Z, (j,)))
                  for i, j in ((0, 3), (1, 3), (0, 2))]
+        monkeypatch.setattr(lindblad, "SUBSTEPS", 2)
 
         def run():
             if case == "two-point":
                 evolve(model, embed(PAULI_Z, (0,), model.lattice), 0.0, 0.2,
                        adjoint=True, steps=2)
             else:
-                commutator_norm_curves(model, pairs, 1.0, 5, substeps=2)
+                commutator_norm_curves(model, pairs, 1.0, 5)
 
         tracemalloc.start()
         try:

@@ -66,7 +66,7 @@ def test_reference_runs_include_the_edge_case_configs():
 
     runs = reference_runs.reference_runs()
     edge = sorted((reference_runs.ROOT / "tools" / "reference_configs").glob("*.json"))
-    assert len(edge) == 5 and len(runs) == 22
+    assert len(edge) == 6 and len(runs) == 24
     assert [config for _, config in runs[-2 * len(edge):]] == [
         config for config in edge for _ in range(2)]
     for command, config in runs[-2 * len(edge):]:

@@ -1,4 +1,4 @@
-"""Compare two liebrob source trees on the 22 reference runs, byte for byte.
+"""Compare two liebrob source trees on the 24 reference runs, byte for byte.
 
     python tools/reference_runs.py A_SRC B_SRC
 
@@ -10,7 +10,9 @@ edge cases in ``tools/reference_configs/*.json``, each under its
 cases reach the verdict's branches that the other configs miss: a run that
 exits 2 on flagged cells, blank Theorem-3 cells (a 2-site observable, and a
 model with a 3-site term, which has no J matrix), infinite RHS cells on both
-engines, and a single-site harmonic chain whose report has no rows.
+engines, a single-site harmonic chain whose report has no rows, and a damped
+harmonic grid under the euclidean metric whose dense ``m`` has an
+off-diagonal Im(M_Q^dag M_P).
 The verify run also writes the model's ``lightcone.csv``. The configs are read
 from the tree this script lives in, so both sides see the same files at the
 same paths.
